@@ -17,6 +17,7 @@ counts against the declared shapes and rejects unknown format versions.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +80,16 @@ class Dataset:
         return self.test_inputs.shape[0]
 
 
+@contextmanager
+def manifest_keys(manifest_path: Path):
+    """Report a key missing from a manifest as a DatasetFormatError naming the
+    key and the file, instead of a bare KeyError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DatasetFormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from exc
+
+
 def _grid_to_json(grid: np.ndarray) -> dict:
     return {"kind": "points", "shape": list(grid.shape), "points": grid.tolist()}
 
@@ -132,25 +143,27 @@ def load_dataset(directory) -> Dataset:
         )
     if manifest.get("dtype") != "f64" or manifest.get("endianness") != "little":
         raise DatasetFormatError("container must be little-endian float64")
-    input_grid = _grid_from_json(manifest["grids"]["input"])
-    output_grid = _grid_from_json(manifest["grids"]["output"])
-    sizes = {"input": input_grid.shape[0], "output": output_grid.shape[0]}
-    splits = manifest["splits"]
-    arrays = {}
-    for attr, (fname, split, side) in _SPLIT_FILES.items():
-        rows, cols = int(splits[split]), sizes[side]
-        path = directory / fname
-        if not path.is_file():
-            raise DatasetFormatError(f"missing {fname}")
-        data = path.read_bytes()
-        expected = rows * cols * 8
-        if len(data) != expected:
-            raise DatasetFormatError(
-                f"{fname}: expected {expected} bytes ({rows}x{cols} float64), found {len(data)}"
-            )
-        arrays[attr] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+    with manifest_keys(manifest_path):
+        input_grid = _grid_from_json(manifest["grids"]["input"])
+        output_grid = _grid_from_json(manifest["grids"]["output"])
+        sizes = {"input": input_grid.shape[0], "output": output_grid.shape[0]}
+        splits = manifest["splits"]
+        arrays = {}
+        for attr, (fname, split, side) in _SPLIT_FILES.items():
+            rows, cols = int(splits[split]), sizes[side]
+            path = directory / fname
+            if not path.is_file():
+                raise DatasetFormatError(f"missing {fname}")
+            data = path.read_bytes()
+            expected = rows * cols * 8
+            if len(data) != expected:
+                raise DatasetFormatError(
+                    f"{fname}: expected {expected} bytes ({rows}x{cols} float64), found {len(data)}"
+                )
+            arrays[attr] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+        name = manifest["name"]
     ds = Dataset(
-        name=manifest["name"],
+        name=name,
         input_grid=input_grid,
         output_grid=output_grid,
         seed=manifest.get("seed", 0),

@@ -4,7 +4,9 @@
 * advection2 -- sign-thresholded periodic Gaussian fields, same exact shift.
 * burgers    -- viscous Burgers on the periodic unit interval, Fourier
   pseudo-spectral in space (conservative flux form, 2/3-rule dealiasing of the
-  quadratic term) and explicit RK4 in time, integrated to t_final.
+  quadratic term) and integrating-factor RK4 in time: diffusion is applied
+  exactly in Fourier space, so only the advective CFL bounds the step, and
+  each sample takes its own steps to t_final.
 * darcy      -- 2D diffusion -div(a grad v) = 1 with piecewise-constant
   coefficient a in {3, 12} from a thresholded Neumann field, zero Dirichlet
   boundary, conservative 5-point finite differences with harmonic-mean face
@@ -24,8 +26,7 @@ from ..errors import SolverError
 from .container import Dataset
 from .fields import GaussianFieldSpec, grid_points, sample_field_matrix, substream
 
-BURGERS_CFL = 0.5        # advective time-step factor: dt <= 0.5 dx / max|w|
-BURGERS_DIFFUSION = 0.25  # diffusive factor: dt <= 0.25 dx^2 / nu
+BURGERS_CFL = 0.5  # advective time-step factor: dt <= 0.5 dx / max|w|
 
 
 def _periodic_grid(n: int) -> np.ndarray:
@@ -116,59 +117,82 @@ def solve_burgers(
     """Integrate periodic viscous Burgers states to t_final.
 
     ``u0`` is one state or a (batch, n) matrix on the uniform periodic grid of
-    the unit interval. The time step is re-evaluated each step as
-    dt_safety * min(0.5 dx / max|w|, 0.25 dx^2 / nu) over the integrated
-    batch (the diffusive bound binds for all realistic states). Returns the
-    final states, or (states, energies) with the per-step l2 trace of the
-    first sample when ``energy_trace`` is set.
+    the unit interval. Integrating-factor RK4 on the Fourier coefficients: the
+    diffusion -nu k^2 is applied exactly through E = exp(-nu k^2 dt / 2), so
+    only the advective bound limits the step. Each row takes its own steps,
+    dt_i = dt_safety * 0.5 dx / max|w_i| clipped to t_final - t_i, and nothing
+    computed for one row reads another, so a row's result does not depend on
+    the batch it is solved in. Returns the final states, or (states, energies)
+    with the l2 norm of sample 0 after each of its steps when ``energy_trace``
+    is set.
     """
-    u = np.atleast_2d(np.asarray(u0, dtype=float)).copy()
+    u = np.atleast_2d(np.asarray(u0, dtype=float))
     n = u.shape[1]
     dx = 1.0 / n
     wavenum = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
     keep = np.arange(wavenum.size) <= n // 3  # 2/3-rule mask for the quadratic flux
-    damping = nu * wavenum * wavenum
+    advect = np.where(keep, -1j * wavenum, 0.0)
+    half_decay = -0.5 * nu * wavenum * wavenum
 
-    def rhs(w):
-        what = np.fft.rfft(w, axis=1)
-        flux = np.fft.rfft(0.5 * w * w, axis=1)
-        flux[:, ~keep] = 0.0
-        return np.fft.irfft(-1j * wavenum * flux - damping * what, n=n, axis=1)
+    def flux(w):
+        return advect * np.fft.rfft(0.5 * w * w, axis=1)
 
-    def check_finite(t):
-        bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+    def nonlinear(vhat):
+        return flux(np.fft.irfft(vhat, n=n, axis=1))
+
+    def check_finite(states, rows, t):
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
         if bad.size:
-            raise SolverError(f"burgers solve blew up at t={t:.4f} for sample {int(bad[0])}")
+            j = bad[0]
+            raise SolverError(f"burgers solve blew up at t={t[j]:.4f} for sample {int(rows[j])}")
 
-    check_finite(0.0)
+    # active rows: original index, own time and Fourier state
+    rows = np.arange(u.shape[0])
+    t = np.zeros(u.shape[0])
+    check_finite(u, rows, t)
+    vhat = np.fft.rfft(u, axis=1)
+    out = np.empty_like(u)
     energies = [float(np.linalg.norm(u[0]))] if energy_trace else None
-    t = 0.0
     steps = 0
-    while t < t_final:
-        wmax = float(np.abs(u).max())
-        dt = dt_safety * min(
-            BURGERS_CFL * dx / max(wmax, np.finfo(float).tiny),
-            BURGERS_DIFFUSION * dx * dx / nu,
-        )
-        dt = min(dt, t_final - t)
-        if not dt > 0:
-            check_finite(t)
-            raise SolverError(f"burgers time step collapsed to {dt} at t={t:.4f}")
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
+    while True:
+        w = np.fft.irfft(vhat, n=n, axis=1)
+        if energy_trace and steps and rows[0] == 0:
+            energies.append(float(np.linalg.norm(w[0])))
+        done = t >= t_final
+        if done.any():
+            out[rows[done]] = w[done]
+            live = ~done
+            rows, t, vhat, w = rows[live], t[live], vhat[live], w[live]
+        if not rows.size:
+            break
+        if steps and steps % 50 == 0:
+            check_finite(w, rows, t)
+        wmax = np.abs(w).max(axis=1)
+        dt = dt_safety * BURGERS_CFL * dx / np.maximum(wmax, np.finfo(float).tiny)
+        remaining = t_final - t
+        last = dt >= remaining
+        dt = np.where(last, remaining, dt)
+        collapsed = np.flatnonzero(~(dt > 0))
+        if collapsed.size:
+            check_finite(w, rows, t)
+            j = collapsed[0]
+            raise SolverError(
+                f"burgers time step collapsed to {dt[j]} at t={t[j]:.4f} for sample {int(rows[j])}"
+            )
+        h = dt[:, None]
+        E = np.exp(half_decay * h)
+        E2 = E * E
+        a = flux(w)
+        b = nonlinear(E * (vhat + 0.5 * h * a))
+        c = nonlinear(E * vhat + 0.5 * h * b)
+        d = nonlinear(E2 * vhat + h * (E * c))
+        vhat = E2 * vhat + (h / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+        t = np.where(last, t_final, t + dt)
         steps += 1
-        if energy_trace:
-            energies.append(float(np.linalg.norm(u[0])))
-        if steps % 50 == 0:
-            check_finite(t)
-    check_finite(t_final)
+    check_finite(out, np.arange(out.shape[0]), np.full(out.shape[0], t_final))
     if energy_trace:
-        return u, np.asarray(energies)
-    return u
+        return out, np.asarray(energies)
+    return out
 
 
 def gen_burgers(
@@ -199,8 +223,12 @@ def gen_burgers(
         seed=seed,
         provenance=(
             f"viscous Burgers, nu={nu}, solved to t={t_final} on {grid_size} periodic "
-            "grid points by RK4 pseudo-spectral (conservative flux, 2/3 dealiasing); "
-            "initial conditions from the periodic Gaussian field 625 (-Lap + 25 I)^-2"
+            "grid points by integrating-factor RK4 pseudo-spectral (exact diffusion, "
+            "conservative flux, 2/3 dealiasing) with per-sample steps at the advective "
+            "CFL only, so a sample does not depend on its batch; outputs differ at the "
+            "1e-6 level, not bitwise, from data made by the earlier explicit RK4 solver "
+            "that stepped the whole batch at the diffusive bound; initial conditions "
+            "from the periodic Gaussian field 625 (-Lap + 25 I)^-2"
         ),
     )
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from . import regression
+from .data.container import manifest_keys
 from .errors import DatasetFormatError
 from .kernels import ScalarKernel
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
@@ -178,20 +179,6 @@ def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-
-
-def median_pairwise_distance(points) -> float:
-    """Median pairwise distance of a point set (subsampled beyond 600 points)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] > 600:  # deterministic stride keeps the estimate reproducible
-        stride = int(np.ceil(pts.shape[0] / 600))
-        pts = pts[::stride]
-    if pts.shape[0] < 2:
-        return 1.0
-    med = float(np.median(pdist(pts)))
-    return med if med > 0 else 1.0
 
 
 def mesh_lengthscale(points, factor: float = 2.0) -> float:
@@ -436,32 +423,36 @@ def load_model(directory) -> OperatorModel:
         raise DatasetFormatError(
             f"unsupported model format_version {version!r}; this build reads {MODEL_FORMAT_VERSION}"
         )
-    arrays = manifest["arrays"]
-    in_pts = _read_bin(directory, arrays["input_points"])
-    out_pts = _read_bin(directory, arrays["output_points"])
-    L_in = _read_bin(directory, arrays["l_input"]) if "l_input" in arrays else None
-    L_out = _read_bin(directory, arrays["l_output"]) if "l_output" in arrays else None
+    with manifest_keys(manifest_path):
+        arrays = manifest["arrays"]
+        in_pts = _read_bin(directory, arrays["input_points"])
+        out_pts = _read_bin(directory, arrays["output_points"])
+        L_in = _read_bin(directory, arrays["l_input"]) if "l_input" in arrays else None
+        L_out = _read_bin(directory, arrays["l_output"]) if "l_output" in arrays else None
+        s_kernel = ScalarKernel.from_config(manifest["s_kernel"])
+        q_kernel = ScalarKernel.from_config(manifest["q_kernel"])
+        k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
+        factor_entry = arrays["gram_factor"]
+        factor = (_read_bin(directory, factor_entry), factor_entry["lower"])
+        reg = regression.TrainedRegressor(
+            kernel=s_kernel,
+            inputs=_read_bin(directory, arrays["train_features"]),
+            targets=_read_bin(directory, arrays["train_targets"]),
+            gamma=manifest["gamma"],
+            coef=_read_bin(directory, arrays["coefficients"]),
+            factor=factor,
+        )
+        input_nugget, output_nugget = manifest["input_nugget"], manifest["output_nugget"]
+        input_pca = _pca_from_files(directory, manifest.get("pca_input"))
+        output_pca = _pca_from_files(directory, manifest.get("pca_output"))
     in_meas = MeasurementOperator(in_pts, L_in, label="input")
     out_meas = MeasurementOperator(out_pts, L_out, label="output")
-    s_kernel = ScalarKernel.from_config(manifest["s_kernel"])
-    q_kernel = ScalarKernel.from_config(manifest["q_kernel"])
-    k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
-    factor_entry = arrays["gram_factor"]
-    factor = (_read_bin(directory, factor_entry), factor_entry["lower"])
-    reg = regression.TrainedRegressor(
-        kernel=s_kernel,
-        inputs=_read_bin(directory, arrays["train_features"]),
-        targets=_read_bin(directory, arrays["train_targets"]),
-        gamma=manifest["gamma"],
-        coef=_read_bin(directory, arrays["coefficients"]),
-        factor=factor,
-    )
     return OperatorModel(
         input_measurement=in_meas,
-        input_recovery=RecoveryMap(q_kernel, in_meas, manifest["input_nugget"]),
-        input_pca=_pca_from_files(directory, manifest.get("pca_input")),
+        input_recovery=RecoveryMap(q_kernel, in_meas, input_nugget),
+        input_pca=input_pca,
         regressor=reg,
-        output_pca=_pca_from_files(directory, manifest.get("pca_output")),
-        output_recovery=RecoveryMap(k_kernel, out_meas, manifest["output_nugget"]),
+        output_pca=output_pca,
+        output_recovery=RecoveryMap(k_kernel, out_meas, output_nugget),
         preconditioner=manifest.get("preconditioner", "none"),
     )

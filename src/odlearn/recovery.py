@@ -18,6 +18,7 @@ is factorized once and reused for every query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -58,13 +59,12 @@ class MeasurementOperator:
     """Collocation points plus an invertible preconditioner: phi(u) = L @ u(X).
 
     ``preconditioner=None`` means the identity. The condition number of L is
-    recorded at construction as a diagnostic (``condition``).
+    available as a diagnostic (``condition``), computed on first access.
     """
 
     points: np.ndarray
     preconditioner: np.ndarray | None = None
     label: str = ""
-    condition: float = field(init=False, repr=False, compare=False, default=1.0)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -86,7 +86,12 @@ class MeasurementOperator:
             if L.shape != (n, n):
                 raise ValueError(f"preconditioner must be {n}x{n}, got {L.shape}")
             object.__setattr__(self, "preconditioner", L)
-            object.__setattr__(self, "condition", float(np.linalg.cond(L)))
+
+    @cached_property
+    def condition(self) -> float:
+        if self.preconditioner is None:
+            return 1.0
+        return float(np.linalg.cond(self.preconditioner))
 
     @property
     def size(self) -> int:

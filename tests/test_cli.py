@@ -189,6 +189,16 @@ class TestEval:
     def test_missing_dataset_exits_2(self, trained, tmp_path):
         assert run(["eval", str(trained), str(tmp_path / "nope")]) == 2
 
+    def test_missing_manifest_key_exits_1(self, trained, adv1_dir, capsys):
+        path = trained / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["arrays"]["coefficients"]
+        path.write_text(json.dumps(manifest))
+        assert run(["eval", str(trained), str(adv1_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "coefficients" in err and "manifest.json" in err
+        assert "Traceback" not in err
+
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []
         for tag in ("one", "two"):

@@ -154,6 +154,25 @@ class TestBurgers:
         with pytest.raises(SolverError, match="sample 1"):
             solve_burgers(bad, nu=0.1, t_final=0.01)
 
+    def test_sample_independent_of_batch(self):
+        _, u0 = sample_field_matrix(
+            GaussianFieldSpec(boundary="periodic1d", grid_size=64, scale=625.0, tau=5.0, exponent=2.0),
+            seed=16,
+            count=2,
+        )
+        alone = solve_burgers(u0[:1], nu=0.1, t_final=0.5)
+        batched = solve_burgers(np.vstack([u0[0], 5.0 * u0[1]]), nu=0.1, t_final=0.5)
+        assert np.array_equal(alone[0], batched[0])
+
+    def test_blowup_names_sample_after_rows_finish(self):
+        # row 0 (zero) finishes in one step; row 2 overflows on its first step
+        u0 = np.zeros((3, 64))
+        u0[1] = np.sin(2.0 * np.pi * np.arange(64) / 64)
+        u0[2, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="sample 2"):
+                solve_burgers(u0, nu=0.1, t_final=0.01)
+
     def test_grid_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             gen_burgers(1, 1, grid_size=100, seed=0)
@@ -254,6 +273,17 @@ class TestContainer:
         save_dataset(ds, tmp_path / "d")
         (tmp_path / "d" / "test_inputs.bin").unlink()
         with pytest.raises(DatasetFormatError, match="missing"):
+            load_dataset(tmp_path / "d")
+
+    def test_missing_manifest_key_named(self, tmp_path):
+        import json
+
+        ds = gen_advection1(2, 1, grid_size=16, seed=1)
+        save_dataset(ds, tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        del manifest["splits"]
+        (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match=r"manifest\.json: missing key 'splits'"):
             load_dataset(tmp_path / "d")
 
     def test_dataset_validation(self):
