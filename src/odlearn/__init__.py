@@ -15,7 +15,7 @@ from .errors import (
     SolverError,
     UsageError,
 )
-from .kernels import ScalarKernel, eval_kernel, gram, gram_diag
+from .kernels import ScalarKernel
 from .metrics import ErrorReport, FlopsReport, count_inference_flops, relative_l2
 from .operator import (
     OperatorModel,
@@ -30,30 +30,13 @@ from .operator import (
     prepare_features,
     save_model,
 )
-from .preprocess import PcaProjector, pca_fit, project, reconstruct
-from .recovery import (
-    FunctionSamples,
-    MeasurementOperator,
-    RecoveryMap,
-    cholesky_preconditioner,
-    fill_distance,
-    measure,
-    recover,
-    recovery_weights,
-)
-from .regression import (
-    TrainedRegressor,
-    TuningSpec,
-    fit,
-    log_marginal_likelihood,
-    posterior_variance,
-    predict,
-    rkhs_norm_squared,
-    tune,
-)
+from .preprocess import PcaProjector
+from .recovery import FunctionSamples, MeasurementOperator, RecoveryMap, measure, recover
 
 __version__ = "0.1.0"
 
+# The operator-level API. Layer functions (Gram assembly, ridge regression and
+# tuning, PCA, recovery weights, preconditioners) live in their modules.
 __all__ = [
     "DatasetFormatError",
     "ErrorReport",
@@ -67,36 +50,19 @@ __all__ = [
     "RecoveryMap",
     "ScalarKernel",
     "SolverError",
-    "TrainedRegressor",
-    "TuningSpec",
     "UsageError",
     "apply",
     "apply_batch",
     "apply_mesh_invariant",
     "apply_with_uq",
-    "cholesky_preconditioner",
     "count_inference_flops",
     "error_bound",
-    "eval_kernel",
-    "fill_distance",
-    "fit",
     "fit_operator",
     "fit_operator_from_features",
-    "gram",
-    "gram_diag",
     "load_model",
-    "log_marginal_likelihood",
     "measure",
-    "pca_fit",
-    "posterior_variance",
-    "predict",
     "prepare_features",
-    "project",
     "recover",
-    "recovery_weights",
-    "reconstruct",
     "relative_l2",
-    "rkhs_norm_squared",
     "save_model",
-    "tune",
 ]

@@ -33,7 +33,7 @@ from . import metrics, operator, regression
 from .data import GENERATORS, Dataset, load_dataset, manifest_sha256, save_dataset
 from .errors import OdlearnError, UsageError
 from .kernels import ScalarKernel
-from .recovery import recovery_weights
+from .recovery import recovery_weights  # noqa: F401 - traced by bench/spans.py
 
 log = logging.getLogger("odlearn")
 
@@ -230,20 +230,16 @@ def evaluate_model(
     """Run the model over a dataset split and assemble the report dictionary."""
     if split not in ("train", "test"):
         raise UsageError(f"split must be 'train' or 'test', got {split!r}")
-    if not np.array_equal(dataset.input_grid, model.input_measurement.points):
-        raise OdlearnError(
-            f"dataset input grid {dataset.input_grid.shape} does not match model "
-            f"measurement points {model.input_measurement.points.shape}"
-        )
-    if not np.array_equal(dataset.output_grid, model.output_measurement.points):
-        raise OdlearnError(
-            f"dataset output grid {dataset.output_grid.shape} does not match model "
-            f"output points {model.output_measurement.points.shape}"
-        )
+    for side, grid, op in (("input", dataset.input_grid, model.input_measurement),
+                           ("output", dataset.output_grid, model.output_measurement)):
+        if not np.array_equal(grid, op.points):
+            raise OdlearnError(
+                f"dataset {side} grid {grid.shape} does not match model {side} points {op.points.shape}"
+            )
     inputs = dataset.train_inputs if split == "train" else dataset.test_inputs
     truths = dataset.train_outputs if split == "train" else dataset.test_outputs
     quad = quadrature or default_quadrature(dataset.output_grid)
-    preds = operator.apply_batch(model, inputs, dataset.output_grid)
+    preds, std = operator._predict(model, inputs, dataset.output_grid, std=with_uq)
     report_err = metrics.relative_l2(preds, truths, dataset.output_grid, quad)
     report = {
         "report_version": REPORT_VERSION,
@@ -254,14 +250,6 @@ def evaluate_model(
         "per_sample_relative_l2": report_err.per_sample.tolist(),
     }
     if with_uq:
-        L = model.input_measurement.preconditioner
-        raw = inputs if L is None else inputs @ L.T
-        U = raw if model.input_pca is None else (raw - model.input_pca.mean) @ model.input_pca.basis
-        s = np.clip(regression.posterior_variance(model.regressor, U), 0.0, None)
-        W = recovery_weights(model.output_recovery, dataset.output_grid)
-        if model.output_pca is not None:
-            W = W @ model.output_pca.basis
-        std = np.sqrt(s)[:, None] * np.linalg.norm(W, axis=1)[None, :]
         report["uq"] = {"mean_std": float(std.mean()), "max_std": float(std.max())}
     if with_flops:
         fl = metrics.count_inference_flops(model, dataset.output_grid.shape[0])

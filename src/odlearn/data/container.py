@@ -81,13 +81,15 @@ class Dataset:
 
 
 @contextmanager
-def manifest_keys(manifest_path: Path):
-    """Report a key missing from a manifest as a DatasetFormatError naming the
-    key and the file, instead of a bare KeyError."""
+def manifest_keys(manifest_path: Path, entry: str = "entry"):
+    """Report a key missing from a manifest, or a value of the wrong type or
+    form, as a DatasetFormatError naming the key or ``entry`` and the file."""
     try:
         yield
     except KeyError as exc:
         raise DatasetFormatError(f"{manifest_path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DatasetFormatError(f"{manifest_path}: malformed {entry} ({exc})") from exc
 
 
 def _grid_to_json(grid: np.ndarray) -> dict:
@@ -98,7 +100,7 @@ def _grid_from_json(entry: dict) -> np.ndarray:
     if entry.get("kind") != "points":
         raise DatasetFormatError(f"unsupported grid kind {entry.get('kind')!r}")
     grid = np.asarray(entry["points"], dtype=float)
-    if list(grid.shape) != list(entry["shape"]):
+    if grid.ndim not in (1, 2) or list(grid.shape) != list(entry["shape"]):
         raise DatasetFormatError(
             f"grid shape {list(grid.shape)} does not match declared {entry['shape']}"
         )
@@ -136,21 +138,23 @@ def load_dataset(directory) -> Dataset:
     if not manifest_path.is_file():
         raise DatasetFormatError(f"{directory} has no manifest.json")
     manifest = json.loads(manifest_path.read_text())
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
-        )
-    if manifest.get("dtype") != "f64" or manifest.get("endianness") != "little":
-        raise DatasetFormatError("container must be little-endian float64")
     with manifest_keys(manifest_path):
-        input_grid = _grid_from_json(manifest["grids"]["input"])
-        output_grid = _grid_from_json(manifest["grids"]["output"])
-        sizes = {"input": input_grid.shape[0], "output": output_grid.shape[0]}
-        splits = manifest["splits"]
+        version = manifest.get("format_version")
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(
+                f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
+            )
+        if manifest.get("dtype") != "f64" or manifest.get("endianness") != "little":
+            raise DatasetFormatError("container must be little-endian float64")
+        grids = {}
+        for side in ("input", "output"):
+            with manifest_keys(manifest_path, f"grids.{side}"):
+                grids[side] = _grid_from_json(manifest["grids"][side])
+        input_grid, output_grid = grids["input"], grids["output"]
         arrays = {}
         for attr, (fname, split, side) in _SPLIT_FILES.items():
-            rows, cols = int(splits[split]), sizes[side]
+            with manifest_keys(manifest_path, f"splits.{split}"):
+                rows, cols = int(manifest["splits"][split]), grids[side].shape[0]
             path = directory / fname
             if not path.is_file():
                 raise DatasetFormatError(f"missing {fname}")

@@ -150,7 +150,12 @@ class ScalarKernel:
         if self.family == "rq":
             return (1.0 + r * r / (2.0 * l * l)) ** (-self.alpha)
         t = (math.sqrt(8.0 * self.nu) / l) * r
-        return np.polyval(self._matern_coeffs, t) * np.exp(-(math.sqrt(2.0 * self.nu) / l) * r)
+        y = np.zeros_like(t)
+        for c in self._matern_coeffs:  # np.polyval's Horner steps, without its temporaries
+            y *= t
+            y += c
+        y *= np.exp(-(math.sqrt(2.0 * self.nu) / l) * r)
+        return y
 
     def __call__(self, x, y) -> float:
         return eval_kernel(self, x, y)

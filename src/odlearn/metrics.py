@@ -144,7 +144,8 @@ def count_inference_flops(
     the kernel row against all training features, the regression matvec, the
     output PCA reconstruction (when present), and the output-recovery matvec
     for the requested number of query points. The count depends only on the
-    model shapes.
+    model shapes. On the model's own output grid serving does exactly the
+    counted output matvec; off-grid queries also pay one recovery solve per sample.
     """
     if output_query_count < 0:
         raise ValueError("output_query_count must be nonnegative")

@@ -11,7 +11,8 @@ reading of the regressor yields pointwise predictive standard deviations
 (``apply_with_uq``) and a deterministic worst-case error bound
 (``error_bound``).
 
-Models are immutable after assembly; all apply-style operations are pure.
+Models are immutable after assembly, apart from cached recovery weights for
+their own output grid, shared by reloads; all apply-style operations are pure.
 Persistence uses a directory with a JSON manifest plus raw little-endian
 float64 binaries.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from scipy.spatial.distance import cdist
 from . import regression
 from .data.container import manifest_keys
 from .errors import DatasetFormatError
-from .kernels import ScalarKernel
+from .kernels import ScalarKernel, gram
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
 from .recovery import (
     FunctionSamples,
@@ -38,9 +40,12 @@ from .recovery import (
     measure,
     recover,
     recovery_weights,
+    resolve_nugget,
+    restrict,
 )
 
 MODEL_FORMAT_VERSION = 1
+_last_weights = None  # (output chain, output_weights) of the last model to build them
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,8 @@ class OperatorModel:
     """Assembled operator: input measurement -> regressor -> output recovery."""
 
     input_measurement: MeasurementOperator
-    input_recovery: RecoveryMap          # interpolation map on the input grid
+    q_kernel: ScalarKernel               # input-grid interpolation kernel, persisted only
+    input_nugget: float                  # and its nugget
     input_pca: PcaProjector | None
     regressor: regression.TrainedRegressor
     output_pca: PcaProjector | None
@@ -70,35 +76,87 @@ class OperatorModel:
             raise ValueError(
                 f"regressor output dim {m_reg} inconsistent with output chain ({m_expected})"
             )
-        if not np.array_equal(self.input_recovery.measurement.points, self.input_measurement.points):
-            raise ValueError("input recovery map must live on the input measurement points")
 
     @property
     def output_measurement(self) -> MeasurementOperator:
         return self.output_recovery.measurement
 
+    @cached_property
+    def output_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_weight_rows`` on the model's own output grid, built on first use, or
+        reused from the last model that built them if its output chain is equal."""
+        global _last_weights
+        r, pca = self.output_recovery, self.output_pca
+        chain = (r.kernel, r.nugget, r.measurement.points, r.measurement.preconditioner, pca and pca.basis)
+        last = _last_weights  # np.array_equal also compares kernels, nuggets and None
+        if last is None or not all(map(np.array_equal, last[0], chain)):
+            last = _last_weights = (chain, _weight_rows(self, r.measurement.points))
+        return last[1]
 
-def measure_input(model: OperatorModel, u: FunctionSamples) -> np.ndarray:
-    """Full input measurement: pointwise values, preconditioner, then PCA if active."""
-    raw = measure(model.input_measurement, u)
-    if model.input_pca is not None:
-        return project(model.input_pca, raw)
-    return raw
+
+def _weight_rows(model: OperatorModel, query_points) -> tuple[np.ndarray, np.ndarray]:
+    """Recovery weights W at the query points, and the row norms of the weights
+    acting on regressor outputs (W @ output PCA basis, or W itself)."""
+    W = recovery_weights(model.output_recovery, query_points)
+    B = W if model.output_pca is None else W @ model.output_pca.basis
+    return W, np.linalg.norm(B, axis=1)
 
 
-def _predicted_measurements(model: OperatorModel, U: np.ndarray) -> np.ndarray:
-    """Regressor output mapped back to output-measurement coordinates."""
+def _features(model: OperatorModel, X: np.ndarray) -> np.ndarray:
+    """The feature map on rows of input values: preconditioner, then input PCA."""
+    L = model.input_measurement.preconditioner
+    raw = X if L is None else X @ L.T
+    return raw if model.input_pca is None else project(model.input_pca, raw)
+
+
+def _variance(model: OperatorModel, U: np.ndarray) -> np.ndarray:
+    """Conditional variance at each feature row, negative roundoff clamped to 0."""
+    return np.clip(regression.posterior_variance(model.regressor, U), 0.0, None)
+
+
+def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
+    """The inference core: (B, n_input_points) rows of input values in grid
+    order to (mean, std), each (B, n_query_points); std is None unless asked.
+    On the model's own output grid the recovery is one product with the cached
+    ``output_weights``; other query sets pay one recovery solve per row.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != model.input_measurement.size:
+        raise ValueError(
+            f"rows have {X.shape[1]} values, expected {model.input_measurement.size}"
+        )
+    U = _features(model, X)
     z = regression.predict(model.regressor, U)
-    if model.output_pca is not None:
-        return reconstruct(model.output_pca, z)
-    return z
+    V = z if model.output_pca is None else reconstruct(model.output_pca, z)
+    qp = np.asarray(query_points, dtype=float)
+    qp = qp[:, None] if qp.ndim == 1 else qp
+    rmap = model.output_recovery
+    grid = rmap.measurement.points
+    if qp.shape == grid.shape and np.array_equal(qp, grid):
+        W, norms = model.output_weights
+        mean = V @ W.T
+    else:
+        # The cross Gram in 128-row blocks: the allocator reuses their temporaries
+        # from call to call, where a whole one is page-faulted in on many calls.
+        C = rmap.coefficients(V)
+        blocks = range(0, max(len(qp), 1), 128)
+        mean = np.concatenate([gram(rmap.kernel, qp[i:i + 128], grid) @ C for i in blocks]).T
+        if std:
+            norms = _weight_rows(model, qp)[1]
+    if not std:
+        return mean, None
+    return mean, np.sqrt(_variance(model, U))[:, None] * norms
+
+
+def _row(model: OperatorModel, u: FunctionSamples) -> np.ndarray:
+    """u's values on the input grid, as a batch of one row."""
+    return restrict(model.input_measurement, u)[None, :]
 
 
 def apply(model: OperatorModel, u: FunctionSamples, query_points) -> FunctionSamples:
     """Evaluate the learned operator on one input function at the query points."""
-    U = measure_input(model, u)
-    V = _predicted_measurements(model, U)
-    return recover(model.output_recovery, V, query_points)
+    mean, _ = _predict(model, _row(model, u), query_points)
+    return FunctionSamples(query_points, mean[0])
 
 
 def apply_batch(model: OperatorModel, input_values, query_points) -> np.ndarray:
@@ -107,17 +165,7 @@ def apply_batch(model: OperatorModel, input_values, query_points) -> np.ndarray:
     ``input_values`` is (B, n_input_points) in grid order; returns
     (B, n_query_points).
     """
-    X = np.atleast_2d(np.asarray(input_values, dtype=float))
-    if X.shape[1] != model.input_measurement.size:
-        raise ValueError(
-            f"rows have {X.shape[1]} values, expected {model.input_measurement.size}"
-        )
-    L = model.input_measurement.preconditioner
-    raw = X if L is None else X @ L.T
-    U = project(model.input_pca, raw) if model.input_pca is not None else raw
-    V = _predicted_measurements(model, U)
-    W = recovery_weights(model.output_recovery, query_points)
-    return V @ W.T
+    return _predict(model, input_values, query_points)[0]
 
 
 def apply_mesh_invariant(
@@ -151,15 +199,9 @@ def apply_with_uq(
     gives std(y) = sqrt(s) * |w(y)|_2 with w(y) the output-reconstruction
     weight row at y (composed with the PCA basis when output PCA is active).
     """
-    U = measure_input(model, u)
-    V = _predicted_measurements(model, U)
-    mean = recover(model.output_recovery, V, query_points)
-    s = max(regression.posterior_variance(model.regressor, U), 0.0)
-    W = recovery_weights(model.output_recovery, query_points)
-    if model.output_pca is not None:
-        W = W @ model.output_pca.basis
-    std = np.sqrt(s) * np.linalg.norm(W, axis=1)
-    return mean, FunctionSamples(mean.grid, std)
+    mean, std = _predict(model, _row(model, u), query_points, std=True)
+    mean = FunctionSamples(query_points, mean[0])
+    return mean, FunctionSamples(mean.grid, std[0])
 
 
 def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float) -> float:
@@ -171,8 +213,7 @@ def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float
     """
     if rkhs_norm_bound < 0:
         raise ValueError("rkhs_norm_bound must be nonnegative")
-    U = measure_input(model, u)
-    s = max(regression.posterior_variance(model.regressor, U), 0.0)
+    s = _variance(model, _features(model, _row(model, u)))[0]
     return float(np.sqrt(model.regressor.output_dim * s) * rkhs_norm_bound)
 
 
@@ -292,7 +333,8 @@ def fit_operator_from_features(
     reg = regression.fit(s_kernel, feats.features, feats.targets, gamma)
     return OperatorModel(
         input_measurement=feats.input_measurement,
-        input_recovery=RecoveryMap(feats.q_kernel, feats.input_measurement, feats.nugget),
+        q_kernel=feats.q_kernel,
+        input_nugget=resolve_nugget(feats.q_kernel, feats.input_measurement.points, feats.nugget),
         input_pca=feats.input_pca,
         regressor=reg,
         output_pca=feats.output_pca,
@@ -326,9 +368,10 @@ def _write_bin(directory: Path, name: str, arr: np.ndarray) -> dict:
     return {"file": name, "shape": list(arr.shape)}
 
 
-def _read_bin(directory: Path, entry: dict) -> np.ndarray:
-    path = directory / entry["file"]
-    shape = tuple(entry["shape"])
+def _read_bin(directory: Path, arrays: dict, key: str) -> np.ndarray:
+    with manifest_keys(directory / "manifest.json", f"arrays.{key}"):
+        path = directory / arrays[key]["file"]
+        shape = tuple(int(n) for n in arrays[key]["shape"])
     expected = int(np.prod(shape)) * 8
     data = path.read_bytes()
     if len(data) != expected:
@@ -354,24 +397,24 @@ def _pca_to_files(directory: Path, name: str, p: PcaProjector | None) -> dict | 
     }
 
 
-def _pca_from_files(directory: Path, entry: dict | None) -> PcaProjector | None:
+def _pca_from_files(directory: Path, manifest: dict, key: str) -> PcaProjector | None:
+    entry = manifest.get(key)
     if entry is None:
         return None
-    d, k = entry["dim"], entry["k"]
-    expected = (d + d * k) * 8
-    data = (directory / entry["file"]).read_bytes()
-    if len(data) != expected:
-        raise DatasetFormatError(
-            f"{entry['file']}: expected {expected} bytes, found {len(data)}"
+    with manifest_keys(directory / "manifest.json", key):
+        d, k, name = int(entry["dim"]), int(entry["k"]), entry["file"]
+        data = (directory / name).read_bytes()
+        expected = (d + d * k) * 8
+        if len(data) != expected:
+            raise DatasetFormatError(f"{name}: expected {expected} bytes, found {len(data)}")
+        blob = np.frombuffer(data, dtype="<f8")
+        return PcaProjector(
+            mean=blob[:d].copy(),
+            basis=blob[d:].reshape(d, k).copy(),
+            singular_values=np.asarray(entry["singular_values"], dtype=float),
+            retained_fraction=float(entry["retained_fraction"]),
+            achieved_fraction=float(entry["achieved_fraction"]),
         )
-    blob = np.frombuffer(data, dtype="<f8")
-    return PcaProjector(
-        mean=blob[:d].copy(),
-        basis=blob[d:].reshape(d, k).copy(),
-        singular_values=np.asarray(entry["singular_values"], dtype=float),
-        retained_fraction=entry["retained_fraction"],
-        achieved_fraction=entry["achieved_fraction"],
-    )
 
 
 def save_model(model: OperatorModel, directory) -> None:
@@ -398,11 +441,11 @@ def save_model(model: OperatorModel, directory) -> None:
     manifest = {
         "format_version": MODEL_FORMAT_VERSION,
         "s_kernel": model.regressor.kernel.to_config(),
-        "q_kernel": model.input_recovery.kernel.to_config(),
+        "q_kernel": model.q_kernel.to_config(),
         "k_kernel": model.output_recovery.kernel.to_config(),
         "gamma": model.regressor.gamma,
         "preconditioner": model.preconditioner,
-        "input_nugget": model.input_recovery.nugget,
+        "input_nugget": model.input_nugget,
         "output_nugget": model.output_recovery.nugget,
         "pca_input": _pca_to_files(directory, "pca_input.bin", model.input_pca),
         "pca_output": _pca_to_files(directory, "pca_output.bin", model.output_pca),
@@ -418,41 +461,38 @@ def load_model(directory) -> OperatorModel:
     if not manifest_path.is_file():
         raise DatasetFormatError(f"{directory} has no manifest.json")
     manifest = json.loads(manifest_path.read_text())
-    version = manifest.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported model format_version {version!r}; this build reads {MODEL_FORMAT_VERSION}"
-        )
     with manifest_keys(manifest_path):
+        version = manifest.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise DatasetFormatError(
+                f"unsupported model format_version {version!r}; this build reads {MODEL_FORMAT_VERSION}"
+            )
         arrays = manifest["arrays"]
-        in_pts = _read_bin(directory, arrays["input_points"])
-        out_pts = _read_bin(directory, arrays["output_points"])
-        L_in = _read_bin(directory, arrays["l_input"]) if "l_input" in arrays else None
-        L_out = _read_bin(directory, arrays["l_output"]) if "l_output" in arrays else None
+        in_pts = _read_bin(directory, arrays, "input_points")
+        out_pts = _read_bin(directory, arrays, "output_points")
+        L_in = _read_bin(directory, arrays, "l_input") if "l_input" in arrays else None
+        L_out = _read_bin(directory, arrays, "l_output") if "l_output" in arrays else None
         s_kernel = ScalarKernel.from_config(manifest["s_kernel"])
         q_kernel = ScalarKernel.from_config(manifest["q_kernel"])
         k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
-        factor_entry = arrays["gram_factor"]
-        factor = (_read_bin(directory, factor_entry), factor_entry["lower"])
+        factor = (_read_bin(directory, arrays, "gram_factor"), arrays["gram_factor"]["lower"])
         reg = regression.TrainedRegressor(
             kernel=s_kernel,
-            inputs=_read_bin(directory, arrays["train_features"]),
-            targets=_read_bin(directory, arrays["train_targets"]),
+            inputs=_read_bin(directory, arrays, "train_features"),
+            targets=_read_bin(directory, arrays, "train_targets"),
             gamma=manifest["gamma"],
-            coef=_read_bin(directory, arrays["coefficients"]),
+            coef=_read_bin(directory, arrays, "coefficients"),
             factor=factor,
         )
-        input_nugget, output_nugget = manifest["input_nugget"], manifest["output_nugget"]
-        input_pca = _pca_from_files(directory, manifest.get("pca_input"))
-        output_pca = _pca_from_files(directory, manifest.get("pca_output"))
-    in_meas = MeasurementOperator(in_pts, L_in, label="input")
-    out_meas = MeasurementOperator(out_pts, L_out, label="output")
-    return OperatorModel(
-        input_measurement=in_meas,
-        input_recovery=RecoveryMap(q_kernel, in_meas, input_nugget),
-        input_pca=input_pca,
-        regressor=reg,
-        output_pca=output_pca,
-        output_recovery=RecoveryMap(k_kernel, out_meas, output_nugget),
-        preconditioner=manifest.get("preconditioner", "none"),
-    )
+        return OperatorModel(
+            input_measurement=MeasurementOperator(in_pts, L_in, label="input"),
+            q_kernel=q_kernel,
+            input_nugget=resolve_nugget(q_kernel, in_pts, manifest["input_nugget"]),
+            input_pca=_pca_from_files(directory, manifest, "pca_input"),
+            regressor=reg,
+            output_pca=_pca_from_files(directory, manifest, "pca_output"),
+            output_recovery=RecoveryMap(
+                k_kernel, MeasurementOperator(out_pts, L_out, label="output"), manifest["output_nugget"]
+            ),
+            preconditioner=manifest.get("preconditioner", "none"),
+        )

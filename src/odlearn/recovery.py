@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
-from .kernels import ScalarKernel, gram
+from .kernels import ScalarKernel, gram, gram_diag
 
 NUGGET_FACTOR = 1e-10  # default nugget = 1e-10 * mean(diag Gram)
 
@@ -98,35 +98,42 @@ class MeasurementOperator:
         return self.points.shape[0]
 
 
-def measure(op: MeasurementOperator, f: FunctionSamples) -> np.ndarray:
-    """Apply the measurement operator: restrict f to op.points, then apply L.
+def restrict(op: MeasurementOperator, f: FunctionSamples) -> np.ndarray:
+    """Values of f at op.points, in their order (read-only: may share f's buffer).
 
     The function must supply values at exactly the operator's points (same
     order) or on a grid containing them with exact coordinate equality; no
     nearest-neighbor snapping is performed.
     """
     if f.grid.shape == op.points.shape and np.array_equal(f.grid, op.points):
-        vals = f.values
-    else:
-        if f.grid.shape[1] != op.points.shape[1]:
-            raise ValueError(
-                f"grid dimension {f.grid.shape[1]} != measurement dimension {op.points.shape[1]}"
-            )
-        index = {row.tobytes(): i for i, row in enumerate(f.grid)}
-        sel = np.empty(op.size, dtype=int)
-        for i, row in enumerate(op.points):
-            j = index.get(row.tobytes())
-            if j is None:
-                raise ValueError(f"function grid has no value at measurement point {row.tolist()}")
-            sel[i] = j
-        vals = f.values[sel]
-    if op.preconditioner is None:
-        return vals.copy()
-    return op.preconditioner @ vals
+        return f.values
+    if f.grid.shape[1] != op.points.shape[1]:
+        raise ValueError(
+            f"grid dimension {f.grid.shape[1]} != measurement dimension {op.points.shape[1]}"
+        )
+    index = {row.tobytes(): i for i, row in enumerate(f.grid)}
+    sel = np.empty(op.size, dtype=int)
+    for i, row in enumerate(op.points):
+        j = index.get(row.tobytes())
+        if j is None:
+            raise ValueError(f"function grid has no value at measurement point {row.tolist()}")
+        sel[i] = j
+    return f.values[sel]
 
 
-def _default_nugget(gram_matrix: np.ndarray) -> float:
-    return NUGGET_FACTOR * float(np.mean(np.diag(gram_matrix)))
+def measure(op: MeasurementOperator, f: FunctionSamples) -> np.ndarray:
+    """Apply the measurement operator: restrict f to op.points, then apply L."""
+    vals = restrict(op, f)
+    return vals.copy() if op.preconditioner is None else op.preconditioner @ vals
+
+
+def resolve_nugget(kernel: ScalarKernel, points, nugget: float | None = None) -> float:
+    """``nugget``, or by default 1e-10 times the mean kernel diagonal on the points."""
+    if nugget is None:
+        nugget = NUGGET_FACTOR * float(np.mean(gram_diag(kernel, points)))
+    if nugget < 0:
+        raise ValueError("nugget must be nonnegative")
+    return float(nugget)
 
 
 @dataclass(frozen=True)
@@ -135,22 +142,19 @@ class RecoveryMap:
 
     The kernel matrix on the measurement points is assembled and
     Cholesky-factorized once at construction; ``recover`` reuses the factor
-    for all queries, so concurrent calls are safe.
+    for all queries, so concurrent calls are safe. The LU factor of a
+    preconditioner is computed on first use and cached.
     """
 
     kernel: ScalarKernel
     measurement: MeasurementOperator
     nugget: float | None = None
-    gram_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     _factor: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        nugget = resolve_nugget(self.kernel, self.measurement.points, self.nugget)
+        object.__setattr__(self, "nugget", nugget)
         G = gram(self.kernel, self.measurement.points)
-        nugget = self.nugget if self.nugget is not None else _default_nugget(G)
-        if nugget < 0:
-            raise ValueError("nugget must be nonnegative")
-        object.__setattr__(self, "nugget", float(nugget))
-        object.__setattr__(self, "gram_matrix", G)
         A = G + nugget * np.eye(G.shape[0])
         try:
             factor = cho_factor(A, lower=True)
@@ -165,13 +169,20 @@ class RecoveryMap:
     def size(self) -> int:
         return self.measurement.size
 
+    @cached_property
+    def _preconditioner_lu(self) -> tuple:
+        return lu_factor(self.measurement.preconditioner)
+
     def coefficients(self, U) -> np.ndarray:
-        """Representer coefficients c with recover(U) = sum_i c_i k(., X_i)."""
-        U = np.asarray(U, dtype=float).ravel()
-        if U.size != self.size:
-            raise ValueError(f"measurement vector has length {U.size}, expected {self.size}")
-        L = self.measurement.preconditioner
-        w = U if L is None else np.linalg.solve(L, U)
+        """Representer coefficients c with recover(U) = sum_i c_i k(., X_i); a
+        (B, m) batch of rows U gives one coefficient column per row."""
+        U = np.asarray(U, dtype=float)
+        U = U.ravel() if U.ndim != 2 else U
+        if U.shape[-1] != self.size:
+            raise ValueError(f"measurement vector has length {U.shape[-1]}, expected {self.size}")
+        w = U.T
+        if self.measurement.preconditioner is not None:
+            w = lu_solve(self._preconditioner_lu, w)
         return cho_solve(self._factor, w)
 
 
@@ -197,9 +208,8 @@ def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:
         qp = qp[:, None]
     kq = gram(rmap.kernel, qp, rmap.measurement.points)
     W = cho_solve(rmap._factor, kq.T).T
-    L = rmap.measurement.preconditioner
-    if L is not None:
-        W = np.linalg.solve(L.T, W.T).T
+    if rmap.measurement.preconditioner is not None:
+        W = lu_solve(rmap._preconditioner_lu, W.T, trans=1).T
     return W
 
 
@@ -213,8 +223,7 @@ def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None =
     become norm-one maps on the span of the representers.
     """
     G = gram(kernel, points)
-    if nugget is None:
-        nugget = _default_nugget(G)
+    nugget = resolve_nugget(kernel, points, nugget)
     A = G + nugget * np.eye(G.shape[0])
     w, V = np.linalg.eigh(A)
     if w.min() <= 0:

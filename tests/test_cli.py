@@ -199,6 +199,59 @@ class TestEval:
         assert "coefficients" in err and "manifest.json" in err
         assert "Traceback" not in err
 
+    @pytest.fixture()
+    def trained_pca(self, adv1_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "matern", "nu": 2.5, "lengthscale": 5.0},
+            "gamma": 1e-8,
+            "pca": {"enabled": True, "input_fraction": 0.99},
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        return tmp_path / "model"
+
+    # (which manifest, key path to overwrite (empty: the whole manifest), new value,
+    #  text the error must contain)
+    MALFORMED = [
+        ("model", ("arrays", "coefficients"), 5, "arrays.coefficients"),
+        ("model", ("arrays", "coefficients", "shape"), "wide", "arrays.coefficients"),
+        ("model", ("arrays", "coefficients", "shape"), [None], "arrays.coefficients"),
+        ("model", ("arrays", "coefficients", "file"), 3, "arrays.coefficients"),
+        ("model", ("arrays",), [1, 2], "manifest.json"),
+        ("model", ("pca_input",), 5, "pca_input"),
+        ("model", ("pca_input", "k"), "many", "pca_input"),
+        ("model", ("pca_input", "singular_values"), "abc", "pca_input"),
+        ("model", ("s_kernel",), 5, "manifest.json"),
+        ("model", ("input_nugget",), "small", "manifest.json"),
+        ("model", (), [1, 2], "manifest.json"),
+        ("dataset", ("grids", "input"), 5, "grids.input"),
+        ("dataset", ("grids", "output", "points"), "abc", "grids.output"),
+        ("dataset", ("grids", "output", "shape"), 7, "grids.output"),
+        ("dataset", ("splits", "test"), "many", "splits.test"),
+        ("dataset", ("splits", "train"), [60], "splits.train"),
+        ("dataset", ("splits",), [1, 2], "splits"),
+        ("dataset", (), 5, "manifest.json"),
+    ]
+
+    @pytest.mark.parametrize("which,path,value,named", MALFORMED, ids=[
+        f"{w}:{'.'.join(p) or 'manifest'}={type(v).__name__}" for w, p, v, _ in MALFORMED])
+    def test_malformed_manifest_exits_1(self, trained_pca, adv1_dir, capsys, which, path, value, named):
+        target = (trained_pca if which == "model" else adv1_dir) / "manifest.json"
+        manifest = json.loads(target.read_text())
+        if path:
+            node = manifest
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            manifest = value
+        target.write_text(json.dumps(manifest))
+        assert run(["eval", str(trained_pca), str(adv1_dir)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "manifest.json" in err
+        assert "Traceback" not in err
+
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []
         for tag in ("one", "two"):

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from odlearn.data import gen_advection1
+from odlearn import cli, operator
+from odlearn.data import Dataset, gen_advection1
 from odlearn.errors import DatasetFormatError
-from odlearn.kernels import ScalarKernel
+from odlearn.kernels import ScalarKernel, gram
 from odlearn.operator import (
     apply,
     apply_batch,
@@ -16,7 +18,9 @@ from odlearn.operator import (
     load_model,
     save_model,
 )
+from odlearn.preprocess import project, reconstruct
 from odlearn.recovery import (
+    NUGGET_FACTOR,
     FunctionSamples,
     MeasurementOperator,
     RecoveryMap,
@@ -126,7 +130,8 @@ class TestMeshInvariance:
         u = FunctionSamples(grid, inputs[2] + 0.1)
         native = apply(model, u, grid).values
         got = apply_mesh_invariant(
-            model, u, model.input_measurement, model.input_recovery, grid
+            model, u, model.input_measurement,
+            RecoveryMap(model.q_kernel, model.input_measurement, model.input_nugget), grid
         ).values
         np.testing.assert_allclose(got, native, atol=1e-10)
 
@@ -330,3 +335,124 @@ class TestPersistence:
         (tmp_path / "m" / "coefficients.bin").write_bytes(blob[:-8])
         with pytest.raises(DatasetFormatError, match="bytes"):
             load_model(tmp_path / "m")
+
+
+@pytest.fixture(scope="module", params=["none", "cholesky"])
+def uq_dataset_model(request):
+    """Matern model with input and output PCA, with and without the preconditioner."""
+    grid, inputs, outputs = smooth_dataset(n_train=40, n_pts=20, seed=31)
+    model = fit_operator(
+        grid, grid, inputs[:30], outputs[:30], ScalarKernel.matern(nu=2.5, lengthscale=3.0),
+        gamma=1e-6, preconditioner=request.param,
+        pca_input_fraction=0.999, pca_output_fraction=0.999,
+    )
+    ds = Dataset("smooth", grid, grid, inputs[:30], outputs[:30], inputs[30:], outputs[30:])
+    return ds, model
+
+
+def offgrid(grid):
+    """As many query points as the grid has, none of them on it."""
+    return grid + 0.25 * (grid[1] - grid[0])
+
+
+class TestInferenceCore:
+    def test_single_apply_matches_batch_row(self, uq_dataset_model, adv1_model):
+        for ds, model in (uq_dataset_model, adv1_model):
+            for q in (ds.output_grid, offgrid(ds.output_grid)):
+                batch = apply_batch(model, ds.test_inputs, q)
+                scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))
+                for i in range(batch.shape[0]):
+                    single = apply(model, FunctionSamples(ds.input_grid, ds.test_inputs[i]), q).values
+                    assert np.linalg.norm(single - batch[i]) <= 1e-13 * scale
+
+    def test_single_uq_std_matches_batched_eval_std(self, uq_dataset_model):
+        ds, model = uq_dataset_model
+        stds = np.array([
+            apply_with_uq(model, FunctionSamples(ds.input_grid, x), ds.output_grid)[1].values
+            for x in ds.test_inputs
+        ])
+        assert stds.max() > 0
+        _, batched = operator._predict(model, ds.test_inputs, ds.output_grid, std=True)
+        np.testing.assert_allclose(stds, batched, rtol=1e-12, atol=1e-15 * stds.max())
+        for q in (ds.output_grid, offgrid(ds.output_grid)):
+            u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+            s = regression.posterior_variance(model.regressor, operator._features(model, u.values[None, :]))
+            rows = recovery_weights(model.output_recovery, q) @ model.output_pca.basis
+            np.testing.assert_allclose(
+                apply_with_uq(model, u, q)[1].values, np.sqrt(s) * np.linalg.norm(rows, axis=1), rtol=1e-12
+            )
+        report = cli.evaluate_model(model, ds, with_uq=True)
+        assert report["uq"]["max_std"] == pytest.approx(stds.max(), rel=1e-12)
+        assert report["uq"]["mean_std"] == pytest.approx(stds.mean(), rel=1e-12)
+
+    def test_on_grid_weights_built_once_per_model(self, tmp_path, uq_dataset_model, monkeypatch):
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        calls = []
+        real = operator.recovery_weights
+        monkeypatch.setattr(operator, "recovery_weights", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(operator, "_last_weights", None)  # nothing to reuse
+        loaded = load_model(tmp_path / "m")
+        assert calls == [] and "output_weights" not in vars(loaded)
+        g = ds.output_grid
+        for x in ds.test_inputs[:3]:
+            u = FunctionSamples(ds.input_grid, x)
+            apply(loaded, u, g)
+            apply_with_uq(loaded, u, g)
+            apply_batch(loaded, ds.test_inputs, g)
+            error_bound(loaded, u, 1.0)
+        assert len(calls) == 1
+        apply(loaded, FunctionSamples(ds.input_grid, ds.test_inputs[0]), offgrid(g))
+        assert len(calls) == 1
+
+    def test_reloaded_model_reuses_weights_changed_chain_does_not(self, tmp_path, uq_dataset_model, monkeypatch):
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        calls = []
+        real = operator.recovery_weights
+        monkeypatch.setattr(operator, "recovery_weights", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(operator, "_last_weights", None)
+        g = ds.output_grid
+        first = apply_batch(load_model(tmp_path / "m"), ds.test_inputs, g)
+        again = load_model(tmp_path / "m")
+        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(calls) == 1
+        r = again.output_recovery
+        other = replace(again, output_recovery=RecoveryMap(r.kernel, r.measurement, 2.0 * r.nugget))
+        assert "output_weights" not in vars(other)
+        apply_batch(other, ds.test_inputs, g)
+        assert len(calls) == 2
+        assert other.output_weights[0] is not again.output_weights[0]
+
+    def test_load_builds_no_weights_no_input_gram_no_lu(self, tmp_path, uq_dataset_model, monkeypatch):
+        _, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        from odlearn import recovery
+
+        sizes = []
+        real = recovery.gram
+        monkeypatch.setattr(recovery, "gram", lambda *a: sizes.append(a[1].shape[0]) or real(*a))
+        loaded = load_model(tmp_path / "m")
+        assert sizes == [loaded.output_measurement.size]   # the output recovery map only
+        assert "output_weights" not in vars(loaded)
+        assert "_preconditioner_lu" not in vars(loaded.output_recovery)
+
+    def test_apply_equals_recover_on_and_off_grid(self, uq_dataset_model):
+        ds, model = uq_dataset_model
+        dense = np.linspace(0.0, 1.0, 301)[:, None]  # spans three off-grid query blocks
+        for q in (offgrid(ds.output_grid), ds.output_grid, dense):
+            for x in ds.test_inputs[:4]:
+                u = FunctionSamples(ds.input_grid, x)
+                U = project(model.input_pca, measure(model.input_measurement, u))
+                V = reconstruct(model.output_pca, regression.predict(model.regressor, U))
+                expected = recover(model.output_recovery, V, q).values
+                got = apply(model, u, q).values
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_input_nugget_is_the_gram_default_and_persists(self, tmp_path, uq_dataset_model):
+        _, model = uq_dataset_model
+        pts = model.input_measurement.points
+        assert model.input_nugget == NUGGET_FACTOR * float(np.mean(np.diag(gram(model.q_kernel, pts))))
+        save_model(model, tmp_path / "a")
+        save_model(load_model(tmp_path / "a"), tmp_path / "b")
+        for f in (tmp_path / "a").iterdir():
+            assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name

@@ -91,7 +91,7 @@ class TestRecover:
         rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.5), MeasurementOperator(pts))
         c, lower = rmap._factor
         L = np.tril(c) if lower else np.triu(c).T
-        A = rmap.gram_matrix + rmap.nugget * np.eye(12)
+        A = gram(rmap.kernel, pts) + rmap.nugget * np.eye(12)
         err = np.linalg.norm(L @ L.T - A) / np.linalg.norm(A)
         assert err <= 1e-10
 
@@ -189,7 +189,7 @@ class TestProperties:
         for _ in range(5):
             U = rng.normal(size=10)
             c = rmap.coefficients(U)
-            rkhs_norm = np.sqrt(c @ rmap.gram_matrix @ c)
+            rkhs_norm = np.sqrt(c @ gram(k, pts) @ c)
             measured = measure(op, recover(rmap, U, pts))
             assert np.linalg.norm(measured) == pytest.approx(rkhs_norm, abs=1e-8, rel=1e-8)
 
@@ -202,6 +202,29 @@ class TestProperties:
         queries = rng.uniform(0, 1, size=(9, 1))
         W = recovery_weights(rmap, queries)
         np.testing.assert_allclose(W @ U, recover(rmap, U, queries).values, atol=1e-11)
+
+
+    def test_batched_coefficients_and_cached_preconditioner_lu(self, monkeypatch):
+        from odlearn import recovery
+
+        rng = np.random.default_rng(14)
+        pts = rng.uniform(0, 1, size=(9, 1))
+        L = rng.normal(size=(9, 9)) + 4 * np.eye(9)
+        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.3), MeasurementOperator(pts, L))
+        factored = []
+        real = recovery.lu_factor
+        monkeypatch.setattr(recovery, "lu_factor", lambda A: factored.append(1) or real(A))
+        U = rng.normal(size=(4, 9))
+        C = rmap.coefficients(U)
+        assert C.shape == (9, 4)
+        for i in range(4):
+            single = rmap.coefficients(U[i])
+            np.testing.assert_allclose(C[:, i], single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+            G = gram(rmap.kernel, rmap.measurement.points)
+            expected = np.linalg.solve(G + rmap.nugget * np.eye(9), np.linalg.solve(L, U[i]))
+            np.testing.assert_allclose(single, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
+        recovery_weights(rmap, rng.uniform(0, 1, size=(5, 1)))
+        assert factored == [1]
 
 
 class TestValidation:
