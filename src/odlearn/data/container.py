@@ -92,6 +92,14 @@ def manifest_keys(manifest_path: Path, entry: str = "entry"):
         raise DatasetFormatError(f"{manifest_path}: malformed {entry} ({exc})") from exc
 
 
+def manifest_count(value) -> int:
+    """A count read from a manifest: a JSON integer >= 0, not a bool. Anything
+    else raises ValueError, which ``manifest_keys`` reports with the key."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    return value
+
+
 def _grid_to_json(grid: np.ndarray) -> dict:
     return {"kind": "points", "shape": list(grid.shape), "points": grid.tolist()}
 
@@ -154,7 +162,7 @@ def load_dataset(directory) -> Dataset:
         arrays = {}
         for attr, (fname, split, side) in _SPLIT_FILES.items():
             with manifest_keys(manifest_path, f"splits.{split}"):
-                rows, cols = int(manifest["splits"][split]), grids[side].shape[0]
+                rows, cols = manifest_count(manifest["splits"][split]), grids[side].shape[0]
             path = directory / fname
             if not path.is_file():
                 raise DatasetFormatError(f"missing {fname}")

@@ -201,7 +201,17 @@ def gram(kernel: ScalarKernel, X, Y=None) -> np.ndarray:
         raise ValueError(f"dimension mismatch: X is {X.shape[1]}-d, Y is {Y.shape[1]}-d")
     if kernel.family == "linear":
         return kernel.output_scale * (X @ Y.T)
-    return kernel.output_scale * kernel.stationary_value(cdist(X, Y))
+    return stationary_gram(kernel, cdist(X, Y))
+
+
+def stationary_gram(kernel: ScalarKernel, distances) -> np.ndarray:
+    """Kernel matrix of a stationary kernel from a matrix of pairwise distances.
+
+    ``gram`` evaluates every stationary kernel through this formula, so a
+    caller that computes the distances once and reuses them across kernels
+    gets bitwise the matrices ``gram`` would build.
+    """
+    return kernel.output_scale * kernel.stationary_value(distances)
 
 
 def gram_diag(kernel: ScalarKernel, X) -> np.ndarray:

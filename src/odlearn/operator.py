@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import regression
-from .data.container import manifest_keys
+from .data.container import manifest_count, manifest_keys
 from .errors import DatasetFormatError
 from .kernels import ScalarKernel, gram
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
@@ -296,7 +296,8 @@ def prepare_features(
 
     if preconditioner == "cholesky":
         L_in = cholesky_preconditioner(q_kernel, input_grid, nugget)
-        L_out = cholesky_preconditioner(k_kernel, output_grid, nugget)
+        same = q_kernel == k_kernel and np.array_equal(input_grid, output_grid)
+        L_out = L_in if same else cholesky_preconditioner(k_kernel, output_grid, nugget)
     else:
         L_in = L_out = None
     in_meas = MeasurementOperator(input_grid, L_in, label="input")
@@ -371,7 +372,7 @@ def _write_bin(directory: Path, name: str, arr: np.ndarray) -> dict:
 def _read_bin(directory: Path, arrays: dict, key: str) -> np.ndarray:
     with manifest_keys(directory / "manifest.json", f"arrays.{key}"):
         path = directory / arrays[key]["file"]
-        shape = tuple(int(n) for n in arrays[key]["shape"])
+        shape = tuple(manifest_count(n) for n in arrays[key]["shape"])
     expected = int(np.prod(shape)) * 8
     data = path.read_bytes()
     if len(data) != expected:
@@ -402,7 +403,7 @@ def _pca_from_files(directory: Path, manifest: dict, key: str) -> PcaProjector |
     if entry is None:
         return None
     with manifest_keys(directory / "manifest.json", key):
-        d, k, name = int(entry["dim"]), int(entry["k"]), entry["file"]
+        d, k, name = manifest_count(entry["dim"]), manifest_count(entry["k"]), entry["file"]
         data = (directory / name).read_bytes()
         expected = (d + d * k) * 8
         if len(data) != expected:

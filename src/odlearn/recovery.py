@@ -75,11 +75,8 @@ class MeasurementOperator:
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         n = pts.shape[0]
-        if n > 1:
-            d = cdist(pts, pts)
-            d[np.diag_indices(n)] = np.inf
-            if not (d.min() > 0):
-                raise ValueError("collocation points must be pairwise distinct")
+        if len(np.unique(pts, axis=0)) < n:  # rows compare as floats, so -0.0 == 0.0
+            raise ValueError("collocation points must be pairwise distinct")
         object.__setattr__(self, "points", pts)
         if self.preconditioner is not None:
             L = np.asarray(self.preconditioner, dtype=float)

@@ -9,7 +9,12 @@ likelihood, and the RKHS norm of the fitted map.
 
 Hyperparameters are tuned by grid search, either over K-fold cross-validation
 loss or the log marginal likelihood; they are shared across all output
-components.
+components. An LML search computes the features' pairwise distances once,
+builds one Gram per distinct kernel and reuses it for every gamma, and sees the
+targets only through an N x min(N, m) factor R with R R^T = V V^T. Each grid
+entry then costs one Cholesky factorization (N^3/3 flops) plus one triangular
+solve against R (N^2 min(N, m) flops), where a solve against all m target
+columns would cost 2 N^2 m.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
-from .kernels import ScalarKernel, gram, gram_diag
+from .kernels import ScalarKernel, gram, gram_diag, stationary_gram
 
 log = logging.getLogger(__name__)
 
@@ -150,18 +156,59 @@ def log_marginal_likelihood(kernel: ScalarKernel, inputs, targets, gamma: float 
     V = _as_matrix(targets, "targets")
     if U.shape[0] != V.shape[0]:
         raise ValueError("inputs and targets row counts differ")
-    G = gram(kernel, U) + gamma * np.eye(U.shape[0])
+    return _evidence(gram(kernel, U), gamma, _target_factor(V), V.shape[1])
+
+
+def _target_factor(V: np.ndarray) -> np.ndarray:
+    """An N x min(N, m) factor R with R R^T = V V^T: V itself when m <= N, else
+    the transposed triangle of a QR factorization of V^T."""
+    N, m = V.shape
+    return V if m <= N else np.linalg.qr(V.T, mode="r").T
+
+
+def _evidence(G: np.ndarray, gamma: float, R: np.ndarray, m: int) -> float:
+    """Log marginal likelihood of m output columns with target factor R (see
+    ``_target_factor``): the data fit is -1/2 |L^-1 R|_F^2 with L L^T = G + gamma I."""
+    n = G.shape[0]
     try:
-        factor = cho_factor(G, lower=True)
+        L, _ = cho_factor(G + gamma * np.eye(n), lower=True)
     except LinAlgError as exc:
         raise FactorizationError(
             f"Gram factorization failed at gamma={gamma:.3e}; increase gamma"
         ) from exc
-    alpha = cho_solve(factor, V)
-    n, m = V.shape
-    data_fit = -0.5 * float(np.sum(V * alpha))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    Z = solve_triangular(L, R, lower=True)
+    data_fit = -0.5 * float(np.sum(np.square(Z, out=Z)))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return data_fit - 0.5 * m * logdet - 0.5 * n * m * np.log(2.0 * np.pi)
+
+
+def _lml_outcomes(entries: list, U: np.ndarray, V: np.ndarray) -> list:
+    """The LML of every (kernel, gamma) entry, or the FactorizationError it raised.
+
+    The pairwise distances of the features are computed once for all stationary
+    kernels, and each distinct kernel's Gram is built once for all its gammas.
+    """
+    R, m = _target_factor(V), V.shape[1]
+    D = None
+    outcomes = [None] * len(entries)
+    for kernel in dict.fromkeys(k for k, _ in entries):
+        if kernel.family == "linear":
+            G = gram(kernel, U)
+        else:
+            D = cdist(U, U) if D is None else D
+            G = stationary_gram(kernel, D)
+        for i, (k, gamma) in enumerate(entries):
+            if k == kernel:
+                outcomes[i] = _attempt(_evidence, G, gamma, R, m)
+    return outcomes
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the FactorizationError it raised."""
+    try:
+        return fn(*args)
+    except FactorizationError as exc:
+        return exc
 
 
 def rkhs_norm_squared(model: TrainedRegressor) -> float:
@@ -231,18 +278,17 @@ def tune(spec: TuningSpec, inputs, targets, default_family: str | None = None):
     V = _as_matrix(targets, "targets")
     if spec.objective == "cv" and spec.folds > U.shape[0]:
         raise ValueError(f"folds={spec.folds} exceeds sample count {U.shape[0]}")
+    entries = [_entry_kernel_gamma(entry, default_family) for entry in spec.grid]
+    if spec.objective == "lml":
+        outcomes = _lml_outcomes(entries, U, V)
+    else:
+        outcomes = [_attempt(_cv_score, k, gamma, U, V, spec.folds, spec.seed) for k, gamma in entries]
     report = []
     best_idx = None
     best_value = None
-    for i, entry in enumerate(spec.grid):
-        try:
-            kernel, gamma = _entry_kernel_gamma(entry, default_family)
-            if spec.objective == "lml":
-                value = log_marginal_likelihood(kernel, U, V, gamma)
-            else:
-                value = _cv_score(kernel, gamma, U, V, spec.folds, spec.seed)
-        except FactorizationError as exc:
-            report.append({"params": dict(entry), "status": "failed", "detail": str(exc)})
+    for i, (entry, value) in enumerate(zip(spec.grid, outcomes)):
+        if isinstance(value, FactorizationError):
+            report.append({"params": dict(entry), "status": "failed", "detail": str(value)})
             continue
         report.append({"params": dict(entry), "status": "ok", "objective": value})
         better = (

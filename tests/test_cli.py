@@ -23,6 +23,16 @@ def write_config(path, cfg):
     return str(path)
 
 
+def malformed_ids(rows):
+    """``which:key.path=type`` per row; a repeated id also gets the value, so
+    adding a row never renames an existing case."""
+    ids = []
+    for which, path, value, _ in rows:
+        base = f"{which}:{'.'.join(path) or 'manifest'}={type(value).__name__}"
+        ids.append(f"{base}:{json.dumps(value, separators=(',', ':'))}" if base in ids else base)
+    return ids
+
+
 class TestGenerate:
     def test_writes_container(self, adv1_dir):
         names = {p.name for p in adv1_dir.iterdir()}
@@ -222,6 +232,13 @@ class TestEval:
         ("model", ("pca_input",), 5, "pca_input"),
         ("model", ("pca_input", "k"), "many", "pca_input"),
         ("model", ("pca_input", "singular_values"), "abc", "pca_input"),
+        # counts must be JSON integers >= 0; these would coerce to the true values
+        ("model", ("arrays", "coefficients", "shape"), [60.0, 40], "arrays.coefficients"),
+        ("model", ("arrays", "coefficients", "shape"), ["60", "40"], "arrays.coefficients"),
+        ("model", ("arrays", "coefficients", "shape"), [60, True], "arrays.coefficients"),
+        ("model", ("pca_input", "dim"), 40.0, "pca_input"),
+        ("model", ("pca_input", "k"), "25", "pca_input"),
+        ("model", ("pca_input", "k"), True, "pca_input"),
         ("model", ("s_kernel",), 5, "manifest.json"),
         ("model", ("input_nugget",), "small", "manifest.json"),
         ("model", (), [1, 2], "manifest.json"),
@@ -230,12 +247,15 @@ class TestEval:
         ("dataset", ("grids", "output", "shape"), 7, "grids.output"),
         ("dataset", ("splits", "test"), "many", "splits.test"),
         ("dataset", ("splits", "train"), [60], "splits.train"),
+        ("dataset", ("splits", "test"), 20.0, "splits.test"),
+        ("dataset", ("splits", "test"), 20.7, "splits.test"),
+        ("dataset", ("splits", "test"), "20", "splits.test"),
+        ("dataset", ("splits", "train"), True, "splits.train"),
         ("dataset", ("splits",), [1, 2], "splits"),
         ("dataset", (), 5, "manifest.json"),
     ]
 
-    @pytest.mark.parametrize("which,path,value,named", MALFORMED, ids=[
-        f"{w}:{'.'.join(p) or 'manifest'}={type(v).__name__}" for w, p, v, _ in MALFORMED])
+    @pytest.mark.parametrize("which,path,value,named", MALFORMED, ids=malformed_ids(MALFORMED))
     def test_malformed_manifest_exits_1(self, trained_pca, adv1_dir, capsys, which, path, value, named):
         target = (trained_pca if which == "model" else adv1_dir) / "manifest.json"
         manifest = json.loads(target.read_text())

@@ -16,6 +16,7 @@ from odlearn.operator import (
     error_bound,
     fit_operator,
     load_model,
+    prepare_features,
     save_model,
 )
 from odlearn.preprocess import project, reconstruct
@@ -292,6 +293,22 @@ class TestPcaPipeline:
         got = apply(model, u, grid).values
         rel = np.linalg.norm(got - outputs[3]) / np.linalg.norm(outputs[3])
         assert rel <= 1e-5
+
+
+    def test_cholesky_preconditioner_built_once_for_equal_grids(self, monkeypatch):
+        grid, inputs, outputs = smooth_dataset(n_train=10, seed=16)
+        calls = []
+        real = operator.cholesky_preconditioner
+        monkeypatch.setattr(operator, "cholesky_preconditioner",
+                            lambda *a: calls.append(a[0]) or real(*a))
+        feats = prepare_features(grid, grid.copy(), inputs, outputs, preconditioner="cholesky")
+        assert len(calls) == 1
+        assert feats.output_measurement.preconditioner is feats.input_measurement.preconditioner
+        other = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
+        feats = prepare_features(grid, grid, inputs, outputs, preconditioner="cholesky", k_kernel=other)
+        assert len(calls) == 3 and calls[-1] == other
+        np.testing.assert_array_equal(
+            feats.output_measurement.preconditioner, real(other, grid, None))
 
 
 class TestPersistence:

@@ -238,6 +238,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="distinct"):
             MeasurementOperator(np.array([[0.0], [0.0]]))
 
+    @pytest.mark.parametrize("points", [
+        [[0.5, 1.0], [0.0, 2.0], [0.5, 1.0]],   # a repeated point, not adjacent
+        [[0.0, 1.0], [-0.0, 1.0]],              # signed zeros are the same point
+    ])
+    def test_repeated_point_rejected_with_message(self, points):
+        with pytest.raises(ValueError, match="^collocation points must be pairwise distinct$"):
+            MeasurementOperator(np.array(points))
+
+    def test_distinct_points_accepted(self):
+        pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        assert MeasurementOperator(pts).size == 4
+
     def test_preconditioner_shape_checked(self):
         with pytest.raises(ValueError, match="preconditioner"):
             MeasurementOperator(np.array([[0.0], [1.0]]), np.eye(3))

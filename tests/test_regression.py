@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from odlearn import regression
 from odlearn.errors import FactorizationError
 from odlearn.kernels import ScalarKernel, gram
 from odlearn.regression import (
@@ -32,6 +33,15 @@ def dense_variance_oracle(kernel, U_train, gamma, u):
     from odlearn.kernels import eval_kernel
 
     return eval_kernel(kernel, u, u) - k_row @ Ginv @ k_row
+
+
+def dense_lml_oracle(kernel, U, V, gamma):
+    """GP evidence from an explicit solve and slogdet, no Cholesky, no target factor."""
+    A = gram(kernel, U) + gamma * np.eye(U.shape[0])
+    sign, logdet = np.linalg.slogdet(A)
+    assert sign > 0
+    n, m = V.shape
+    return -0.5 * np.sum(V * np.linalg.solve(A, V)) - 0.5 * m * logdet - 0.5 * n * m * math.log(2 * math.pi)
 
 
 class TestFit:
@@ -278,6 +288,86 @@ class TestTune:
             TuningSpec(grid=({"family": "linear"},), objective="mse")
         with pytest.raises(ValueError, match="folds"):
             TuningSpec(grid=({"family": "linear"},), objective="cv", folds=1)
+
+
+class TestTuneLmlPath:
+    """The LML search shares distances, Grams and a target factor across entries."""
+
+    # linear, rq, gaussian and matern entries, several gammas each
+    MIXED_GRID = (
+        {"family": "linear", "gamma": 1e-2},
+        {"family": "linear", "gamma": 1e-1},
+        {"family": "rq", "lengthscale": 1.5, "alpha": 0.7, "gamma": 1e-3},
+        {"family": "rq", "lengthscale": 1.5, "alpha": 0.7, "gamma": 1e-1},
+        {"family": "gaussian", "lengthscale": 0.8, "gamma": 1e-3},
+        {"family": "gaussian", "lengthscale": 2.0, "gamma": 1e-3},
+        {"family": "gaussian", "lengthscale": 2.0, "gamma": 1e-2},
+        {"family": "matern", "nu": 2.5, "lengthscale": 1.2, "gamma": 1e-4},
+        {"family": "matern", "nu": 0.5, "lengthscale": 1.2, "gamma": 1e-4},
+        {"family": "matern", "nu": 2.5, "lengthscale": 1.2, "gamma": 1e-2},
+    )
+
+    @pytest.mark.parametrize("m", [3, 25, 60], ids=["m<N", "m=N", "m>N"])
+    def test_matches_per_entry_reference(self, m):
+        rng = np.random.default_rng(40 + m)
+        U = rng.normal(size=(25, 3))
+        V = np.sin(U @ rng.normal(size=(3, m))) + 0.1 * rng.normal(size=(25, m))
+        best, value, report = tune(TuningSpec(grid=self.MIXED_GRID, objective="lml"), U, V)
+        reference, oracle = [], []
+        for entry in self.MIXED_GRID:
+            cfg = dict(entry)
+            gamma = cfg.pop("gamma")
+            kernel = ScalarKernel.from_config(cfg)
+            reference.append(log_marginal_likelihood(kernel, U, V, gamma))
+            oracle.append(dense_lml_oracle(kernel, U, V, gamma))
+        got = [r["objective"] for r in report]
+        assert all(r["status"] == "ok" for r in report)
+        np.testing.assert_allclose(got, reference, rtol=1e-10)
+        np.testing.assert_allclose(got, oracle, rtol=1e-10)
+        first_best = int(np.argmax(reference))
+        assert best == self.MIXED_GRID[first_best] and value == got[first_best]
+
+    def test_failed_entry_reported_others_score(self):
+        # duplicated rows make the gamma=0 Gram exactly singular
+        U = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        V = np.array([[1.0, 0.5], [1.0, 0.5], [2.0, -1.0]])
+        grid = (
+            {"family": "gaussian", "lengthscale": 1.0, "gamma": 0.0},
+            {"family": "gaussian", "lengthscale": 1.0, "gamma": 1e-3},
+            {"family": "linear", "gamma": 1e-2},
+        )
+        best, value, report = tune(TuningSpec(grid=grid, objective="lml"), U, V)
+        assert report[0] == {
+            "params": grid[0],
+            "status": "failed",
+            "detail": "Gram factorization failed at gamma=0.000e+00; increase gamma",
+        }
+        assert [r["status"] for r in report[1:]] == ["ok", "ok"]
+        assert report[1]["objective"] == log_marginal_likelihood(ScalarKernel.gaussian(1.0), U, V, 1e-3)
+        assert best in grid[1:] and value == max(r["objective"] for r in report[1:])
+
+    def test_distances_once_and_one_gram_per_kernel(self, monkeypatch):
+        calls = {"cdist": 0, "stationary_gram": 0, "gram": 0}
+
+        def counted(name):
+            real = getattr(regression, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(regression, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        rng = np.random.default_rng(41)
+        U = rng.normal(size=(20, 2))
+        V = rng.normal(size=(20, 4))
+        # the repeated gaussian entry at the end is the same kernel as entries 4-6
+        grid = self.MIXED_GRID + ({"family": "gaussian", "lengthscale": 2.0, "gamma": 1e-1},)
+        tune(TuningSpec(grid=grid, objective="lml"), U, V)
+        # rq, gaussian 0.8, gaussian 2.0, matern 2.5, matern 0.5; one linear
+        assert calls == {"cdist": 1, "stationary_gram": 5, "gram": 1}
 
 
 class TestProperties:
