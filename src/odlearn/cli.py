@@ -46,7 +46,8 @@ REPORT_VERSION = 1
 
 
 def resolve_dataset_path(path_str: str) -> Path:
-    """Resolve a dataset path, falling back to $ODL_DATA_DIR for relative paths."""
+    """Resolve a dataset directory, falling back to $ODL_DATA_DIR for relative
+    paths; a directory found in neither place is a UsageError."""
     path = Path(path_str)
     if path.is_dir():
         return path
@@ -55,7 +56,7 @@ def resolve_dataset_path(path_str: str) -> Path:
         candidate = Path(root) / path
         if candidate.is_dir():
             return candidate
-    return path
+    raise UsageError(f"dataset directory not found: {path_str}")
 
 
 def load_config(path_str: str) -> dict:
@@ -93,8 +94,6 @@ def obtain_dataset(cfg: dict) -> tuple[Dataset, str]:
         raise UsageError("config must set exactly one of 'dataset' (path) or 'generator' (spec)")
     if has_path:
         path = resolve_dataset_path(cfg["dataset"])
-        if not path.is_dir():
-            raise UsageError(f"dataset directory not found: {cfg['dataset']}")
         return load_dataset(path), str(path)
     gen = dict(cfg["generator"])
     problem = gen.pop("problem", None)
@@ -300,8 +299,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     if ns.grid is not None:
         kwargs["grid_size"] = ns.grid
     ds = GENERATORS[ns.problem](**kwargs)
-    save_dataset(ds, ns.out)
-    manifest = json.loads((Path(ns.out) / "manifest.json").read_text())
+    manifest = save_dataset(ds, ns.out)
     summary = {k: manifest[k] for k in ("format_version", "name", "seed", "splits", "dtype")}
     summary["grid_points"] = {
         "input": manifest["grids"]["input"]["shape"],
@@ -343,8 +341,6 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_eval(ns: argparse.Namespace) -> int:
     model = operator.load_model(ns.model_dir)
     ds_path = resolve_dataset_path(ns.dataset)
-    if not ds_path.is_dir():
-        raise UsageError(f"dataset directory not found: {ns.dataset}")
     dataset = load_dataset(ds_path)
     report = evaluate_model(
         model,
@@ -423,8 +419,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         if not cfg.get("dataset"):
             raise UsageError("sweep config must set 'dataset' or 'generator'")
         dataset_path = resolve_dataset_path(cfg["dataset"])
-        if not dataset_path.is_dir():
-            raise UsageError(f"dataset directory not found: {cfg['dataset']}")
     payloads = []
     for i, variant in enumerate(variants):
         label = str(variant.get("label") or f"variant{i}")

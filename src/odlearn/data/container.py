@@ -12,6 +12,11 @@ Layout:
 Grids are stored in the manifest as explicit point arrays (JSON floats
 round-trip exactly, so a save/load cycle is bit-exact). Loading verifies byte
 counts against the declared shapes and rejects unknown format versions.
+
+Saved models (``odlearn.operator``) use the same layout through the same
+helpers: ``write_array``/``read_array`` for the binaries and
+``write_manifest``/``read_manifest`` for the manifest. Every load failure is a
+DatasetFormatError naming the file and, where there is one, the manifest key.
 """
 
 from __future__ import annotations
@@ -100,28 +105,70 @@ def manifest_count(value) -> int:
     return value
 
 
+def write_array(directory: Path, name: str, arr: np.ndarray) -> dict:
+    """Write ``arr`` to ``directory/name`` as raw little-endian float64, C order,
+    no header; returns its manifest entry ``{"file", "shape"}``."""
+    data = np.ascontiguousarray(arr, dtype="<f8")
+    data.tofile(directory / name)
+    return {"file": name, "shape": list(data.shape)}
+
+
+def read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a file written by ``write_array``. A missing file or a byte count
+    that does not match ``shape`` is a DatasetFormatError naming the file."""
+    if not path.is_file():
+        raise DatasetFormatError(f"missing {path}")
+    expected, found = 8 * int(np.prod(shape)), path.stat().st_size
+    if found != expected:
+        raise DatasetFormatError(
+            f"{path}: expected {expected} bytes for float64 shape {shape}, found {found}"
+        )
+    return np.fromfile(path, dtype="<f8").reshape(shape)
+
+
+def write_manifest(directory: Path, manifest: dict) -> None:
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def read_manifest(directory: Path, version: int, kind: str) -> dict:
+    """Parse ``directory/manifest.json`` and check its ``format_version``; any
+    failure is a DatasetFormatError naming the file."""
+    path = directory / "manifest.json"
+    if not path.is_file():
+        raise DatasetFormatError(f"{directory} has no manifest.json")
+    with manifest_keys(path, "JSON"):
+        manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    found = manifest.get("format_version")
+    if found != version:
+        raise DatasetFormatError(
+            f"{path}: unsupported {kind} format_version {found!r}; this build reads {version}"
+        )
+    return manifest
+
+
 def _grid_to_json(grid: np.ndarray) -> dict:
     return {"kind": "points", "shape": list(grid.shape), "points": grid.tolist()}
 
 
 def _grid_from_json(entry: dict) -> np.ndarray:
+    # ValueError, so that manifest_keys names the grid entry and the file
     if entry.get("kind") != "points":
-        raise DatasetFormatError(f"unsupported grid kind {entry.get('kind')!r}")
+        raise ValueError(f"unsupported grid kind {entry.get('kind')!r}")
     grid = np.asarray(entry["points"], dtype=float)
     if grid.ndim not in (1, 2) or list(grid.shape) != list(entry["shape"]):
-        raise DatasetFormatError(
-            f"grid shape {list(grid.shape)} does not match declared {entry['shape']}"
-        )
+        raise ValueError(f"grid shape {list(grid.shape)} does not match declared {entry['shape']}")
     return grid
 
 
-def save_dataset(ds: Dataset, directory) -> None:
-    """Write the dataset directory; round-tripping through load is bit-exact."""
+def save_dataset(ds: Dataset, directory) -> dict:
+    """Write the dataset directory and return its manifest; round-tripping
+    through load is bit-exact."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for attr, (fname, _, _) in _SPLIT_FILES.items():
-        arr = np.ascontiguousarray(getattr(ds, attr), dtype="<f8")
-        (directory / fname).write_bytes(arr.tobytes())
+        write_array(directory, fname, getattr(ds, attr))
     manifest = {
         "format_version": FORMAT_VERSION,
         "name": ds.name,
@@ -136,48 +183,32 @@ def save_dataset(ds: Dataset, directory) -> None:
         "endianness": "little",
         "provenance": ds.provenance,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_manifest(directory, manifest)
+    return manifest
 
 
 def load_dataset(directory) -> Dataset:
     """Read a dataset directory, verifying format version and byte counts."""
     directory = Path(directory)
+    manifest = read_manifest(directory, FORMAT_VERSION, "dataset")
     manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise DatasetFormatError(f"{directory} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    if manifest.get("dtype") != "f64" or manifest.get("endianness") != "little":
+        raise DatasetFormatError(f"{manifest_path}: container must be little-endian float64")
     with manifest_keys(manifest_path):
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
-            )
-        if manifest.get("dtype") != "f64" or manifest.get("endianness") != "little":
-            raise DatasetFormatError("container must be little-endian float64")
         grids = {}
         for side in ("input", "output"):
             with manifest_keys(manifest_path, f"grids.{side}"):
                 grids[side] = _grid_from_json(manifest["grids"][side])
-        input_grid, output_grid = grids["input"], grids["output"]
         arrays = {}
         for attr, (fname, split, side) in _SPLIT_FILES.items():
             with manifest_keys(manifest_path, f"splits.{split}"):
-                rows, cols = manifest_count(manifest["splits"][split]), grids[side].shape[0]
-            path = directory / fname
-            if not path.is_file():
-                raise DatasetFormatError(f"missing {fname}")
-            data = path.read_bytes()
-            expected = rows * cols * 8
-            if len(data) != expected:
-                raise DatasetFormatError(
-                    f"{fname}: expected {expected} bytes ({rows}x{cols} float64), found {len(data)}"
-                )
-            arrays[attr] = np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+                rows = manifest_count(manifest["splits"][split])
+            arrays[attr] = read_array(directory / fname, (rows, grids[side].shape[0]))
         name = manifest["name"]
     ds = Dataset(
         name=name,
-        input_grid=input_grid,
-        output_grid=output_grid,
+        input_grid=grids["input"],
+        output_grid=grids["output"],
         seed=manifest.get("seed", 0),
         provenance=manifest.get("provenance", ""),
         **arrays,

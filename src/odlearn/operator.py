@@ -13,13 +13,13 @@ reading of the regressor yields pointwise predictive standard deviations
 
 Models are immutable after assembly, apart from cached recovery weights for
 their own output grid, shared by reloads; all apply-style operations are pure.
-Persistence uses a directory with a JSON manifest plus raw little-endian
-float64 binaries.
+A saved model uses the dataset container's layout and loader
+(``data/container.py``): a JSON manifest plus raw little-endian float64
+binaries.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,8 +28,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import regression
-from .data.container import manifest_count, manifest_keys
-from .errors import DatasetFormatError
+from .data.container import (
+    manifest_count,
+    manifest_keys,
+    read_array,
+    read_manifest,
+    write_array,
+    write_manifest,
+)
 from .kernels import ScalarKernel, gram
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
 from .recovery import (
@@ -363,31 +369,18 @@ def fit_operator(
 # ---------------------------------------------------------------------------
 
 
-def _write_bin(directory: Path, name: str, arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    (directory / name).write_bytes(data.tobytes())
-    return {"file": name, "shape": list(arr.shape)}
-
-
 def _read_bin(directory: Path, arrays: dict, key: str) -> np.ndarray:
     with manifest_keys(directory / "manifest.json", f"arrays.{key}"):
         path = directory / arrays[key]["file"]
         shape = tuple(manifest_count(n) for n in arrays[key]["shape"])
-    expected = int(np.prod(shape)) * 8
-    data = path.read_bytes()
-    if len(data) != expected:
-        raise DatasetFormatError(
-            f"{path.name}: expected {expected} bytes for shape {shape}, found {len(data)}"
-        )
-    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    return read_array(path, shape)
 
 
 def _pca_to_files(directory: Path, name: str, p: PcaProjector | None) -> dict | None:
     # sidecar layout: mean (d floats) then basis (d*k floats, row-major)
     if p is None:
         return None
-    blob = np.concatenate([p.mean, p.basis.ravel()])
-    (directory / name).write_bytes(np.ascontiguousarray(blob, dtype="<f8").tobytes())
+    write_array(directory, name, np.concatenate([p.mean, p.basis.ravel()]))
     return {
         "file": name,
         "dim": p.dim,
@@ -403,15 +396,11 @@ def _pca_from_files(directory: Path, manifest: dict, key: str) -> PcaProjector |
     if entry is None:
         return None
     with manifest_keys(directory / "manifest.json", key):
-        d, k, name = manifest_count(entry["dim"]), manifest_count(entry["k"]), entry["file"]
-        data = (directory / name).read_bytes()
-        expected = (d + d * k) * 8
-        if len(data) != expected:
-            raise DatasetFormatError(f"{name}: expected {expected} bytes, found {len(data)}")
-        blob = np.frombuffer(data, dtype="<f8")
+        d, k = manifest_count(entry["dim"]), manifest_count(entry["k"])
+        blob = read_array(directory / entry["file"], (d + d * k,))
         return PcaProjector(
-            mean=blob[:d].copy(),
-            basis=blob[d:].reshape(d, k).copy(),
+            mean=blob[:d],
+            basis=blob[d:].reshape(d, k),
             singular_values=np.asarray(entry["singular_values"], dtype=float),
             retained_fraction=float(entry["retained_fraction"]),
             achieved_fraction=float(entry["achieved_fraction"]),
@@ -422,24 +411,20 @@ def save_model(model: OperatorModel, directory) -> None:
     """Persist the model as manifest.json plus raw little-endian f64 binaries."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "input_points": _write_bin(directory, "input_points.bin", model.input_measurement.points),
-        "output_points": _write_bin(directory, "output_points.bin", model.output_measurement.points),
-        "train_features": _write_bin(directory, "train_features.bin", model.regressor.inputs),
-        "train_targets": _write_bin(directory, "train_targets.bin", model.regressor.targets),
-        "coefficients": _write_bin(directory, "coefficients.bin", model.regressor.coef),
-    }
     fmatrix, lower = model.regressor.factor
-    clean = np.tril(fmatrix) if lower else np.triu(fmatrix)
-    arrays["gram_factor"] = _write_bin(directory, "gram_factor.bin", clean)
+    table = {
+        "input_points": model.input_measurement.points,
+        "output_points": model.output_measurement.points,
+        "train_features": model.regressor.inputs,
+        "train_targets": model.regressor.targets,
+        "coefficients": model.regressor.coef,
+        "gram_factor": np.tril(fmatrix) if lower else np.triu(fmatrix),
+        "l_input": model.input_measurement.preconditioner,
+        "l_output": model.output_measurement.preconditioner,
+    }
+    arrays = {k: write_array(directory, f"{k}.bin", a) for k, a in table.items() if a is not None}
     arrays["gram_factor"]["lower"] = bool(lower)
-    L_in = model.input_measurement.preconditioner
-    L_out = model.output_measurement.preconditioner
-    if L_in is not None:
-        arrays["l_input"] = _write_bin(directory, "l_input.bin", L_in)
-    if L_out is not None:
-        arrays["l_output"] = _write_bin(directory, "l_output.bin", L_out)
-    manifest = {
+    write_manifest(directory, {
         "format_version": MODEL_FORMAT_VERSION,
         "s_kernel": model.regressor.kernel.to_config(),
         "q_kernel": model.q_kernel.to_config(),
@@ -451,23 +436,14 @@ def save_model(model: OperatorModel, directory) -> None:
         "pca_input": _pca_to_files(directory, "pca_input.bin", model.input_pca),
         "pca_output": _pca_to_files(directory, "pca_output.bin", model.output_pca),
         "arrays": arrays,
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    })
 
 
 def load_model(directory) -> OperatorModel:
     """Load a model directory written by save_model."""
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise DatasetFormatError(f"{directory} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    with manifest_keys(manifest_path):
-        version = manifest.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"unsupported model format_version {version!r}; this build reads {MODEL_FORMAT_VERSION}"
-            )
+    manifest = read_manifest(directory, MODEL_FORMAT_VERSION, "model")
+    with manifest_keys(directory / "manifest.json"):
         arrays = manifest["arrays"]
         in_pts = _read_bin(directory, arrays, "input_points")
         out_pts = _read_bin(directory, arrays, "output_points")

@@ -58,8 +58,7 @@ class FunctionSamples:
 class MeasurementOperator:
     """Collocation points plus an invertible preconditioner: phi(u) = L @ u(X).
 
-    ``preconditioner=None`` means the identity. The condition number of L is
-    available as a diagnostic (``condition``), computed on first access.
+    ``preconditioner=None`` means the identity.
     """
 
     points: np.ndarray
@@ -83,12 +82,6 @@ class MeasurementOperator:
             if L.shape != (n, n):
                 raise ValueError(f"preconditioner must be {n}x{n}, got {L.shape}")
             object.__setattr__(self, "preconditioner", L)
-
-    @cached_property
-    def condition(self) -> float:
-        if self.preconditioner is None:
-            return 1.0
-        return float(np.linalg.cond(self.preconditioner))
 
     @property
     def size(self) -> int:

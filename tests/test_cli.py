@@ -209,6 +209,15 @@ class TestEval:
         assert "coefficients" in err and "manifest.json" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("which", ["model", "dataset"])
+    def test_unparseable_manifest_exits_1(self, trained, adv1_dir, capsys, which):
+        target = (trained if which == "model" else adv1_dir) / "manifest.json"
+        target.write_text("{not json")
+        assert run(["eval", str(trained), str(adv1_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(target) in err
+        assert "Traceback" not in err
+
     @pytest.fixture()
     def trained_pca(self, adv1_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -245,6 +254,8 @@ class TestEval:
         ("dataset", ("grids", "input"), 5, "grids.input"),
         ("dataset", ("grids", "output", "points"), "abc", "grids.output"),
         ("dataset", ("grids", "output", "shape"), 7, "grids.output"),
+        ("dataset", ("grids", "input", "kind"), "bogus", "grids.input"),
+        ("dataset", ("grids", "output", "shape"), [3, 1], "grids.output"),
         ("dataset", ("splits", "test"), "many", "splits.test"),
         ("dataset", ("splits", "train"), [60], "splits.train"),
         ("dataset", ("splits", "test"), 20.0, "splits.test"),

@@ -353,6 +353,18 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="bytes"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("name", ["coefficients.bin", "pca_input.bin", "l_output.bin"])
+    def test_missing_binary_named(self, tmp_path, name):
+        grid, inputs, outputs = smooth_dataset(n_train=30, seed=16)
+        model = fit_operator(
+            grid, grid, inputs, outputs, ScalarKernel.matern(nu=2.5, lengthscale=4.0),
+            gamma=1e-8, preconditioner="cholesky", pca_input_fraction=0.99,
+        )
+        save_model(model, tmp_path / "m")
+        (tmp_path / "m" / name).unlink()
+        with pytest.raises(DatasetFormatError, match=rf"missing .*{name}"):
+            load_model(tmp_path / "m")
+
 
 @pytest.fixture(scope="module", params=["none", "cholesky"])
 def uq_dataset_model(request):

@@ -253,7 +253,3 @@ class TestValidation:
     def test_preconditioner_shape_checked(self):
         with pytest.raises(ValueError, match="preconditioner"):
             MeasurementOperator(np.array([[0.0], [1.0]]), np.eye(3))
-
-    def test_condition_number_recorded(self):
-        op = MeasurementOperator(np.array([[0.0], [1.0]]), np.diag([1.0, 10.0]))
-        assert op.condition == pytest.approx(10.0, rel=1e-12)
