@@ -17,6 +17,7 @@ Saved models (``odlearn.operator``) use the same layout through the same
 helpers: ``write_array``/``read_array`` for the binaries and
 ``write_manifest``/``read_manifest`` for the manifest. Every load failure is a
 DatasetFormatError naming the file and, where there is one, the manifest key.
+A binary named by a manifest must be a bare file name inside its directory.
 """
 
 from __future__ import annotations
@@ -111,6 +112,17 @@ def write_array(directory: Path, name: str, arr: np.ndarray) -> dict:
     data = np.ascontiguousarray(arr, dtype="<f8")
     data.tofile(directory / name)
     return {"file": name, "shape": list(data.shape)}
+
+
+def manifest_file(directory: Path, name) -> Path:
+    """``directory/name`` for a manifest ``file`` entry. The entry must be a
+    bare file name, so that a manifest never reads a binary from outside its
+    directory; anything else raises ValueError, which ``manifest_keys`` reports
+    with the key."""
+    bare = isinstance(name, str) and name not in ("", "..") and "\\" not in name
+    if not (bare and Path(name).name == name):
+        raise ValueError(f"file must be a bare file name in {directory}, got {name!r}")
+    return directory / name
 
 
 def read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:

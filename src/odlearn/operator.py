@@ -30,6 +30,7 @@ from scipy.spatial.distance import cdist
 from . import regression
 from .data.container import (
     manifest_count,
+    manifest_file,
     manifest_keys,
     read_array,
     read_manifest,
@@ -371,7 +372,7 @@ def fit_operator(
 
 def _read_bin(directory: Path, arrays: dict, key: str) -> np.ndarray:
     with manifest_keys(directory / "manifest.json", f"arrays.{key}"):
-        path = directory / arrays[key]["file"]
+        path = manifest_file(directory, arrays[key]["file"])
         shape = tuple(manifest_count(n) for n in arrays[key]["shape"])
     return read_array(path, shape)
 
@@ -397,7 +398,7 @@ def _pca_from_files(directory: Path, manifest: dict, key: str) -> PcaProjector |
         return None
     with manifest_keys(directory / "manifest.json", key):
         d, k = manifest_count(entry["dim"]), manifest_count(entry["k"])
-        blob = read_array(directory / entry["file"], (d + d * k,))
+        blob = read_array(manifest_file(directory, entry["file"]), (d + d * k,))
         return PcaProjector(
             mean=blob[:d],
             basis=blob[d:].reshape(d, k),

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -209,6 +210,19 @@ class TestEval:
         assert "coefficients" in err and "manifest.json" in err
         assert "Traceback" not in err
 
+    def test_binary_outside_model_exits_1(self, trained, adv1_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        shutil.copytree(trained, other)
+        path = trained / "manifest.json"
+        manifest = json.loads(path.read_text())
+        (trained / "coefficients.bin").unlink()
+        manifest["arrays"]["coefficients"]["file"] = str(other / "coefficients.bin")
+        path.write_text(json.dumps(manifest))
+        assert run(["eval", str(trained), str(adv1_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "arrays.coefficients" in err and "bare file name" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("which", ["model", "dataset"])
     def test_unparseable_manifest_exits_1(self, trained, adv1_dir, capsys, which):
         target = (trained if which == "model" else adv1_dir) / "manifest.json"
@@ -237,6 +251,8 @@ class TestEval:
         ("model", ("arrays", "coefficients", "shape"), "wide", "arrays.coefficients"),
         ("model", ("arrays", "coefficients", "shape"), [None], "arrays.coefficients"),
         ("model", ("arrays", "coefficients", "file"), 3, "arrays.coefficients"),
+        ("model", ("arrays", "coefficients", "file"), "../model/coefficients.bin", "arrays.coefficients"),
+        ("model", ("pca_input", "file"), "sub/pca_input.bin", "pca_input"),
         ("model", ("arrays",), [1, 2], "manifest.json"),
         ("model", ("pca_input",), 5, "pca_input"),
         ("model", ("pca_input", "k"), "many", "pca_input"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,74 @@ class TestDarcy:
         a[4, 4] = -1.0
         with pytest.raises(SolverError, match="positive"):
             solve_darcy(a)
+
+    def test_batch_matches_single_solves_bitwise(self):
+        # more samples than one assembly chunk, so a chunk boundary is crossed
+        a = np.where(np.random.default_rng(3).standard_normal((70, 11, 11)) >= 0.0, 12.0, 3.0)
+        batch = solve_darcy(a)
+        assert batch.shape == a.shape
+        for i in range(a.shape[0]):
+            assert np.array_equal(batch[i], solve_darcy(a[i]))
+
+    def test_sample_independent_of_dataset_size(self):
+        small = gen_darcy(3, 2, grid_size=9, seed=21)
+        large = gen_darcy(66, 4, grid_size=9, seed=21)
+        small_out = np.vstack([small.train_outputs, small.test_outputs])
+        assert np.array_equal(small_out, large.train_outputs[:5])
+
+    def test_matches_sparse_reference(self):
+        # oracle: the 5-point harmonic-mean matrix in CSR, solved by sparse LU
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import spsolve
+
+        g, m = 17, 15
+        h = 1.0 / (g - 1)
+        a = np.where(np.random.default_rng(5).standard_normal((g, g)) >= 0.0, 12.0, 3.0)
+        ax = 2.0 * a[1:, :] * a[:-1, :] / (a[1:, :] + a[:-1, :])
+        ay = 2.0 * a[:, 1:] * a[:, :-1] / (a[:, 1:] + a[:, :-1])
+        rows, cols, vals = [], [], []
+        for i in range(1, g - 1):
+            for j in range(1, g - 1):
+                k = (i - 1) * m + (j - 1)
+                faces = {(1, 0): ax[i, j], (-1, 0): ax[i - 1, j], (0, 1): ay[i, j], (0, -1): ay[i, j - 1]}
+                rows.append(k)
+                cols.append(k)
+                vals.append(sum(faces.values()) / h**2)
+                for (di, dj), face in faces.items():
+                    if 1 <= i + di <= g - 2 and 1 <= j + dj <= g - 2:
+                        rows.append(k)
+                        cols.append((i + di - 1) * m + (j + dj - 1))
+                        vals.append(-face / h**2)
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
+        ref = np.zeros((g, g))
+        ref[1:-1, 1:-1] = spsolve(A, np.ones(m * m)).reshape(m, m)
+        v = solve_darcy(a)
+        assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "value,match",
+        [
+            (-1.0, "positive"),
+            (0.0, "positive"),
+            (np.nan, "positive"),
+            (np.inf, "positive"),
+            (1e-320, "Cholesky failed"),  # faces underflow to 0: singular matrix
+            (1e300, "non-finite"),  # faces overflow
+        ],
+    )
+    @pytest.mark.parametrize("row", [2, 66])  # 66 lies in the second assembly chunk
+    def test_bad_sample_named(self, value, match, row):
+        a = np.full((70, 9, 9), 3.0)
+        a[row] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=rf"{match}.*sample {row}$"):
+                solve_darcy(a)
+
+    @pytest.mark.parametrize("shape", [(9, 8), (2, 2), (3, 9, 8), (9,), (2, 3, 9, 9)])
+    def test_bad_grid_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="square nodal grid"):
+            solve_darcy(np.ones(shape))
 
 
 class TestDeterminism:

@@ -365,6 +365,28 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=rf"missing .*{name}"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("key", ["arrays.coefficients", "pca_input"])
+    def test_file_outside_directory_rejected(self, tmp_path, key):
+        # a manifest that names another model's binary by absolute path must not
+        # load it, even when the local file is gone
+        grid, inputs, outputs = smooth_dataset(n_train=30, seed=17)
+        model = fit_operator(
+            grid, grid, inputs, outputs, ScalarKernel.matern(nu=2.5, lengthscale=4.0),
+            gamma=1e-8, pca_input_fraction=0.99,
+        )
+        save_model(model, tmp_path / "m")
+        save_model(model, tmp_path / "other")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        node = manifest
+        for part in key.split("."):
+            node = node[part]
+        (tmp_path / "m" / node["file"]).unlink()
+        node["file"] = str(tmp_path / "other" / node["file"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match=rf"{key}.*bare file name"):
+            load_model(tmp_path / "m")
+
 
 @pytest.fixture(scope="module", params=["none", "cholesky"])
 def uq_dataset_model(request):
