@@ -10,7 +10,8 @@ Subcommands:
               optional predictive-std and FLOPs sections
     sweep     train+eval a list of variants and emit a cost-accuracy CSV
 
-Config is a single JSON file; command-line flags override config values.
+Config is a single JSON file; command-line flags override config values. An
+unknown key or a value of the wrong type is a usage error naming the key.
 Exit codes: 0 success, 1 runtime/numerical failure, 2 usage error. The
 environment variable ODL_DATA_DIR provides a default root for relative
 dataset paths.
@@ -25,6 +26,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +74,54 @@ def load_config(path_str: str) -> dict:
     return cfg
 
 
+@contextmanager
+def config_key(key: str):
+    """Report a config value of the wrong type or form as a UsageError naming
+    the key, as ``manifest_keys`` does for a manifest."""
+    try:
+        yield
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise UsageError(f"config key {key}: malformed value ({exc})") from exc
+
+
+def config_value(cfg: dict, key: str, default=None, convert=None):
+    """The value at the dotted ``key``, through ``convert`` when given, or
+    ``default`` when the key is absent; read inside ``config_key``."""
+    with config_key(key):
+        *parents, last = key.split(".")
+        for name in parents:
+            cfg = cfg.get(name) or {}
+            if not isinstance(cfg, dict):
+                raise TypeError(f"{name} must be a JSON object, got {type(cfg).__name__}")
+        if last not in cfg:
+            return default
+        return cfg[last] if convert is None else convert(cfg[last])
+
+
 def _validate_pca(cfg: dict) -> tuple[float | None, float | None]:
-    pca = cfg.get("pca") or {}
-    if not pca.get("enabled", False):
+    if not config_value(cfg, "pca.enabled", False):
         return None, None
-    fr_in = pca.get("input_fraction")
-    fr_out = pca.get("output_fraction")
+    fr_in = config_value(cfg, "pca.input_fraction")
+    fr_out = config_value(cfg, "pca.output_fraction")
     for name, f in (("input_fraction", fr_in), ("output_fraction", fr_out)):
-        if f is not None and not (0.0 < f <= 1.0):
-            raise UsageError(f"pca.{name} must lie in (0, 1], got {f}")
+        with config_key(f"pca.{name}"):
+            if f is not None and not (0.0 < f <= 1.0):
+                raise UsageError(f"pca.{name} must lie in (0, 1], got {f}")
     if fr_in is None and fr_out is None:
         raise UsageError("pca.enabled is true but neither fraction is set")
     return fr_in, fr_out
+
+
+GENERATOR_DEFAULTS = {"train": 100, "test": 20, "grid": None, "seed": 0}  # for a config spec
+
+
+def generate(problem: str, train: int, test: int, grid: int | None, seed: int) -> Dataset:
+    """The dataset ``odlearn generate`` writes; a config ``generator`` spec
+    takes the same arguments. A grid of None is the problem's default size."""
+    if problem not in GENERATORS:
+        raise UsageError(f"unknown generator problem {problem!r}; supported: {sorted(GENERATORS)}")
+    sizes = {} if grid is None else {"grid_size": grid}
+    return GENERATORS[problem](train, test, seed=seed, **sizes)
 
 
 def obtain_dataset(cfg: dict) -> tuple[Dataset, str]:
@@ -93,29 +131,15 @@ def obtain_dataset(cfg: dict) -> tuple[Dataset, str]:
     if has_path == has_gen:
         raise UsageError("config must set exactly one of 'dataset' (path) or 'generator' (spec)")
     if has_path:
-        path = resolve_dataset_path(cfg["dataset"])
+        path = config_value(cfg, "dataset", convert=resolve_dataset_path)
         return load_dataset(path), str(path)
-    gen = dict(cfg["generator"])
-    problem = gen.pop("problem", None)
-    if problem not in GENERATORS:
-        raise UsageError(f"unknown generator problem {problem!r}; supported: {sorted(GENERATORS)}")
-    known = {"train", "test", "grid", "seed", "nu", "t_final"}
-    extra = set(gen) - known
+    with config_key("generator"):
+        extra = set(cfg["generator"]) - {"problem", *GENERATOR_DEFAULTS}
     if extra:
         raise UsageError(f"unknown generator keys: {sorted(extra)}")
-    kwargs = {
-        "count_train": int(gen.get("train", 100)),
-        "count_test": int(gen.get("test", 20)),
-        "seed": int(gen.get("seed", 0)),
-    }
-    if "grid" in gen:
-        kwargs["grid_size"] = int(gen["grid"])
-    if problem == "burgers":
-        if "nu" in gen:
-            kwargs["nu"] = float(gen["nu"])
-        if "t_final" in gen:
-            kwargs["t_final"] = float(gen["t_final"])
-    return GENERATORS[problem](**kwargs), f"generator:{problem}"
+    problem = config_value(cfg, "generator.problem", convert=str)
+    args = {k: config_value(cfg, f"generator.{k}", d, int) for k, d in GENERATOR_DEFAULTS.items()}
+    return generate(problem, **args), f"generator:{problem}"
 
 
 def default_quadrature(grid: np.ndarray) -> str:
@@ -149,37 +173,48 @@ def _preproc_label(model: operator.OperatorModel) -> str:
 # ---------------------------------------------------------------------------
 
 
+TRAIN_KEYS = {
+    "dataset", "generator", "output_dir", "seed", "kernel", "gamma", "preconditioner", "pca", "tuning",
+}
+
+
 def train_from_config(cfg: dict, dataset: Dataset) -> tuple[operator.OperatorModel, dict]:
-    """Prepare features, optionally tune, fit, and return (model, resolved config)."""
+    """Prepare features, optionally tune, fit, and return (model, resolved config).
+
+    Every config value is read before the features are prepared, so an unknown
+    key or a malformed value is a UsageError before any training work."""
+    extra = set(cfg) - TRAIN_KEYS
+    if extra:
+        raise UsageError(f"unknown config keys: {sorted(extra)}")
     fr_in, fr_out = _validate_pca(cfg)
     precond = cfg.get("preconditioner", "none")
     if precond not in ("none", "cholesky"):
         raise UsageError(f"preconditioner must be 'none' or 'cholesky', got {precond!r}")
-    q_kernel = ScalarKernel.from_config(cfg["q_kernel"]) if cfg.get("q_kernel") else None
-    k_kernel = ScalarKernel.from_config(cfg["k_kernel"]) if cfg.get("k_kernel") else None
+    gamma = config_value(cfg, "gamma", 0.0, float)
+    tuning_report = None
+    if cfg.get("tuning"):
+        with config_key("tuning"):
+            spec = regression.TuningSpec(
+                grid=config_value(cfg, "tuning.grid", (), tuple),
+                objective=config_value(cfg, "tuning.objective", "lml"),
+                folds=config_value(cfg, "tuning.folds", 5, int),
+                seed=config_value(cfg, "tuning.seed", config_value(cfg, "seed", 0, int), int),
+            )
+        default_family = config_value(cfg, "kernel.family")
+    elif not cfg.get("kernel"):
+        raise UsageError("config needs a 'kernel' spec (or a tuning grid)")
+    else:
+        s_kernel = config_value(cfg, "kernel", convert=ScalarKernel.from_config)
     feats = operator.prepare_features(
         dataset.input_grid,
         dataset.output_grid,
         dataset.train_inputs,
         dataset.train_outputs,
         preconditioner=precond,
-        q_kernel=q_kernel,
-        k_kernel=k_kernel,
         pca_input_fraction=fr_in,
         pca_output_fraction=fr_out,
-        nugget=cfg.get("nugget"),
     )
-    gamma = float(cfg.get("gamma", 0.0))
-    tuning_report = None
     if cfg.get("tuning"):
-        tcfg = cfg["tuning"]
-        spec = regression.TuningSpec(
-            grid=tuple(tcfg.get("grid", ())),
-            objective=tcfg.get("objective", "lml"),
-            folds=int(tcfg.get("folds", 5)),
-            seed=int(tcfg.get("seed", cfg.get("seed", 0))),
-        )
-        default_family = (cfg.get("kernel") or {}).get("family")
         best, best_value, tuning_report = regression.tune(
             spec, feats.features, feats.targets, default_family=default_family
         )
@@ -191,10 +226,6 @@ def train_from_config(cfg: dict, dataset: Dataset) -> tuple[operator.OperatorMod
         if "family" not in best and default_family is not None:
             best["family"] = default_family
         s_kernel = ScalarKernel.from_config(best)
-    else:
-        if not cfg.get("kernel"):
-            raise UsageError("config needs a 'kernel' spec (or a tuning grid)")
-        s_kernel = ScalarKernel.from_config(cfg["kernel"])
     model = operator.fit_operator_from_features(feats, s_kernel, gamma)
     resolved = {
         "kernel": s_kernel.to_config(),
@@ -291,14 +322,7 @@ def _csv_row(model: operator.OperatorModel, dataset_label: str, report: dict) ->
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
-    kwargs = {
-        "count_train": ns.train,
-        "count_test": ns.test,
-        "seed": ns.seed,
-    }
-    if ns.grid is not None:
-        kwargs["grid_size"] = ns.grid
-    ds = GENERATORS[ns.problem](**kwargs)
+    ds = generate(ns.problem, ns.train, ns.test, ns.grid, ns.seed)
     manifest = save_dataset(ds, ns.out)
     summary = {k: manifest[k] for k in ("format_version", "name", "seed", "splits", "dtype")}
     summary["grid_points"] = {
@@ -320,19 +344,18 @@ def cmd_train(ns: argparse.Namespace) -> int:
         cfg["gamma"] = ns.gamma
     if ns.out is not None:
         cfg["output_dir"] = ns.out
-    out_dir = cfg.get("output_dir")
-    if not out_dir:
+    if not cfg.get("output_dir"):
         raise UsageError("config needs 'output_dir' (or pass --out)")
+    out = config_value(cfg, "output_dir", convert=Path)
     dataset, source = obtain_dataset(cfg)
     model, resolved = train_from_config(cfg, dataset)
     resolved["dataset_source"] = source
-    out = Path(out_dir)
     operator.save_model(model, out)
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
-    train_report = evaluate_model(model, dataset, split="train")
+    residual = regression.fit_residual(model.regressor)
     norm_sq = regression.rkhs_norm_squared(model.regressor)
     print(f"kernel: {_kernel_label(model.regressor.kernel)}  gamma: {model.regressor.gamma:g}")
-    print(f"training interpolation residual (mean rel L2): {train_report['mean_relative_l2']:.3e}")
+    print(f"training interpolation residual (mean rel L2 of the fitted targets): {residual:.3e}")
     print(f"rkhs_norm_squared: {norm_sq:.6g}")
     print(f"model saved to {out}")
     return 0
@@ -403,13 +426,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = load_config(ns.config)
     if ns.out is not None:
         cfg["output_dir"] = ns.out
-    out_dir = cfg.get("output_dir")
-    if not out_dir:
+    if not cfg.get("output_dir"):
         raise UsageError("config needs 'output_dir' (or pass --out)")
     variants = cfg.get("variants") or []
     if not variants:
         raise UsageError("sweep config needs a nonempty 'variants' list")
-    out = Path(out_dir)
+    out = config_value(cfg, "output_dir", convert=Path)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.get("generator"):
         dataset, _ = obtain_dataset({"generator": cfg["generator"]})
@@ -418,19 +440,20 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     else:
         if not cfg.get("dataset"):
             raise UsageError("sweep config must set 'dataset' or 'generator'")
-        dataset_path = resolve_dataset_path(cfg["dataset"])
+        dataset_path = config_value(cfg, "dataset", convert=resolve_dataset_path)
     payloads = []
-    for i, variant in enumerate(variants):
-        label = str(variant.get("label") or f"variant{i}")
-        payloads.append(
-            {
-                "label": label,
-                "variant": {k: v for k, v in variant.items() if k != "label"},
-                "dataset_path": str(dataset_path),
-                "out_dir": str(out),
-                "seed": cfg.get("seed", 0),
-            }
-        )
+    with config_key("variants"):
+        for i, variant in enumerate(variants):
+            label = str(variant.get("label") or f"variant{i}")
+            payloads.append(
+                {
+                    "label": label,
+                    "variant": {k: v for k, v in variant.items() if k != "label"},
+                    "dataset_path": str(dataset_path),
+                    "out_dir": str(out),
+                    "seed": cfg.get("seed", 0),
+                }
+            )
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             rows = list(pool.map(_run_variant, payloads))

@@ -1,7 +1,7 @@
 """Synthetic dataset generation and the ODL dataset container."""
 
 from .container import Dataset, load_dataset, manifest_sha256, save_dataset
-from .fields import GaussianFieldSpec, sample_field_matrix, sample_gaussian_field
+from .fields import GaussianFieldSpec, sample_field_matrix
 from .problems import (
     GENERATORS,
     gen_advection1,
@@ -23,7 +23,6 @@ __all__ = [
     "load_dataset",
     "manifest_sha256",
     "sample_field_matrix",
-    "sample_gaussian_field",
     "save_dataset",
     "solve_burgers",
     "solve_darcy",

@@ -4,7 +4,7 @@ The covariance operator is scale * (-Laplacian + tau^2 I)^(-exponent) on the
 unit interval (periodic) or the unit square (homogeneous Neumann). Fields are
 synthesized mode by mode: independent normal coefficients with variance
 scale * (lambda + tau^2)^(-exponent) against L2-orthonormal Laplacian
-eigenfunctions, evaluated on the grid, plus an optional constant mean level.
+eigenfunctions, evaluated on the grid. The fields have mean zero.
 
 Each sample draws its coefficients from its own PRNG substream derived from
 (seed, sample index) via numpy's SeedSequence spawning, so sample i is
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..recovery import FunctionSamples
 
 BOUNDARIES = ("periodic1d", "neumann2d")
 
@@ -31,7 +29,6 @@ class GaussianFieldSpec:
     scale: float = 1.0       # overall covariance multiplier
     tau: float = 1.0         # shift: eigenvalue is scale*(lambda + tau^2)^(-exponent)
     exponent: float = 1.0
-    mean_level: float = 0.0
     truncation: int | None = None  # retained eigenmodes; None keeps the grid maximum
 
     def __post_init__(self) -> None:
@@ -112,9 +109,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def sample_field_matrix(
-    spec: GaussianFieldSpec, seed: int, count: int, index_offset: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_field_matrix(spec: GaussianFieldSpec, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``count`` fields; rows are samples, columns follow grid_points(spec)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -122,12 +117,5 @@ def sample_field_matrix(
     std = np.sqrt(variances)
     Z = np.empty((count, std.size))
     for i in range(count):
-        Z[i] = substream(seed, index_offset + i).standard_normal(std.size)
-    fields = (Z * std) @ eigfuns + spec.mean_level
-    return grid_points(spec), fields
-
-
-def sample_gaussian_field(spec: GaussianFieldSpec, rng_seed: int, count: int) -> list[FunctionSamples]:
-    """Draw ``count`` independent field realizations as FunctionSamples."""
-    grid, fields = sample_field_matrix(spec, rng_seed, count)
-    return [FunctionSamples(grid, row) for row in fields]
+        Z[i] = substream(seed, i).standard_normal(std.size)
+    return grid_points(spec), (Z * std) @ eigfuns

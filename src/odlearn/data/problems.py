@@ -24,13 +24,31 @@ from scipy.linalg.lapack import dpbsv
 
 from ..errors import SolverError
 from .container import Dataset
-from .fields import GaussianFieldSpec, grid_points, sample_field_matrix, substream
+from .fields import GaussianFieldSpec, sample_field_matrix, substream
 
 BURGERS_CFL = 0.5  # advective time-step factor: dt <= 0.5 dx / max|w|
+BURGERS_NU = 0.1  # viscosity of the burgers generator
+BURGERS_T_FINAL = 1.0  # time of its output states
 
 
 def _periodic_grid(n: int) -> np.ndarray:
     return (np.arange(n) / n)[:, None]
+
+
+def _split(name: str, grid, inputs, outputs, count_train: int, seed: int, provenance: str) -> Dataset:
+    """The dataset whose first ``count_train`` rows are the training split and
+    the rest the test split, on one grid for inputs and outputs."""
+    return Dataset(
+        name=name,
+        input_grid=grid,
+        output_grid=grid,
+        train_inputs=inputs[:count_train],
+        train_outputs=outputs[:count_train],
+        test_inputs=inputs[count_train:],
+        test_outputs=outputs[count_train:],
+        seed=seed,
+        provenance=provenance,
+    )
 
 
 def _half_shift(values: np.ndarray, n: int) -> np.ndarray:
@@ -59,22 +77,11 @@ def gen_advection1(count_train: int, count_test: int, grid_size: int = 40, seed:
         b = rng.uniform(0.3, 0.6)
         h = rng.uniform(1.0, 2.0)
         inputs[i] = np.where((x >= c - b / 2) & (x <= c + b / 2), h, 0.0)
-    outputs = _half_shift(inputs, grid_size)
-    grid = _periodic_grid(grid_size)
-    return Dataset(
-        name="advection1",
-        input_grid=grid,
-        output_grid=grid,
-        train_inputs=inputs[:count_train],
-        train_outputs=outputs[:count_train],
-        test_inputs=inputs[count_train:],
-        test_outputs=outputs[count_train:],
-        seed=seed,
-        provenance=(
-            f"random square waves on a uniform periodic grid of {grid_size}; "
-            "(c, b, h) ~ U([0.3,0.7] x [0.3,0.6] x [1,2]); outputs are the exact "
-            "periodic transport by 0.5"
-        ),
+    return _split(
+        "advection1", _periodic_grid(grid_size), inputs, _half_shift(inputs, grid_size), count_train, seed,
+        f"random square waves on a uniform periodic grid of {grid_size}; "
+        "(c, b, h) ~ U([0.3,0.7] x [0.3,0.6] x [1,2]); outputs are the exact "
+        "periodic transport by 0.5",
     )
 
 
@@ -83,22 +90,11 @@ def gen_advection2(count_train: int, count_test: int, grid_size: int = 200, seed
     spec = GaussianFieldSpec(boundary="periodic1d", grid_size=grid_size, scale=1.0, tau=3.0, exponent=2.0)
     _, fields = sample_field_matrix(spec, seed, count_train + count_test)
     inputs = np.where(fields >= 0.0, 1.0, -1.0)
-    outputs = _half_shift(inputs, grid_size)
-    grid = _periodic_grid(grid_size)
-    return Dataset(
-        name="advection2",
-        input_grid=grid,
-        output_grid=grid,
-        train_inputs=inputs[:count_train],
-        train_outputs=outputs[:count_train],
-        test_inputs=inputs[count_train:],
-        test_outputs=outputs[count_train:],
-        seed=seed,
-        provenance=(
-            f"sign of a periodic Gaussian field with covariance (-Lap + 9 I)^-2 on "
-            f"{grid_size} grid points, mapped to -1/+1; outputs are the exact periodic "
-            "transport by 0.5"
-        ),
+    return _split(
+        "advection2", _periodic_grid(grid_size), inputs, _half_shift(inputs, grid_size), count_train, seed,
+        f"sign of a periodic Gaussian field with covariance (-Lap + 9 I)^-2 on "
+        f"{grid_size} grid points, mapped to -1/+1; outputs are the exact periodic "
+        "transport by 0.5",
     )
 
 
@@ -195,41 +191,25 @@ def solve_burgers(
     return out
 
 
-def gen_burgers(
-    count_train: int,
-    count_test: int,
-    grid_size: int = 128,
-    nu: float = 0.1,
-    t_final: float = 1.0,
-    seed: int = 0,
-) -> Dataset:
+def gen_burgers(count_train: int, count_test: int, grid_size: int = 128, seed: int = 0) -> Dataset:
     """Initial conditions from the periodic field 625 (-Lap + 25 I)^-2, outputs
-    the viscous Burgers solution at t_final."""
+    the viscous Burgers solution (``BURGERS_NU``) at ``BURGERS_T_FINAL``."""
     if grid_size < 4 or grid_size & (grid_size - 1) != 0:
         raise ValueError("grid_size must be a power of two for the spectral solver")
     spec = GaussianFieldSpec(
         boundary="periodic1d", grid_size=grid_size, scale=625.0, tau=5.0, exponent=2.0
     )
     grid, inputs = sample_field_matrix(spec, seed, count_train + count_test)
-    outputs = solve_burgers(inputs, nu=nu, t_final=t_final)
-    return Dataset(
-        name="burgers",
-        input_grid=grid,
-        output_grid=grid,
-        train_inputs=inputs[:count_train],
-        train_outputs=outputs[:count_train],
-        test_inputs=inputs[count_train:],
-        test_outputs=outputs[count_train:],
-        seed=seed,
-        provenance=(
-            f"viscous Burgers, nu={nu}, solved to t={t_final} on {grid_size} periodic "
-            "grid points by integrating-factor RK4 pseudo-spectral (exact diffusion, "
-            "conservative flux, 2/3 dealiasing) with per-sample steps at the advective "
-            "CFL only, so a sample does not depend on its batch; outputs differ at the "
-            "1e-6 level, not bitwise, from data made by the earlier explicit RK4 solver "
-            "that stepped the whole batch at the diffusive bound; initial conditions "
-            "from the periodic Gaussian field 625 (-Lap + 25 I)^-2"
-        ),
+    outputs = solve_burgers(inputs, nu=BURGERS_NU, t_final=BURGERS_T_FINAL)
+    return _split(
+        "burgers", grid, inputs, outputs, count_train, seed,
+        f"viscous Burgers, nu={BURGERS_NU}, solved to t={BURGERS_T_FINAL} on {grid_size} periodic "
+        "grid points by integrating-factor RK4 pseudo-spectral (exact diffusion, "
+        "conservative flux, 2/3 dealiasing) with per-sample steps at the advective "
+        "CFL only, so a sample does not depend on its batch; outputs differ at the "
+        "1e-6 level, not bitwise, from data made by the earlier explicit RK4 solver "
+        "that stepped the whole batch at the diffusive bound; initial conditions "
+        "from the periodic Gaussian field 625 (-Lap + 25 I)^-2",
     )
 
 
@@ -316,30 +296,20 @@ def gen_darcy(count_train: int, count_test: int, grid_size: int = 29, seed: int 
     spec = GaussianFieldSpec(
         boundary="neumann2d", grid_size=grid_size, scale=1.0, tau=3.0, exponent=2.0
     )
-    grid = grid_points(spec)
-    _, fields = sample_field_matrix(spec, seed, count_train + count_test)
+    grid, fields = sample_field_matrix(spec, seed, count_train + count_test)
     coeff = np.where(fields >= 0.0, 12.0, 3.0)
     inputs = np.log(coeff)
     outputs = solve_darcy(coeff.reshape(-1, grid_size, grid_size)).reshape(inputs.shape)
-    return Dataset(
-        name="darcy",
-        input_grid=grid,
-        output_grid=grid,
-        train_inputs=inputs[:count_train],
-        train_outputs=outputs[:count_train],
-        test_inputs=inputs[count_train:],
-        test_outputs=outputs[count_train:],
-        seed=seed,
-        provenance=(
-            f"-div(exp(u) grad v) = w on the unit square at resolution {grid_size}x{grid_size}; "
-            "exp(u) in {3, 12} from the sign of a Neumann Gaussian field with covariance "
-            "(-Lap + 9 I)^-2; source fixed to w = 1 (a choice of this generator); inputs "
-            "stored as u = log-coefficient; zero Dirichlet boundary; conservative 5-point "
-            "scheme with harmonic-mean face coefficients, solved per sample by banded "
-            "Cholesky (LAPACK pbsv), so a sample does not depend on its batch; outputs "
-            "differ at the 1e-14 relative level, not bitwise, from data made by the "
-            "earlier sparse-LU (SuperLU) solver"
-        ),
+    return _split(
+        "darcy", grid, inputs, outputs, count_train, seed,
+        f"-div(exp(u) grad v) = w on the unit square at resolution {grid_size}x{grid_size}; "
+        "exp(u) in {3, 12} from the sign of a Neumann Gaussian field with covariance "
+        "(-Lap + 9 I)^-2; source fixed to w = 1 (a choice of this generator); inputs "
+        "stored as u = log-coefficient; zero Dirichlet boundary; conservative 5-point "
+        "scheme with harmonic-mean face coefficients, solved per sample by banded "
+        "Cholesky (LAPACK pbsv), so a sample does not depend on its batch; outputs "
+        "differ at the 1e-14 relative level, not bitwise, from data made by the "
+        "earlier sparse-LU (SuperLU) solver",
     )
 
 

@@ -157,9 +157,6 @@ class ScalarKernel:
         y *= np.exp(-(math.sqrt(2.0 * self.nu) / l) * r)
         return y
 
-    def __call__(self, x, y) -> float:
-        return eval_kernel(self, x, y)
-
 
 def _as_points(X, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=float)

@@ -24,12 +24,11 @@ ASSUMPTIONS_NOTE = (
     "Counting conventions: a matrix-vector product with input dimension n and "
     "output dimension m costs m*(2n-1) FLOPs (n multiplies, n-1 adds per "
     "output); one scalar kernel evaluation against an n-dimensional vector "
-    "costs {c}*n FLOPs ({c} per coordinate: subtract, square, accumulate, "
-    "with the O(1) tail absorbed); PCA centering and de-centering cost one "
-    "add per coordinate. Some published counts use other matvec conventions "
-    "(e.g. 2n per output, or omitting the kernel-evaluation constant); the "
-    "constant per kernel coordinate is configurable so curves can be rebuilt "
-    "under any convention."
+    f"costs {KERNEL_EVAL_FLOPS_PER_COORD}*n FLOPs ({KERNEL_EVAL_FLOPS_PER_COORD} "
+    "per coordinate: subtract, square, accumulate, with the O(1) tail "
+    "absorbed); PCA centering and de-centering cost one add per coordinate. "
+    "Some published counts use other matvec conventions (e.g. 2n per output, "
+    "or omitting the kernel-evaluation constant)."
 )
 
 
@@ -133,11 +132,7 @@ def _matvec_flops(n_in: int, n_out: int) -> int:
     return n_out * (2 * n_in - 1)
 
 
-def count_inference_flops(
-    model: OperatorModel,
-    output_query_count: int,
-    kernel_eval_flops_per_coord: int = KERNEL_EVAL_FLOPS_PER_COORD,
-) -> FlopsReport:
+def count_inference_flops(model: OperatorModel, output_query_count: int) -> FlopsReport:
     """Closed-form FLOPs per test query for the assembled pipeline.
 
     Stages: input preconditioner matvec (when present), input PCA projection,
@@ -149,7 +144,6 @@ def count_inference_flops(
     """
     if output_query_count < 0:
         raise ValueError("output_query_count must be nonnegative")
-    c = int(kernel_eval_flops_per_coord)
     breakdown: list[tuple[str, int]] = []
     n_pts = model.input_measurement.size
     m_pts = model.output_measurement.size
@@ -160,15 +154,14 @@ def count_inference_flops(
         breakdown.append(("input_pca_projection", n_pts + _matvec_flops(n_pts, k)))
     n = model.regressor.input_dim
     N = model.regressor.n_train
-    breakdown.append(("kernel_row_evaluation", N * c * n))
+    breakdown.append(("kernel_row_evaluation", N * KERNEL_EVAL_FLOPS_PER_COORD * n))
     m_reg = model.regressor.output_dim
     breakdown.append(("regression_matvec", _matvec_flops(N, m_reg)))
     if model.output_pca is not None:
         breakdown.append(("output_pca_reconstruction", _matvec_flops(m_reg, m_pts) + m_pts))
     breakdown.append(("output_reconstruction_matvec", _matvec_flops(m_pts, int(output_query_count))))
-    note = ASSUMPTIONS_NOTE.format(c=c)
     return FlopsReport(
         per_query_flops=int(sum(v for _, v in breakdown)),
         breakdown=tuple(breakdown),
-        assumptions_note=note,
+        assumptions_note=ASSUMPTIONS_NOTE,
     )

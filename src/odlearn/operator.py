@@ -13,6 +13,9 @@ reading of the regressor yields pointwise predictive standard deviations
 
 Models are immutable after assembly, apart from cached recovery weights for
 their own output grid, shared by reloads; all apply-style operations are pure.
+The grid kernels use the default nugget, and the preconditioner type a model
+reports is read off its measurement operators; a saved manifest repeats it
+for readers, and loading does not read it back.
 A saved model uses the dataset container's layout and loader
 (``data/container.py``): a JSON manifest plus raw little-endian float64
 binaries.
@@ -66,7 +69,6 @@ class OperatorModel:
     regressor: regression.TrainedRegressor
     output_pca: PcaProjector | None
     output_recovery: RecoveryMap         # interpolation map on the output grid
-    preconditioner: str = "none"         # "none" | "cholesky", for reports
 
     def __post_init__(self) -> None:
         n_meas = self.input_measurement.size
@@ -87,6 +89,12 @@ class OperatorModel:
     @property
     def output_measurement(self) -> MeasurementOperator:
         return self.output_recovery.measurement
+
+    @property
+    def preconditioner(self) -> str:
+        """For reports: "cholesky" when a measurement operator carries an L, else "none"."""
+        ops = (self.input_measurement, self.output_measurement)
+        return "none" if all(op.preconditioner is None for op in ops) else "cholesky"
 
     @cached_property
     def output_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +133,8 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     """The inference core: (B, n_input_points) rows of input values in grid
     order to (mean, std), each (B, n_query_points); std is None unless asked.
     On the model's own output grid the recovery is one product with the cached
-    ``output_weights``; other query sets pay one recovery solve per row.
+    ``output_weights``. Other query sets pay one recovery solve per row, or,
+    when std is asked, build their weights once for both mean and std.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.input_measurement.size:
@@ -141,15 +150,16 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     grid = rmap.measurement.points
     if qp.shape == grid.shape and np.array_equal(qp, grid):
         W, norms = model.output_weights
-        mean = V @ W.T
+    elif std:
+        W, norms = _weight_rows(model, qp)
     else:
         # The cross Gram in 128-row blocks: the allocator reuses their temporaries
         # from call to call, where a whole one is page-faulted in on many calls.
         C = rmap.coefficients(V)
         blocks = range(0, max(len(qp), 1), 128)
         mean = np.concatenate([gram(rmap.kernel, qp[i:i + 128], grid) @ C for i in blocks]).T
-        if std:
-            norms = _weight_rows(model, qp)[1]
+        return mean, None
+    mean = V @ W.T
     if not std:
         return mean, None
     return mean, np.sqrt(_variance(model, U))[:, None] * norms
@@ -229,9 +239,9 @@ def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float
 # ---------------------------------------------------------------------------
 
 
-def mesh_lengthscale(points, factor: float = 2.0) -> float:
-    """Default grid-kernel lengthscale: ``factor`` times the median
-    nearest-neighbor spacing.
+def mesh_lengthscale(points) -> float:
+    """Default grid-kernel lengthscale: twice the median nearest-neighbor
+    spacing.
 
     Tying the lengthscale to the mesh keeps the kernel matrix on the grid
     well conditioned, so recovering a sampled function at its own nodes stays
@@ -245,7 +255,7 @@ def mesh_lengthscale(points, factor: float = 2.0) -> float:
     d = cdist(pts, pts)
     d[np.diag_indices(pts.shape[0])] = np.inf
     spacing = float(np.median(d.min(axis=1)))
-    return factor * spacing if spacing > 0 else 1.0
+    return 2.0 * spacing if spacing > 0 else 1.0
 
 
 def default_grid_kernel(points) -> ScalarKernel:
@@ -268,8 +278,6 @@ class PipelineFeatures:
     targets: np.ndarray    # (N, m) regressor targets
     q_kernel: ScalarKernel
     k_kernel: ScalarKernel
-    preconditioner: str
-    nugget: float | None
 
 
 def prepare_features(
@@ -283,14 +291,14 @@ def prepare_features(
     k_kernel: ScalarKernel | None = None,
     pca_input_fraction: float | None = None,
     pca_output_fraction: float | None = None,
-    nugget: float | None = None,
 ) -> PipelineFeatures:
     """Measure and preprocess sample-major training pairs.
 
     The grid kernels default to Matern nu=5/2 with a mesh-scaled lengthscale
     (see ``mesh_lengthscale``); ``preconditioner="cholesky"`` equips both
     measurement operators with the norm-equalizing factor built from those
-    kernels. PCA fractions of None disable projection on that side.
+    kernels with the default nugget. PCA fractions of None disable projection
+    on that side.
     """
     if preconditioner not in ("none", "cholesky"):
         raise ValueError(f"preconditioner must be 'none' or 'cholesky', got {preconditioner!r}")
@@ -302,13 +310,13 @@ def prepare_features(
     k_kernel = k_kernel if k_kernel is not None else default_grid_kernel(output_grid)
 
     if preconditioner == "cholesky":
-        L_in = cholesky_preconditioner(q_kernel, input_grid, nugget)
+        L_in = cholesky_preconditioner(q_kernel, input_grid)
         same = q_kernel == k_kernel and np.array_equal(input_grid, output_grid)
-        L_out = L_in if same else cholesky_preconditioner(k_kernel, output_grid, nugget)
+        L_out = L_in if same else cholesky_preconditioner(k_kernel, output_grid)
     else:
         L_in = L_out = None
-    in_meas = MeasurementOperator(input_grid, L_in, label="input")
-    out_meas = MeasurementOperator(output_grid, L_out, label="output")
+    in_meas = MeasurementOperator(input_grid, L_in)
+    out_meas = MeasurementOperator(output_grid, L_out)
     if X.shape[1] != in_meas.size:
         raise ValueError(f"train_inputs have {X.shape[1]} columns, input grid has {in_meas.size}")
     if Y.shape[1] != out_meas.size:
@@ -329,8 +337,6 @@ def prepare_features(
         targets=V,
         q_kernel=q_kernel,
         k_kernel=k_kernel,
-        preconditioner=preconditioner,
-        nugget=nugget,
     )
 
 
@@ -342,12 +348,11 @@ def fit_operator_from_features(
     return OperatorModel(
         input_measurement=feats.input_measurement,
         q_kernel=feats.q_kernel,
-        input_nugget=resolve_nugget(feats.q_kernel, feats.input_measurement.points, feats.nugget),
+        input_nugget=resolve_nugget(feats.q_kernel, feats.input_measurement.points),
         input_pca=feats.input_pca,
         regressor=reg,
         output_pca=feats.output_pca,
-        output_recovery=RecoveryMap(feats.k_kernel, feats.output_measurement, feats.nugget),
-        preconditioner=feats.preconditioner,
+        output_recovery=RecoveryMap(feats.k_kernel, feats.output_measurement),
     )
 
 
@@ -431,7 +436,7 @@ def save_model(model: OperatorModel, directory) -> None:
         "q_kernel": model.q_kernel.to_config(),
         "k_kernel": model.output_recovery.kernel.to_config(),
         "gamma": model.regressor.gamma,
-        "preconditioner": model.preconditioner,
+        "preconditioner": model.preconditioner,  # for readers; load_model derives it
         "input_nugget": model.input_nugget,
         "output_nugget": model.output_recovery.nugget,
         "pca_input": _pca_to_files(directory, "pca_input.bin", model.input_pca),
@@ -463,14 +468,13 @@ def load_model(directory) -> OperatorModel:
             factor=factor,
         )
         return OperatorModel(
-            input_measurement=MeasurementOperator(in_pts, L_in, label="input"),
+            input_measurement=MeasurementOperator(in_pts, L_in),
             q_kernel=q_kernel,
             input_nugget=resolve_nugget(q_kernel, in_pts, manifest["input_nugget"]),
             input_pca=_pca_from_files(directory, manifest, "pca_input"),
             regressor=reg,
             output_pca=_pca_from_files(directory, manifest, "pca_output"),
             output_recovery=RecoveryMap(
-                k_kernel, MeasurementOperator(out_pts, L_out, label="output"), manifest["output_nugget"]
+                k_kernel, MeasurementOperator(out_pts, L_out), manifest["output_nugget"]
             ),
-            preconditioner=manifest.get("preconditioner", "none"),
         )

@@ -63,7 +63,6 @@ class MeasurementOperator:
 
     points: np.ndarray
     preconditioner: np.ndarray | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)

@@ -211,6 +211,13 @@ def _attempt(fn, *args):
         return exc
 
 
+def fit_residual(model: TrainedRegressor) -> float:
+    """Mean over training rows of |V_i - fitted_i| / |V_i|. The fitted targets
+    are S (S + gamma I)^-1 V = V - gamma * coef, so no prediction is run."""
+    rows = model.gamma * np.linalg.norm(model.coef, axis=1)
+    return float(np.mean(rows / np.linalg.norm(model.targets, axis=1)))
+
+
 def rkhs_norm_squared(model: TrainedRegressor) -> float:
     """Squared RKHS norm of the fitted map: trace(V^T coef) = sum_j V_j^T (S+gamma I)^-1 V_j."""
     return float(np.sum(model.targets * model.coef))

@@ -78,6 +78,52 @@ class TestTrain:
         assert (tmp_path / "model" / "manifest.json").is_file()
         assert (tmp_path / "model" / "resolved_config.json").is_file()
 
+    def test_train_runs_no_inference(self, adv1_dir, tmp_path, capsys, monkeypatch):
+        def no_predict(*args, **kwargs):
+            raise AssertionError("odlearn train must not run the inference core")
+
+        monkeypatch.setattr(cli.operator, "_predict", no_predict)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "matern", "nu": 2.5, "lengthscale": 2.0},
+            "gamma": 1e-8,
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        assert "interpolation residual" in capsys.readouterr().out
+
+    # (config change, exit code, text the error must name); a None top-level
+    # value drops that key. Training errors (fit, tune, prepare) stay exit 1.
+    BAD_CONFIG = [
+        ({"pca": {"enabled": True, "input_fraction": "0.9"}}, 2, "pca.input_fraction"),
+        ({"kernel": ["linear"]}, 2, "kernel"),
+        ({"gamma": [1]}, 2, "gamma"),
+        ({"tuning": {"grid": [{"family": "linear"}], "folds": None}}, 2, "tuning.folds"),
+        ({"tuning": {"grid": 5}}, 2, "tuning.grid"),
+        ({"pca": True}, 2, "pca"),
+        ({"dataset": 5}, 2, "dataset"),
+        ({"kernel": ["linear"], "tuning": {"grid": [{"family": "linear"}]}}, 2, "kernel"),
+        ({"nugget": 1e-6}, 2, "nugget"),
+        ({"dataset": None, "generator": {"problem": "burgers", "t_final": 0.5}}, 2, "t_final"),
+        ({"gamma": -1.0}, 1, "gamma"),
+    ]
+
+    @pytest.mark.parametrize("change,code,named", BAD_CONFIG,
+                             ids=[f"{i}-{row[2]}" for i, row in enumerate(BAD_CONFIG)])
+    def test_bad_config_value_named(self, adv1_dir, tmp_path, capsys, change, code, named):
+        cfg = {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "linear"},
+            "gamma": 1e-12,
+            "output_dir": str(tmp_path / "model"),
+            **change,
+        }
+        path = write_config(tmp_path / "cfg.json", {k: v for k, v in cfg.items() if v is not None})
+        assert run(["train", "--config", path]) == code
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {
             "kernel": {"family": "linear"},
@@ -189,6 +235,24 @@ class TestEval:
                     "--report", str(report), "--with-uq"]) == 0
         data = json.loads(report.read_text())
         assert data["uq"]["max_std"] <= 1e-7
+
+    def test_preproc_label_follows_the_measurement_operators(self, adv1_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "matern", "nu": 2.5, "lengthscale": 5.0},
+            "gamma": 1e-8,
+            "preconditioner": "cholesky",
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        path = tmp_path / "model" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["preconditioner"] == "cholesky"
+        manifest["preconditioner"] = "none"
+        path.write_text(json.dumps(manifest))
+        report = tmp_path / "r.json"
+        assert run(["eval", str(tmp_path / "model"), str(adv1_dir), "--report", str(report)]) == 0
+        assert next(csv.DictReader(report.with_suffix(".csv").open()))["preproc"] == "cholesky"
 
     def test_shape_mismatch_exits_1(self, trained, tmp_path, capsys):
         other = tmp_path / "other"
@@ -365,6 +429,23 @@ class TestSweep:
         })
         assert run(["sweep", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("change,named", [
+        ({"variants": 5}, "variants"),
+        ({"variants": [["linear"]]}, "variants"),
+        ({"output_dir": 5}, "output_dir"),
+    ], ids=["variants=int", "variant=list", "output_dir=int"])
+    def test_bad_config_value_named(self, adv1_dir, tmp_path, capsys, change, named):
+        cfg = write_config(tmp_path / "sweep.json", {
+            "dataset": str(adv1_dir),
+            "output_dir": str(tmp_path / "sweep"),
+            "variants": [{"kernel": {"family": "linear"}, "gamma": 1e-12}],
+            **change,
+        })
+        assert run(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
     def test_generator_spec_and_jobs(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {
             "generator": {"problem": "advection1", "train": 30, "test": 10, "grid": 16, "seed": 2},
@@ -377,7 +458,12 @@ class TestSweep:
         assert run(["sweep", "--config", cfg, "--jobs", "2"]) == 0
         rows = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").open()))
         assert len(rows) == 2 and all(r["status"] == "ok" for r in rows)
-        assert (tmp_path / "sweep" / "dataset" / "manifest.json").is_file()
+        # a generator spec names the dataset `odlearn generate` writes for the same arguments
+        gen = tmp_path / "gen"
+        assert run(["generate", "advection1", "--train", "30", "--test", "10",
+                    "--grid", "16", "--seed", "2", "--out", str(gen)]) == 0
+        for f in gen.iterdir():
+            assert f.read_bytes() == (tmp_path / "sweep" / "dataset" / f.name).read_bytes(), f.name
 
 
 class TestExitCodes:

@@ -487,6 +487,20 @@ class TestInferenceCore:
         assert "output_weights" not in vars(loaded)
         assert "_preconditioner_lu" not in vars(loaded.output_recovery)
 
+    def test_offgrid_uq_builds_one_cross_gram_and_its_mean_is_apply(self, uq_dataset_model, monkeypatch):
+        ds, model = uq_dataset_model
+        q = offgrid(ds.output_grid)
+        batch = apply_batch(model, ds.test_inputs, q)
+        scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))  # RMS row norm
+        applied = [apply(model, FunctionSamples(ds.input_grid, x), q).values for x in ds.test_inputs]
+        real = operator.gram
+        blocked = []  # the coefficient form's blocked cross Gram
+        monkeypatch.setattr(operator, "gram", lambda *a: blocked.append(1) or real(*a))
+        for x, expected in zip(ds.test_inputs, applied):
+            mean, _ = apply_with_uq(model, FunctionSamples(ds.input_grid, x), q)
+            assert np.linalg.norm(mean.values - expected) <= 1e-12 * scale
+        assert blocked == []
+
     def test_apply_equals_recover_on_and_off_grid(self, uq_dataset_model):
         ds, model = uq_dataset_model
         dense = np.linspace(0.0, 1.0, 301)[:, None]  # spans three off-grid query blocks

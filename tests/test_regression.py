@@ -13,6 +13,7 @@ from odlearn.regression import (
     log_marginal_likelihood,
     posterior_variance,
     predict,
+    fit_residual,
     rkhs_norm_squared,
     tune,
 )
@@ -187,6 +188,19 @@ class TestLogMarginalLikelihood:
         one = log_marginal_likelihood(k, U, v, gamma=1e-6)
         two = log_marginal_likelihood(k, U, np.hstack([v, v]), gamma=1e-6)
         assert two == pytest.approx(2 * one, rel=1e-12)
+
+
+class TestFitResidual:
+    def test_matches_explicit_fitted_targets(self):
+        rng = np.random.default_rng(5)
+        U = rng.normal(size=(12, 3))
+        V = rng.normal(size=(12, 4))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=1.3)
+        for gamma in (0.0, 1e-3, 0.5):
+            model = fit(kernel, U, V, gamma=gamma)
+            fitted = gram(kernel, U) @ model.coef
+            expected = np.mean(np.linalg.norm(V - fitted, axis=1) / np.linalg.norm(V, axis=1))
+            assert fit_residual(model) == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 class TestRkhsNorm:
