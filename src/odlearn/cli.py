@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -178,11 +179,10 @@ TRAIN_KEYS = {
 }
 
 
-def train_from_config(cfg: dict, dataset: Dataset) -> tuple[operator.OperatorModel, dict]:
-    """Prepare features, optionally tune, fit, and return (model, resolved config).
-
-    Every config value is read before the features are prepared, so an unknown
-    key or a malformed value is a UsageError before any training work."""
+def read_train_config(cfg: dict) -> Callable[[Dataset], tuple[operator.OperatorModel, dict]]:
+    """Read the whole train config, so that an unknown key or a malformed value is a
+    UsageError before any data is loaded or generated, and return ``train(dataset)
+    -> (model, resolved config)``: prepare features, optionally tune, and fit."""
     extra = set(cfg) - TRAIN_KEYS
     if extra:
         raise UsageError(f"unknown config keys: {sorted(extra)}")
@@ -191,62 +191,70 @@ def train_from_config(cfg: dict, dataset: Dataset) -> tuple[operator.OperatorMod
     if precond not in ("none", "cholesky"):
         raise UsageError(f"preconditioner must be 'none' or 'cholesky', got {precond!r}")
     gamma = config_value(cfg, "gamma", 0.0, float)
-    tuning_report = None
+    seed = config_value(cfg, "seed", 0, int)
+    kernel = spec = default_family = None
     if cfg.get("tuning"):
         with config_key("tuning"):
             spec = regression.TuningSpec(
                 grid=config_value(cfg, "tuning.grid", (), tuple),
                 objective=config_value(cfg, "tuning.objective", "lml"),
                 folds=config_value(cfg, "tuning.folds", 5, int),
-                seed=config_value(cfg, "tuning.seed", config_value(cfg, "seed", 0, int), int),
+                seed=config_value(cfg, "tuning.seed", seed, int),
             )
         default_family = config_value(cfg, "kernel.family")
     elif not cfg.get("kernel"):
         raise UsageError("config needs a 'kernel' spec (or a tuning grid)")
     else:
-        s_kernel = config_value(cfg, "kernel", convert=ScalarKernel.from_config)
-    feats = operator.prepare_features(
-        dataset.input_grid,
-        dataset.output_grid,
-        dataset.train_inputs,
-        dataset.train_outputs,
-        preconditioner=precond,
-        pca_input_fraction=fr_in,
-        pca_output_fraction=fr_out,
-    )
-    if cfg.get("tuning"):
-        best, best_value, tuning_report = regression.tune(
-            spec, feats.features, feats.targets, default_family=default_family
+        kernel = config_value(cfg, "kernel", convert=ScalarKernel.from_config)
+
+    def train(dataset: Dataset) -> tuple[operator.OperatorModel, dict]:
+        feats = operator.prepare_features(
+            dataset.input_grid,
+            dataset.output_grid,
+            dataset.train_inputs,
+            dataset.train_outputs,
+            preconditioner=precond,
+            pca_input_fraction=fr_in,
+            pca_output_fraction=fr_out,
         )
-        for entry in tuning_report:
-            log.info("tuning %s -> %s", entry["params"], entry.get("objective", entry["status"]))
-        log.info("tuning selected %s (objective %.6g)", best, best_value)
-        best = dict(best)
-        gamma = float(best.pop("gamma", gamma))
-        if "family" not in best and default_family is not None:
-            best["family"] = default_family
-        s_kernel = ScalarKernel.from_config(best)
-    model = operator.fit_operator_from_features(feats, s_kernel, gamma)
-    resolved = {
-        "kernel": s_kernel.to_config(),
-        "gamma": model.regressor.gamma,
-        "preconditioner": precond,
-        "q_kernel": feats.q_kernel.to_config(),
-        "k_kernel": feats.k_kernel.to_config(),
-        "pca": {
-            "enabled": fr_in is not None or fr_out is not None,
-            "input_fraction": fr_in,
-            "output_fraction": fr_out,
-            "input_k": feats.input_pca.k if feats.input_pca else None,
-            "output_k": feats.output_pca.k if feats.output_pca else None,
-        },
-        "seed": cfg.get("seed", 0),
-        "dataset_name": dataset.name,
-        "n_train": dataset.n_train,
-    }
-    if tuning_report is not None:
-        resolved["tuning_report"] = tuning_report
-    return model, resolved
+        s_kernel, ridge, tuning_report = kernel, gamma, None
+        if spec is not None:
+            best, best_value, tuning_report = regression.tune(
+                spec, feats.features, feats.targets, default_family=default_family
+            )
+            for entry in tuning_report:
+                log.info("tuning %s -> %s", entry["params"], entry.get("objective", entry["status"]))
+            log.info("tuning selected %s (objective %.6g)", best, best_value)
+            best = dict(best)
+            ridge = float(best.pop("gamma", gamma))
+            if "family" not in best and default_family is not None:
+                best["family"] = default_family
+            s_kernel = ScalarKernel.from_config(best)
+        model = operator.fit_operator_from_features(feats, s_kernel, ridge)
+        resolved = {
+            "kernel": s_kernel.to_config(),
+            "gamma": model.regressor.gamma,
+            "preconditioner": precond,
+            "q_kernel": feats.q_kernel.to_config(),
+            "k_kernel": feats.k_kernel.to_config(),
+            "pca": {
+                "enabled": fr_in is not None or fr_out is not None,
+                "input_fraction": fr_in,
+                "output_fraction": fr_out,
+                "input_k": feats.input_pca.k if feats.input_pca else None,
+                "output_k": feats.output_pca.k if feats.output_pca else None,
+            },
+            "seed": seed,
+            "dataset_name": dataset.name,
+            "n_train": dataset.n_train,
+            "fit_residual": regression.fit_residual(model.regressor, feats.targets),
+            "rkhs_norm_squared": regression.rkhs_norm_squared(model.regressor, feats.targets),
+        }
+        if tuning_report is not None:
+            resolved["tuning_report"] = tuning_report
+        return model, resolved
+
+    return train
 
 
 def evaluate_model(
@@ -347,16 +355,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
     if not cfg.get("output_dir"):
         raise UsageError("config needs 'output_dir' (or pass --out)")
     out = config_value(cfg, "output_dir", convert=Path)
+    train = read_train_config(cfg)
     dataset, source = obtain_dataset(cfg)
-    model, resolved = train_from_config(cfg, dataset)
+    model, resolved = train(dataset)
     resolved["dataset_source"] = source
     operator.save_model(model, out)
     (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
-    residual = regression.fit_residual(model.regressor)
-    norm_sq = regression.rkhs_norm_squared(model.regressor)
     print(f"kernel: {_kernel_label(model.regressor.kernel)}  gamma: {model.regressor.gamma:g}")
-    print(f"training interpolation residual (mean rel L2 of the fitted targets): {residual:.3e}")
-    print(f"rkhs_norm_squared: {norm_sq:.6g}")
+    print(f"training interpolation residual (mean rel L2 of the fitted targets): {resolved['fit_residual']:.3e}")
+    print(f"rkhs_norm_squared: {resolved['rkhs_norm_squared']:.6g}")
     print(f"model saved to {out}")
     return 0
 
@@ -393,11 +400,11 @@ def _run_variant(payload: dict) -> dict:
     """Train+eval one sweep variant; returns a CSV row dict. Worker-safe."""
     label = payload["label"]
     try:
-        dataset = load_dataset(payload["dataset_path"])
         cfg = dict(payload["variant"])
         cfg.setdefault("seed", payload.get("seed", 0))
-        cfg["dataset"] = payload["dataset_path"]
-        model, _ = train_from_config(cfg, dataset)
+        train = read_train_config(cfg)
+        dataset = load_dataset(payload["dataset_path"])
+        model, _ = train(dataset)
         model_dir = Path(payload["out_dir"]) / "variants" / label
         operator.save_model(model, model_dir)
         report = evaluate_model(model, dataset, split="test", with_flops=True)

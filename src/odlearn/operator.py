@@ -14,8 +14,7 @@ reading of the regressor yields pointwise predictive standard deviations
 Models are immutable after assembly, apart from cached recovery weights for
 their own output grid, shared by reloads; all apply-style operations are pure.
 The grid kernels use the default nugget, and the preconditioner type a model
-reports is read off its measurement operators; a saved manifest repeats it
-for readers, and loading does not read it back.
+reports is read off its measurement operators.
 A saved model uses the dataset container's layout and loader
 (``data/container.py``): a JSON manifest plus raw little-endian float64
 binaries.
@@ -40,13 +39,14 @@ from .data.container import (
     write_array,
     write_manifest,
 )
-from .kernels import ScalarKernel, gram
+from .kernels import ScalarKernel
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
 from .recovery import (
     FunctionSamples,
     MeasurementOperator,
     RecoveryMap,
     cholesky_preconditioner,
+    evaluate,
     measure,
     recover,
     recovery_weights,
@@ -153,12 +153,7 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     elif std:
         W, norms = _weight_rows(model, qp)
     else:
-        # The cross Gram in 128-row blocks: the allocator reuses their temporaries
-        # from call to call, where a whole one is page-faulted in on many calls.
-        C = rmap.coefficients(V)
-        blocks = range(0, max(len(qp), 1), 128)
-        mean = np.concatenate([gram(rmap.kernel, qp[i:i + 128], grid) @ C for i in blocks]).T
-        return mean, None
+        return evaluate(rmap, rmap.coefficients(V), qp).T, None
     mean = V @ W.T
     if not std:
         return mean, None
@@ -417,26 +412,22 @@ def save_model(model: OperatorModel, directory) -> None:
     """Persist the model as manifest.json plus raw little-endian f64 binaries."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    fmatrix, lower = model.regressor.factor
     table = {
         "input_points": model.input_measurement.points,
         "output_points": model.output_measurement.points,
         "train_features": model.regressor.inputs,
-        "train_targets": model.regressor.targets,
         "coefficients": model.regressor.coef,
-        "gram_factor": np.tril(fmatrix) if lower else np.triu(fmatrix),
+        "gram_factor": model.regressor.chol,
         "l_input": model.input_measurement.preconditioner,
         "l_output": model.output_measurement.preconditioner,
     }
     arrays = {k: write_array(directory, f"{k}.bin", a) for k, a in table.items() if a is not None}
-    arrays["gram_factor"]["lower"] = bool(lower)
     write_manifest(directory, {
         "format_version": MODEL_FORMAT_VERSION,
         "s_kernel": model.regressor.kernel.to_config(),
         "q_kernel": model.q_kernel.to_config(),
         "k_kernel": model.output_recovery.kernel.to_config(),
         "gamma": model.regressor.gamma,
-        "preconditioner": model.preconditioner,  # for readers; load_model derives it
         "input_nugget": model.input_nugget,
         "output_nugget": model.output_recovery.nugget,
         "pca_input": _pca_to_files(directory, "pca_input.bin", model.input_pca),
@@ -446,7 +437,7 @@ def save_model(model: OperatorModel, directory) -> None:
 
 
 def load_model(directory) -> OperatorModel:
-    """Load a model directory written by save_model."""
+    """Load a model directory written by save_model; older models' training targets are not read."""
     directory = Path(directory)
     manifest = read_manifest(directory, MODEL_FORMAT_VERSION, "model")
     with manifest_keys(directory / "manifest.json"):
@@ -458,14 +449,12 @@ def load_model(directory) -> OperatorModel:
         s_kernel = ScalarKernel.from_config(manifest["s_kernel"])
         q_kernel = ScalarKernel.from_config(manifest["q_kernel"])
         k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
-        factor = (_read_bin(directory, arrays, "gram_factor"), arrays["gram_factor"]["lower"])
         reg = regression.TrainedRegressor(
             kernel=s_kernel,
             inputs=_read_bin(directory, arrays, "train_features"),
-            targets=_read_bin(directory, arrays, "train_targets"),
             gamma=manifest["gamma"],
             coef=_read_bin(directory, arrays, "coefficients"),
-            factor=factor,
+            chol=_read_bin(directory, arrays, "gram_factor"),
         )
         return OperatorModel(
             input_measurement=MeasurementOperator(in_pts, L_in),

@@ -182,12 +182,17 @@ def recover(rmap: RecoveryMap, U, query_points) -> FunctionSamples:
     matrix cannot be factorized; measuring the result returns U up to the
     nugget-level error.
     """
-    c = rmap.coefficients(U)
     qp = np.asarray(query_points, dtype=float)
-    if qp.ndim == 1:
-        qp = qp[:, None]
-    values = gram(rmap.kernel, qp, rmap.measurement.points) @ c
-    return FunctionSamples(qp, values)
+    qp = qp[:, None] if qp.ndim == 1 else qp
+    return FunctionSamples(qp, evaluate(rmap, rmap.coefficients(U), qp))
+
+
+def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.ndarray:
+    """k(query_points, X) @ C for coefficients C from ``rmap.coefficients``. The cross Gram
+    is built in 128-row blocks, whose temporaries the allocator reuses between calls."""
+    grid = rmap.measurement.points
+    blocks = range(0, max(len(query_points), 1), 128)
+    return np.concatenate([gram(rmap.kernel, query_points[i:i + 128], grid) @ C for i in blocks])
 
 
 def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:

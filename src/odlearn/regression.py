@@ -3,9 +3,10 @@
 With the kernel Gamma(U, U') = S(U, U') * I the m output components decouple
 into independent scalar regressions that share one Gram matrix, so a single
 Cholesky factorization of S(U, U) + gamma*I serves all coefficient columns;
-this is the dominant cost saver of the whole pipeline. The same factorization
-backs prediction, Gaussian-process posterior variance, the log marginal
-likelihood, and the RKHS norm of the fitted map.
+this is the dominant cost saver of the whole pipeline. A fitted regressor keeps
+the lower factor L of that matrix next to the coefficients, so the
+Gaussian-process posterior variance at a query is one triangular solve against
+L: s(q, q) - |L^-1 s(U, q)|^2.
 
 Hyperparameters are tuned by grid search, either over K-fold cross-validation
 loss or the log marginal likelihood; they are shared across all output
@@ -20,7 +21,7 @@ columns would cost 2 N^2 m.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
@@ -36,14 +37,13 @@ DEFAULT_GAMMA_FACTOR = 1e-8  # fallback ridge = 1e-8 * mean(diag Gram) when gamm
 
 @dataclass(frozen=True)
 class TrainedRegressor:
-    """Fitted ridge regressor: inputs, targets, ridge, Gram factor, coefficients."""
+    """Fitted ridge regressor: what prediction and posterior variance read."""
 
     kernel: ScalarKernel
     inputs: np.ndarray        # (N, n)
-    targets: np.ndarray       # (N, m)
     gamma: float
     coef: np.ndarray          # (N, m), solves (S(U,U) + gamma I) coef = targets
-    factor: tuple = field(repr=False, compare=False, default=None)
+    chol: np.ndarray          # (N, N) lower factor of S(U,U) + gamma I, zeros above
 
     @property
     def n_train(self) -> int:
@@ -55,7 +55,7 @@ class TrainedRegressor:
 
     @property
     def output_dim(self) -> int:
-        return self.targets.shape[1]
+        return self.coef.shape[1]
 
 
 def _as_matrix(A, name: str) -> np.ndarray:
@@ -86,7 +86,7 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
     G = gram(kernel, U)
     eye = np.eye(G.shape[0])
     try:
-        factor = cho_factor(G + gamma * eye, lower=True)
+        chol, _ = cho_factor(G + gamma * eye, lower=True)
     except LinAlgError:
         if gamma == 0.0:
             fallback = DEFAULT_GAMMA_FACTOR * float(np.mean(np.diag(G)))
@@ -95,7 +95,7 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
                 fallback,
             )
             try:
-                factor = cho_factor(G + fallback * eye, lower=True)
+                chol, _ = cho_factor(G + fallback * eye, lower=True)
                 gamma = fallback
             except LinAlgError as exc:
                 raise FactorizationError(
@@ -106,13 +106,11 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
             raise FactorizationError(
                 f"Gram factorization failed at gamma={gamma:.3e}; increase gamma"
             ) from None
-    # C-order everything so persisted and in-memory models take identical BLAS
-    # paths (memory order changes matmul results at ULP level)
-    factor = (np.ascontiguousarray(factor[0]), factor[1])
-    coef = np.ascontiguousarray(cho_solve(factor, V))
-    return TrainedRegressor(
-        kernel=kernel, inputs=U, targets=V, gamma=float(gamma), coef=coef, factor=factor
-    )
+    # C-order everything so persisted and in-memory models take identical BLAS paths
+    # (memory order moves matmul results by ULPs); cho_solve reads only the lower triangle
+    chol = np.ascontiguousarray(np.tril(chol))
+    coef = np.ascontiguousarray(cho_solve((chol, True), V))
+    return TrainedRegressor(kernel=kernel, inputs=U, gamma=float(gamma), coef=coef, chol=chol)
 
 
 def predict(model: TrainedRegressor, U) -> np.ndarray:
@@ -139,10 +137,8 @@ def posterior_variance(model: TrainedRegressor, U):
     U2 = U[None, :] if single else U
     if U2.shape[1] != model.input_dim:
         raise ValueError(f"query dimension {U2.shape[1]} != trained dimension {model.input_dim}")
-    k_cross = gram(model.kernel, U2, model.inputs)
-    solved = cho_solve(model.factor, k_cross.T)
-    prior = gram_diag(model.kernel, U2)
-    var = prior - np.einsum("ij,ji->i", k_cross, solved)
+    Z = solve_triangular(model.chol, gram(model.kernel, U2, model.inputs).T, lower=True)
+    var = gram_diag(model.kernel, U2) - np.sum(np.square(Z, out=Z), axis=0)
     return float(var[0]) if single else var
 
 
@@ -211,16 +207,16 @@ def _attempt(fn, *args):
         return exc
 
 
-def fit_residual(model: TrainedRegressor) -> float:
-    """Mean over training rows of |V_i - fitted_i| / |V_i|. The fitted targets
-    are S (S + gamma I)^-1 V = V - gamma * coef, so no prediction is run."""
+def fit_residual(model: TrainedRegressor, targets) -> float:
+    """Mean over the rows of the training targets V of |V_i - fitted_i| / |V_i|. The
+    fitted targets are S (S + gamma I)^-1 V = V - gamma * coef, so no prediction is run."""
     rows = model.gamma * np.linalg.norm(model.coef, axis=1)
-    return float(np.mean(rows / np.linalg.norm(model.targets, axis=1)))
+    return float(np.mean(rows / np.linalg.norm(_as_matrix(targets, "targets"), axis=1)))
 
 
-def rkhs_norm_squared(model: TrainedRegressor) -> float:
-    """Squared RKHS norm of the fitted map: trace(V^T coef) = sum_j V_j^T (S+gamma I)^-1 V_j."""
-    return float(np.sum(model.targets * model.coef))
+def rkhs_norm_squared(model: TrainedRegressor, targets) -> float:
+    """Squared RKHS norm of the map fitted to V: trace(V^T coef) = sum_j V_j^T (S+gamma I)^-1 V_j."""
+    return float(np.sum(_as_matrix(targets, "targets") * model.coef))
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,39 @@ class TestTrain:
         assert run(["train", "--config", cfg]) == 0
         assert "interpolation residual" in capsys.readouterr().out
 
+    def test_residual_and_norm_recorded_in_resolved_config(self, adv1_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "matern", "nu": 2.5, "lengthscale": 2.0},
+            "gamma": 1e-3,
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        resolved = json.loads((tmp_path / "model" / "resolved_config.json").read_text())
+        residual = [l for l in lines if "interpolation residual" in l][0]
+        assert residual.count(":") == 1 and float(residual.split(":")[1]) > 0
+        assert residual.endswith(f": {resolved['fit_residual']:.3e}")
+        assert f"rkhs_norm_squared: {resolved['rkhs_norm_squared']:.6g}" in lines
+
+    def test_config_read_before_any_data(self, tmp_path, capsys, monkeypatch):
+        generated = []
+
+        def no_generate(*args, **kwargs):
+            generated.append(1)
+            raise AssertionError("a usage error must come before any data is generated")
+
+        monkeypatch.setitem(cli.GENERATORS, "darcy", no_generate)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "generator": {"problem": "darcy", "train": 310, "test": 10, "seed": 42},
+            "kernel": {"family": "linear"},
+            "gamma": [1],
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 2
+        assert "gamma" in capsys.readouterr().err
+        assert generated == []
+
     # (config change, exit code, text the error must name); a None top-level
     # value drops that key. Training errors (fit, tune, prepare) stay exit 1.
     BAD_CONFIG = [
@@ -106,6 +139,7 @@ class TestTrain:
         ({"nugget": 1e-6}, 2, "nugget"),
         ({"dataset": None, "generator": {"problem": "burgers", "t_final": 0.5}}, 2, "t_final"),
         ({"gamma": -1.0}, 1, "gamma"),
+        ({"seed": "x"}, 2, "seed"),
     ]
 
     @pytest.mark.parametrize("change,code,named", BAD_CONFIG,
@@ -245,11 +279,8 @@ class TestEval:
             "output_dir": str(tmp_path / "model"),
         })
         assert run(["train", "--config", cfg]) == 0
-        path = tmp_path / "model" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        assert manifest["preconditioner"] == "cholesky"
-        manifest["preconditioner"] = "none"
-        path.write_text(json.dumps(manifest))
+        manifest = json.loads((tmp_path / "model" / "manifest.json").read_text())
+        assert "preconditioner" not in manifest  # eval reads the L arrays
         report = tmp_path / "r.json"
         assert run(["eval", str(tmp_path / "model"), str(adv1_dir), "--report", str(report)]) == 0
         assert next(csv.DictReader(report.with_suffix(".csv").open()))["preproc"] == "cholesky"
@@ -420,6 +451,18 @@ class TestSweep:
         rows = {r["label"]: r for r in csv.DictReader((tmp_path / "sweep" / "sweep.csv").open())}
         assert rows["bad"]["status"] == "error" and rows["bad"]["detail"]
         assert rows["good"]["status"] == "ok"
+
+    def test_variant_config_read_before_loading_data(self, adv1_dir, tmp_path, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: loaded.append(1))
+        row = cli._run_variant({
+            "label": "bad",
+            "variant": {"kernel": {"family": "linear"}, "gamma": [1]},
+            "dataset_path": str(adv1_dir),
+            "out_dir": str(tmp_path / "sweep"),
+        })
+        assert row["status"] == "error" and "gamma" in row["detail"]
+        assert loaded == []
 
     def test_all_failing_exits_1(self, adv1_dir, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {

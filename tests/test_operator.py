@@ -6,6 +6,7 @@ import pytest
 
 from odlearn import cli, operator
 from odlearn.data import Dataset, gen_advection1
+from odlearn.data.container import write_array
 from odlearn.errors import DatasetFormatError
 from odlearn.kernels import ScalarKernel, gram
 from odlearn.operator import (
@@ -365,6 +366,48 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match=rf"missing .*{name}"):
             load_model(tmp_path / "m")
 
+    def test_saved_model_holds_only_what_load_reads(self, tmp_path, monkeypatch):
+        grid, inputs, outputs = smooth_dataset(n_train=30, seed=16)
+        model = fit_operator(
+            grid, grid, inputs, outputs, ScalarKernel.matern(nu=2.5, lengthscale=4.0),
+            gamma=1e-8, preconditioner="cholesky", pca_input_fraction=0.99, pca_output_fraction=0.99,
+        )
+        save_model(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert set(manifest["arrays"]) == {
+            "input_points", "output_points", "train_features", "coefficients", "gram_factor",
+            "l_input", "l_output",
+        }
+        assert "lower" not in manifest["arrays"]["gram_factor"]
+        assert "preconditioner" not in manifest
+        read = []
+        real = operator.read_array
+        monkeypatch.setattr(operator, "read_array", lambda path, shape: read.append(path.name) or real(path, shape))
+        load_model(tmp_path / "m")
+        assert sorted(read) == sorted(p.name for p in (tmp_path / "m").glob("*.bin"))
+
+    def test_older_layout_loads_to_the_same_model(self, tmp_path, uq_dataset_model):
+        # older models also carry the training targets, a gram_factor.lower flag
+        # and a preconditioner key; loading reads none of them
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "new")
+        save_model(model, tmp_path / "old")
+        reg = model.regressor
+        path = tmp_path / "old" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        targets = reg.chol @ (reg.chol.T @ reg.coef)  # (S + gamma I) coef
+        manifest["arrays"]["train_targets"] = write_array(tmp_path / "old", "train_targets.bin", targets)
+        manifest["arrays"]["gram_factor"]["lower"] = True
+        manifest["preconditioner"] = model.preconditioner
+        path.write_text(json.dumps(manifest))
+        new, old = load_model(tmp_path / "new"), load_model(tmp_path / "old")
+        assert np.array_equal(new.regressor.chol, reg.chol)
+        for q in (ds.output_grid, offgrid(ds.output_grid)):
+            assert np.array_equal(apply_batch(old, ds.test_inputs, q), apply_batch(new, ds.test_inputs, q))
+            for x in ds.test_inputs[:3]:
+                u = FunctionSamples(ds.input_grid, x)
+                assert np.array_equal(apply_with_uq(old, u, q)[1].values, apply_with_uq(new, u, q)[1].values)
+
     @pytest.mark.parametrize("key", ["arrays.coefficients", "pca_input"])
     def test_file_outside_directory_rejected(self, tmp_path, key):
         # a manifest that names another model's binary by absolute path must not
@@ -493,9 +536,9 @@ class TestInferenceCore:
         batch = apply_batch(model, ds.test_inputs, q)
         scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))  # RMS row norm
         applied = [apply(model, FunctionSamples(ds.input_grid, x), q).values for x in ds.test_inputs]
-        real = operator.gram
+        real = operator.evaluate
         blocked = []  # the coefficient form's blocked cross Gram
-        monkeypatch.setattr(operator, "gram", lambda *a: blocked.append(1) or real(*a))
+        monkeypatch.setattr(operator, "evaluate", lambda *a: blocked.append(1) or real(*a))
         for x, expected in zip(ds.test_inputs, applied):
             mean, _ = apply_with_uq(model, FunctionSamples(ds.input_grid, x), q)
             assert np.linalg.norm(mean.values - expected) <= 1e-12 * scale

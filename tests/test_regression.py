@@ -143,6 +143,21 @@ class TestPosteriorVariance:
         for i in range(5):
             assert abs(posterior_variance(model, U[i])) <= 1e-8
 
+    def test_one_triangular_solve_matches_linear_solve_oracle(self):
+        rng = np.random.default_rng(41)
+        U = rng.normal(size=(8, 3))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=1.1)
+        gamma = 1e-3
+        model = fit(kernel, U, rng.normal(size=(8, 2)), gamma=gamma)
+        assert model.chol.flags.c_contiguous and np.array_equal(model.chol, np.tril(model.chol))
+        Q = rng.normal(size=(6, 3))
+        k = gram(kernel, Q, U)
+        A = gram(kernel, U) + gamma * np.eye(8)
+        expected = np.diag(gram(kernel, Q)) - np.einsum("ij,ji->i", k, np.linalg.solve(A, k.T))
+        np.testing.assert_allclose(posterior_variance(model, Q), expected, rtol=0, atol=1e-12)
+        single = posterior_variance(model, Q[2])
+        assert isinstance(single, float) and abs(single - expected[2]) <= 1e-12
+
     def test_far_query_returns_prior_variance(self):
         kernel = ScalarKernel.gaussian(0.1, output_scale=2.5)
         model = fit(kernel, [[0.0]], [[1.0]], gamma=0.0)
@@ -200,17 +215,18 @@ class TestFitResidual:
             model = fit(kernel, U, V, gamma=gamma)
             fitted = gram(kernel, U) @ model.coef
             expected = np.mean(np.linalg.norm(V - fitted, axis=1) / np.linalg.norm(V, axis=1))
-            assert fit_residual(model) == pytest.approx(expected, rel=1e-8, abs=1e-12)
+            assert fit_residual(model, V) == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 class TestRkhsNorm:
     def test_single_sample(self):
         model = fit(ScalarKernel.gaussian(1.0), [[0.0]], [[3.0]], gamma=0.0)
-        assert rkhs_norm_squared(model) == pytest.approx(9.0, rel=1e-12)
+        assert rkhs_norm_squared(model, [[3.0]]) == pytest.approx(9.0, rel=1e-12)
 
     def test_zero_targets(self):
-        model = fit(ScalarKernel.gaussian(1.0), [[0.0], [1.0]], np.zeros((2, 2)), gamma=0.0)
-        assert rkhs_norm_squared(model) == 0.0
+        V = np.zeros((2, 2))
+        model = fit(ScalarKernel.gaussian(1.0), [[0.0], [1.0]], V, gamma=0.0)
+        assert rkhs_norm_squared(model, V) == 0.0
 
     def test_three_point_quadratic_form_oracle(self):
         rng = np.random.default_rng(29)
@@ -221,7 +237,7 @@ class TestRkhsNorm:
         model = fit(kernel, U, V, gamma=gamma)
         Ginv = np.linalg.inv(gram(kernel, U) + gamma * np.eye(3))
         expected = sum(V[:, j] @ Ginv @ V[:, j] for j in range(2))
-        assert rkhs_norm_squared(model) == pytest.approx(expected, rel=1e-10)
+        assert rkhs_norm_squared(model, V) == pytest.approx(expected, rel=1e-10)
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(30)
@@ -229,7 +245,7 @@ class TestRkhsNorm:
         V = rng.normal(size=(10, 3))
         kernel = ScalarKernel.gaussian(1.0)
         norms = [
-            rkhs_norm_squared(fit(kernel, U, V, gamma=g))
+            rkhs_norm_squared(fit(kernel, U, V, gamma=g), V)
             for g in (1e-8, 1e-4, 1e-2, 1.0, 100.0)
         ]
         assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(len(norms) - 1))
