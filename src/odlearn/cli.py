@@ -430,6 +430,8 @@ def _run_variant(payload: dict) -> dict:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    if ns.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {ns.jobs}")
     cfg = load_config(ns.config)
     if ns.out is not None:
         cfg["output_dir"] = ns.out
@@ -461,8 +463,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                     "seed": cfg.get("seed", 0),
                 }
             )
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+    # a fork-started pool starts all its workers at the first submit, so cap them
+    jobs = min(ns.jobs, len(payloads))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_variant, payloads))
     else:
         rows = [_run_variant(p) for p in payloads]

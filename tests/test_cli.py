@@ -464,6 +464,50 @@ class TestSweep:
         assert row["status"] == "error" and "gamma" in row["detail"]
         assert loaded == []
 
+    @pytest.mark.parametrize("jobs,n_variants,pools", [(500, 2, [2]), (2, 3, [2]), (8, 1, []), (1, 2, [])])
+    def test_jobs_capped_at_variant_count(self, adv1_dir, tmp_path, monkeypatch, jobs, n_variants, pools):
+        started = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = write_config(tmp_path / "sweep.json", {
+            "dataset": str(adv1_dir),
+            "output_dir": str(tmp_path / "sweep"),
+            "variants": [{"label": f"v{i}", "kernel": {"family": "linear"}, "gamma": 1e-12}
+                         for i in range(n_variants)],
+        })
+        assert run(["sweep", "--config", cfg, "--jobs", str(jobs)]) == 0
+        assert started == pools
+        rows = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").open()))
+        assert [r["status"] for r in rows] == ["ok"] * n_variants
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_exit_2(self, adv1_dir, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # never reached
+        cfg = write_config(tmp_path / "sweep.json", {
+            "dataset": str(adv1_dir),
+            "output_dir": str(tmp_path / "sweep"),
+            "variants": [{"label": "linear", "kernel": {"family": "linear"}, "gamma": 1e-12}],
+        })
+        assert run(["sweep", "--config", cfg, "--jobs", str(jobs)]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "Traceback" not in err
+        assert not (tmp_path / "sweep").exists()
+
     def test_all_failing_exits_1(self, adv1_dir, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {
             "dataset": str(adv1_dir),

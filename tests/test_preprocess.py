@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from odlearn import preprocess
 from odlearn.preprocess import pca_fit, project, reconstruct
 
 
@@ -17,11 +18,52 @@ def make_two_direction_data(amps=(3.0, 1.0), n=40, seed=0):
     return X, e, np.asarray(amps)
 
 
+def make_wide_data(singular_values, d=60, seed=0):
+    """An (N, d) matrix, N = len(singular_values) + 1 < d, whose centered singular
+    values are exactly the given ones, about a random mean."""
+    rng = np.random.default_rng(seed)
+    s = np.asarray(singular_values, dtype=float)
+    raw = rng.normal(size=(s.size + 1, s.size))
+    left = np.linalg.qr(raw - raw.mean(axis=0))[0]
+    right = np.linalg.qr(rng.normal(size=(d, s.size)))[0]
+    return rng.normal(size=d) + (left * s) @ right.T
+
+
+def svd_oracle(X, frac):
+    """k, singular values, sign-fixed basis and achieved fraction by the textbook rule."""
+    _, s, Vt = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    cum = np.cumsum(s**2) / np.sum(s**2)
+    k = int(np.argmax(cum >= frac - 1e-12) + 1)
+    basis = Vt[:k].T
+    basis = basis * np.sign(basis[np.abs(basis).argmax(axis=0), np.arange(k)])
+    return k, s[:k], basis, cum[k - 1]
+
+
+def count_calls(monkeypatch):
+    """Count np.linalg.svd and np.linalg.eigh calls as odlearn.preprocess sees them."""
+    calls = {"svd": 0, "eigh": 0}
+    for name in calls:
+        real = getattr(preprocess.np.linalg, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(preprocess.np.linalg, name, wrapper)
+    return calls
+
+
 class TestFit:
     def test_rank_one_data(self):
         rng = np.random.default_rng(1)
         direction = rng.normal(size=5)
         X = 2.5 + np.outer(rng.normal(size=30), direction)
+        p = pca_fit(X, 0.9)
+        assert p.k == 1
+
+    def test_rank_one_wide_data(self):
+        rng = np.random.default_rng(1)
+        X = 2.5 + np.outer(rng.normal(size=5), rng.normal(size=30))
         p = pca_fit(X, 0.9)
         assert p.k == 1
 
@@ -154,3 +196,45 @@ class TestVarianceAccounting:
         # sin of the largest principal angle, stable where arccos is not
         gap = np.linalg.norm(p1.basis @ p1.basis.T - p2.basis @ p2.basis.T, ord=2)
         assert gap <= 1e-8
+
+
+class TestGramPath:
+    """N < d with a fraction below 1 fits from the N x N Gram; the rest by SVD."""
+
+    SPECTRUM = np.geomspace(5.0, 0.05, 24)  # N = 25 samples in d = 60
+
+    @pytest.mark.parametrize("frac", [0.5, 0.9, 0.99])
+    def test_matches_svd_oracle(self, frac, monkeypatch):
+        X = make_wide_data(self.SPECTRUM)
+        calls = count_calls(monkeypatch)
+        p = pca_fit(X, frac)
+        assert calls == {"svd": 0, "eigh": 1}
+        k, s, basis, achieved = svd_oracle(X, frac)
+        assert p.k == k
+        np.testing.assert_allclose(p.singular_values, s, rtol=1e-12)
+        assert np.abs(p.basis - basis).max() <= 1e-10
+        assert p.achieved_fraction == pytest.approx(achieved, abs=1e-12)
+
+    @pytest.mark.parametrize("shape,frac", [((30, 12), 0.9), ((12, 12), 0.9), ((12, 30), 1.0)],
+                             ids=["N>d", "N=d", "fraction-1"])
+    def test_svd_kept_for_tall_data_and_full_fraction(self, shape, frac, monkeypatch):
+        X = np.random.default_rng(15).normal(size=shape)
+        calls = count_calls(monkeypatch)
+        pca_fit(X, frac)
+        assert calls == {"svd": 1, "eigh": 0}
+
+    def test_weak_kept_direction_falls_back_to_svd(self, monkeypatch):
+        # six directions from 1 down to 1e-6, then 28 more at 1e-6: a fraction of
+        # 1 - 1e-11 keeps directions whose eigenvalues are 1e-12 of the largest
+        X = make_wide_data(np.r_[np.geomspace(1.0, 1e-6, 6), np.full(28, 1e-6)])
+        frac = 1.0 - 1e-11
+        calls = count_calls(monkeypatch)
+        p = pca_fit(X, frac)
+        assert calls == {"svd": 1, "eigh": 1}
+        k, s, _, _ = svd_oracle(X, frac)
+        assert p.k == k and s[-1] / s[0] == pytest.approx(1e-6)
+        assert np.abs(p.basis.T @ p.basis - np.eye(p.k)).max() <= 1e-10
+        resid = X - reconstruct(p, project(p, X))
+        total = np.sum((X - X.mean(0)) ** 2)
+        got = np.sum(resid**2)
+        assert got == pytest.approx((1.0 - p.achieved_fraction) * total, rel=1e-8, abs=1e-8)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, solve_triangular
 
 from odlearn import regression
 from odlearn.errors import FactorizationError
@@ -204,6 +205,32 @@ class TestLogMarginalLikelihood:
         two = log_marginal_likelihood(k, U, np.hstack([v, v]), gamma=1e-6)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 13])
+    def test_triangular_target_factor_matches_dense_oracle(self, n):
+        # m > N: the data fit is solved in column blocks of the QR triangle,
+        # uneven at n = 5, 7, 13 and fewer rows than blocks at n < 4
+        rng = np.random.default_rng(60 + n)
+        U = rng.normal(size=(n, 2))
+        V = rng.normal(size=(n, n + 9))
+        k = ScalarKernel.matern(2.5, 1.3)
+        got = log_marginal_likelihood(k, U, V, gamma=1e-3)
+        assert got == pytest.approx(dense_lml_oracle(k, U, V, 1e-3), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [3, 12])
+    def test_dense_targets_keep_one_solve(self, m):
+        # m <= N: the target factor is V itself and the data fit one solve against it
+        rng = np.random.default_rng(70 + m)
+        U = rng.normal(size=(12, 2))
+        V = rng.normal(size=(12, m))
+        k = ScalarKernel.gaussian(0.9)
+        G = gram(k, U)
+        L, _ = cho_factor(G + 1e-4 * np.eye(12), lower=True)
+        Z = solve_triangular(L, V, lower=True)
+        data_fit = -0.5 * float(np.sum(np.square(Z, out=Z)))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        want = data_fit - 0.5 * m * logdet - 0.5 * 12 * m * np.log(2.0 * np.pi)
+        assert regression._evidence(G, 1e-4, regression._target_factor(V), m) == want
+
 
 class TestFitResidual:
     def test_matches_explicit_fitted_targets(self):
@@ -355,6 +382,7 @@ class TestTuneLmlPath:
         np.testing.assert_allclose(got, reference, rtol=1e-10)
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
         first_best = int(np.argmax(reference))
+        assert first_best == int(np.argmax(oracle))
         assert best == self.MIXED_GRID[first_best] and value == got[first_best]
 
     def test_failed_entry_reported_others_score(self):
