@@ -10,11 +10,16 @@ Subcommands:
               optional predictive-std and FLOPs sections
     sweep     train+eval a list of variants and emit a cost-accuracy CSV
 
-Config is a single JSON file; command-line flags override config values. An
-unknown key or a value of the wrong type is a usage error naming the key.
-Exit codes: 0 success, 1 runtime/numerical failure, 2 usage error. The
-environment variable ODL_DATA_DIR provides a default root for relative
-dataset paths.
+Config is a single JSON file; command-line flags override config values. The
+whole config is read and checked before any data is loaded or generated: an
+unknown key or a value of the wrong type is a usage error naming the key. A
+tuning grid entry is the ``kernel`` spec, when given, overridden by the entry's
+own keys, with the entry's ``gamma`` or else the config ``gamma``. A sweep
+config takes ``dataset`` or ``generator``, ``output_dir``, ``seed`` and
+``variants``; a variant that sets ``dataset``, ``generator`` or ``output_dir``
+becomes an error row. Exit codes: 0 success (for a sweep, at least one variant
+succeeded), 1 runtime/numerical failure, 2 usage error. The environment
+variable ODL_DATA_DIR provides a default root for relative dataset paths.
 """
 
 from __future__ import annotations
@@ -99,6 +104,13 @@ def config_value(cfg: dict, key: str, default=None, convert=None):
         return cfg[last] if convert is None else convert(cfg[last])
 
 
+def check_keys(obj: dict, allowed, what: str) -> None:
+    """A UsageError naming every key of ``obj`` outside ``allowed``."""
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise UsageError(f"unknown {what} keys: {sorted(extra)}")
+
+
 def _validate_pca(cfg: dict) -> tuple[float | None, float | None]:
     if not config_value(cfg, "pca.enabled", False):
         return None, None
@@ -116,31 +128,46 @@ def _validate_pca(cfg: dict) -> tuple[float | None, float | None]:
 GENERATOR_DEFAULTS = {"train": 100, "test": 20, "grid": None, "seed": 0}  # for a config spec
 
 
+def check_generator(problem: str, train: int, test: int) -> None:
+    """Reject an unknown problem or a negative sample count before anything is generated."""
+    if problem not in GENERATORS:
+        raise UsageError(f"unknown generator problem {problem!r}; supported: {sorted(GENERATORS)}")
+    for key, count in (("train", train), ("test", test)):
+        if count < 0:
+            raise UsageError(f"generator {key} count must be >= 0, got {count}")
+
+
 def generate(problem: str, train: int, test: int, grid: int | None, seed: int) -> Dataset:
     """The dataset ``odlearn generate`` writes; a config ``generator`` spec
     takes the same arguments. A grid of None is the problem's default size."""
-    if problem not in GENERATORS:
-        raise UsageError(f"unknown generator problem {problem!r}; supported: {sorted(GENERATORS)}")
+    check_generator(problem, train, test)
     sizes = {} if grid is None else {"grid_size": grid}
     return GENERATORS[problem](train, test, seed=seed, **sizes)
 
 
-def obtain_dataset(cfg: dict) -> tuple[Dataset, str]:
-    """Load or generate the dataset named by the config; returns (dataset, source)."""
-    has_path = bool(cfg.get("dataset"))
-    has_gen = bool(cfg.get("generator"))
-    if has_path == has_gen:
+def dataset_source(cfg: dict) -> Path | dict:
+    """Check the config's dataset source without reading any data: exactly one
+    of ``dataset`` and ``generator`` is set. Returns the resolved dataset
+    directory, or the checked arguments of ``generate``."""
+    if bool(cfg.get("dataset")) == bool(cfg.get("generator")):
         raise UsageError("config must set exactly one of 'dataset' (path) or 'generator' (spec)")
-    if has_path:
-        path = config_value(cfg, "dataset", convert=resolve_dataset_path)
-        return load_dataset(path), str(path)
+    if cfg.get("dataset"):
+        return config_value(cfg, "dataset", convert=resolve_dataset_path)
     with config_key("generator"):
-        extra = set(cfg["generator"]) - {"problem", *GENERATOR_DEFAULTS}
-    if extra:
-        raise UsageError(f"unknown generator keys: {sorted(extra)}")
-    problem = config_value(cfg, "generator.problem", convert=str)
-    args = {k: config_value(cfg, f"generator.{k}", d, int) for k, d in GENERATOR_DEFAULTS.items()}
-    return generate(problem, **args), f"generator:{problem}"
+        check_keys(cfg["generator"], {"problem", *GENERATOR_DEFAULTS}, "generator")
+    args = {"problem": config_value(cfg, "generator.problem", convert=str)}
+    args.update({k: config_value(cfg, f"generator.{k}", d, int) for k, d in GENERATOR_DEFAULTS.items()})
+    check_generator(args["problem"], args["train"], args["test"])
+    return args
+
+
+def output_dir(cfg: dict, flag: str | None) -> Path:
+    """The ``--out`` flag, else the config's ``output_dir``; one of them is required."""
+    value = flag if flag is not None else cfg.get("output_dir")
+    if not value:
+        raise UsageError("config needs 'output_dir' (or pass --out)")
+    with config_key("output_dir"):
+        return Path(value)
 
 
 def default_quadrature(grid: np.ndarray) -> str:
@@ -177,31 +204,32 @@ def _preproc_label(model: operator.OperatorModel) -> str:
 TRAIN_KEYS = {
     "dataset", "generator", "output_dir", "seed", "kernel", "gamma", "preconditioner", "pca", "tuning",
 }
+TUNING_KEYS = {"grid", "objective", "folds", "seed"}
 
 
 def read_train_config(cfg: dict) -> Callable[[Dataset], tuple[operator.OperatorModel, dict]]:
     """Read the whole train config, so that an unknown key or a malformed value is a
     UsageError before any data is loaded or generated, and return ``train(dataset)
     -> (model, resolved config)``: prepare features, optionally tune, and fit."""
-    extra = set(cfg) - TRAIN_KEYS
-    if extra:
-        raise UsageError(f"unknown config keys: {sorted(extra)}")
+    check_keys(cfg, TRAIN_KEYS, "config")
     fr_in, fr_out = _validate_pca(cfg)
     precond = cfg.get("preconditioner", "none")
     if precond not in ("none", "cholesky"):
         raise UsageError(f"preconditioner must be 'none' or 'cholesky', got {precond!r}")
     gamma = config_value(cfg, "gamma", 0.0, float)
     seed = config_value(cfg, "seed", 0, int)
-    kernel = spec = default_family = None
+    kernel = spec = None
     if cfg.get("tuning"):
-        with config_key("tuning"):
-            spec = regression.TuningSpec(
-                grid=config_value(cfg, "tuning.grid", (), tuple),
-                objective=config_value(cfg, "tuning.objective", "lml"),
-                folds=config_value(cfg, "tuning.folds", 5, int),
-                seed=config_value(cfg, "tuning.seed", seed, int),
-            )
-        default_family = config_value(cfg, "kernel.family")
+        grid = config_value(cfg, "tuning.grid", (), tuple)
+        objective = config_value(cfg, "tuning.objective", "lml")
+        folds = config_value(cfg, "tuning.folds", 5, int)
+        tuning_seed = config_value(cfg, "tuning.seed", seed, int)
+        check_keys(cfg["tuning"], TUNING_KEYS, "tuning")
+        with config_key("kernel"):
+            base = dict(cfg.get("kernel") or {})
+        with config_key("tuning"):  # each entry resolved once, as the module docstring says
+            grid = [{**base, **entry, "gamma": entry.get("gamma", gamma)} for entry in grid]
+            spec = regression.TuningSpec(grid=grid, objective=objective, folds=folds, seed=tuning_seed)
     elif not cfg.get("kernel"):
         raise UsageError("config needs a 'kernel' spec (or a tuning grid)")
     else:
@@ -219,17 +247,11 @@ def read_train_config(cfg: dict) -> Callable[[Dataset], tuple[operator.OperatorM
         )
         s_kernel, ridge, tuning_report = kernel, gamma, None
         if spec is not None:
-            best, best_value, tuning_report = regression.tune(
-                spec, feats.features, feats.targets, default_family=default_family
-            )
+            best, best_value, tuning_report = regression.tune(spec, feats.features, feats.targets)
             for entry in tuning_report:
                 log.info("tuning %s -> %s", entry["params"], entry.get("objective", entry["status"]))
             log.info("tuning selected %s (objective %.6g)", best, best_value)
-            best = dict(best)
-            ridge = float(best.pop("gamma", gamma))
-            if "family" not in best and default_family is not None:
-                best["family"] = default_family
-            s_kernel = ScalarKernel.from_config(best)
+            s_kernel, ridge = spec.entries[spec.grid.index(best)]
         model = operator.fit_operator_from_features(feats, s_kernel, ridge)
         resolved = {
             "kernel": s_kernel.to_config(),
@@ -299,14 +321,11 @@ def evaluate_model(
     return report
 
 
-def _write_reports(report: dict, report_path: Path, csv_row: dict) -> None:
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    csv_path = report_path.with_suffix(".csv")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(csv_row))
+def _write_csv(path: Path, fields: list, rows: list[dict]) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerow(csv_row)
+        writer.writerows(rows)
 
 
 def _csv_row(model: operator.OperatorModel, dataset_label: str, report: dict) -> dict:
@@ -341,6 +360,21 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     return 0
 
 
+def train_and_save(train: Callable, source: Path | dict, out: Path) -> tuple[operator.OperatorModel, Dataset, dict]:
+    """Load or generate the dataset that ``dataset_source`` checked, train on it,
+    and save the model to ``out`` with its ``resolved_config.json``; returns
+    (model, dataset, resolved config)."""
+    if isinstance(source, Path):
+        dataset, label = load_dataset(source), str(source)
+    else:
+        dataset, label = generate(**source), f"generator:{source['problem']}"
+    model, resolved = train(dataset)
+    resolved["dataset_source"] = label
+    operator.save_model(model, out)
+    (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
+    return model, dataset, resolved
+
+
 def cmd_train(ns: argparse.Namespace) -> int:
     cfg = load_config(ns.config)
     if ns.dataset is not None:
@@ -350,17 +384,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
         cfg["seed"] = ns.seed
     if ns.gamma is not None:
         cfg["gamma"] = ns.gamma
-    if ns.out is not None:
-        cfg["output_dir"] = ns.out
-    if not cfg.get("output_dir"):
-        raise UsageError("config needs 'output_dir' (or pass --out)")
-    out = config_value(cfg, "output_dir", convert=Path)
+    out = output_dir(cfg, ns.out)
     train = read_train_config(cfg)
-    dataset, source = obtain_dataset(cfg)
-    model, resolved = train(dataset)
-    resolved["dataset_source"] = source
-    operator.save_model(model, out)
-    (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
+    model, _, resolved = train_and_save(train, dataset_source(cfg), out)
     print(f"kernel: {_kernel_label(model.regressor.kernel)}  gamma: {model.regressor.gamma:g}")
     print(f"training interpolation residual (mean rel L2 of the fitted targets): {resolved['fit_residual']:.3e}")
     print(f"rkhs_norm_squared: {resolved['rkhs_norm_squared']:.6g}")
@@ -386,7 +412,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if resolved_path.is_file():
         report["resolved_config"] = json.loads(resolved_path.read_text())
     report_path = Path(ns.report) if ns.report else Path(ns.model_dir) / f"eval_{dataset.name}_{ns.split}.json"
-    _write_reports(report, report_path, _csv_row(model, dataset.name, report))
+    report_path.parent.mkdir(parents=True, exist_ok=True)
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    row = _csv_row(model, dataset.name, report)
+    _write_csv(report_path.with_suffix(".csv"), list(row), [row])
     print(f"mean relative L2 ({ns.split}, {report['quadrature']}): {report['mean_relative_l2']:.6e}")
     if ns.with_uq:
         print(f"predictive std: mean {report['uq']['mean_std']:.3e}, max {report['uq']['max_std']:.3e}")
@@ -396,73 +425,50 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
+SWEEP_KEYS = {"dataset", "generator", "output_dir", "seed", "variants"}
+SWEEP_FIELDS = ["label", "flops_per_query", "mean_rel_l2", "kernel", "preproc", "status", "detail"]
+
+
 def _run_variant(payload: dict) -> dict:
     """Train+eval one sweep variant; returns a CSV row dict. Worker-safe."""
-    label = payload["label"]
+    row = {"label": payload["label"], "status": "ok", "detail": ""}
     try:
         cfg = dict(payload["variant"])
+        owned = sorted({"dataset", "generator", "output_dir"} & set(cfg))  # one for all variants
+        if owned:
+            raise UsageError(f"variant sets {owned}, which only the sweep config sets")
         cfg.setdefault("seed", payload.get("seed", 0))
         train = read_train_config(cfg)
-        dataset = load_dataset(payload["dataset_path"])
-        model, _ = train(dataset)
-        model_dir = Path(payload["out_dir"]) / "variants" / label
-        operator.save_model(model, model_dir)
-        report = evaluate_model(model, dataset, split="test", with_flops=True)
-        return {
-            "label": label,
-            "flops_per_query": report["flops"]["per_query_flops"],
-            "mean_rel_l2": report["mean_relative_l2"],
-            "kernel": _kernel_label(model.regressor.kernel),
-            "preproc": _preproc_label(model),
-            "status": "ok",
-            "detail": "",
-        }
+        model_dir = Path(payload["out_dir"]) / "variants" / payload["label"]
+        model, dataset, _ = train_and_save(train, Path(payload["dataset_path"]), model_dir)
+        row.update(_csv_row(model, dataset.name, evaluate_model(model, dataset, split="test", with_flops=True)))
     except Exception as exc:  # noqa: BLE001 - isolation: a variant must not kill the sweep
-        return {
-            "label": label,
-            "flops_per_query": "",
-            "mean_rel_l2": "",
-            "kernel": "",
-            "preproc": "",
-            "status": "error",
-            "detail": str(exc),
-        }
+        row.update(status="error", detail=str(exc))
+    return {k: row.get(k, "") for k in SWEEP_FIELDS}
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {ns.jobs}")
     cfg = load_config(ns.config)
-    if ns.out is not None:
-        cfg["output_dir"] = ns.out
-    if not cfg.get("output_dir"):
-        raise UsageError("config needs 'output_dir' (or pass --out)")
+    check_keys(cfg, SWEEP_KEYS, "sweep config")
+    out = output_dir(cfg, ns.out)
+    seed = config_value(cfg, "seed", 0, int)
+    source = dataset_source(cfg)
+    dataset_path = source if isinstance(source, Path) else out / "dataset"
     variants = cfg.get("variants") or []
     if not variants:
         raise UsageError("sweep config needs a nonempty 'variants' list")
-    out = config_value(cfg, "output_dir", convert=Path)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg.get("generator"):
-        dataset, _ = obtain_dataset({"generator": cfg["generator"]})
-        dataset_path = out / "dataset"
-        save_dataset(dataset, dataset_path)
-    else:
-        if not cfg.get("dataset"):
-            raise UsageError("sweep config must set 'dataset' or 'generator'")
-        dataset_path = config_value(cfg, "dataset", convert=resolve_dataset_path)
-    payloads = []
+    shared = {"dataset_path": str(dataset_path), "out_dir": str(out), "seed": seed}
     with config_key("variants"):
-        for i, variant in enumerate(variants):
-            label = str(variant.get("label") or f"variant{i}")
-            payloads.append(
-                {
-                    "label": label,
-                    "variant": {k: v for k, v in variant.items() if k != "label"},
-                    "dataset_path": str(dataset_path),
-                    "out_dir": str(out),
-                    "seed": cfg.get("seed", 0),
-                }
-            )
+        payloads = [
+            {"label": str(v.get("label") or f"variant{i}"),
+             "variant": {k: x for k, x in v.items() if k != "label"}, **shared}
+            for i, v in enumerate(variants)
+        ]
+    out.mkdir(parents=True, exist_ok=True)
+    if not isinstance(source, Path):
+        save_dataset(generate(**source), dataset_path)
     # a fork-started pool starts all its workers at the first submit, so cap them
     jobs = min(ns.jobs, len(payloads))
     if jobs > 1:
@@ -471,11 +477,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     else:
         rows = [_run_variant(p) for p in payloads]
     csv_path = out / "sweep.csv"
-    fields = ["label", "flops_per_query", "mean_rel_l2", "kernel", "preproc", "status", "detail"]
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(csv_path, SWEEP_FIELDS, rows)
     ok = sum(1 for r in rows if r["status"] == "ok")
     for r in rows:
         print(f"{r['label']}: {r['status']}" + (f" rel_l2={r['mean_rel_l2']:.4e}" if r["status"] == "ok" else f" ({r['detail']})"))

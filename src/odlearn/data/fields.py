@@ -29,7 +29,6 @@ class GaussianFieldSpec:
     scale: float = 1.0       # overall covariance multiplier
     tau: float = 1.0         # shift: eigenvalue is scale*(lambda + tau^2)^(-exponent)
     exponent: float = 1.0
-    truncation: int | None = None  # retained eigenmodes; None keeps the grid maximum
 
     def __post_init__(self) -> None:
         if self.boundary not in BOUNDARIES:
@@ -38,22 +37,6 @@ class GaussianFieldSpec:
             raise ValueError("grid_size must be at least 2")
         if not (self.scale > 0 and self.tau > 0 and self.exponent > 0):
             raise ValueError("scale, tau and exponent must be positive")
-        if self.truncation is not None:
-            if self.truncation == 0:
-                raise ValueError("truncation must retain at least one eigenmode")
-            if not (1 <= self.truncation <= self.max_modes()):
-                raise ValueError(
-                    f"truncation {self.truncation} exceeds the {self.max_modes()} "
-                    f"modes available on a grid of size {self.grid_size}"
-                )
-
-    def max_modes(self) -> int:
-        if self.boundary == "periodic1d":
-            return 1 + 2 * ((self.grid_size - 1) // 2)
-        return self.grid_size * self.grid_size
-
-    def n_modes(self) -> int:
-        return self.truncation if self.truncation is not None else self.max_modes()
 
 
 def grid_points(spec: GaussianFieldSpec) -> np.ndarray:
@@ -67,7 +50,7 @@ def grid_points(spec: GaussianFieldSpec) -> np.ndarray:
 
 
 def mode_table(spec: GaussianFieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenfunction values and coefficient variances for the retained modes.
+    """Eigenfunction values and coefficient variances of every mode the grid resolves.
 
     Returns (eigfuns, variances) with eigfuns of shape (n_modes, n_points):
 
@@ -97,11 +80,8 @@ def mode_table(spec: GaussianFieldSpec) -> tuple[np.ndarray, np.ndarray]:
         )
         funs = [np.outer(axis[k1], axis[k2]).ravel() for _, k1, k2 in order]
         lams = [np.pi**2 * (k1 * k1 + k2 * k2) for _, k1, k2 in order]
-    n_keep = spec.n_modes()
-    eigfuns = np.asarray(funs)[:n_keep]
-    lams = np.asarray(lams, dtype=float)[:n_keep]
-    variances = spec.scale * (lams + spec.tau**2) ** (-spec.exponent)
-    return eigfuns, variances
+    variances = spec.scale * (np.asarray(lams, dtype=float) + spec.tau**2) ** (-spec.exponent)
+    return np.asarray(funs), variances
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

@@ -23,7 +23,7 @@ each against its trailing rows only, costs about N^3/2 in place of N^3.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
@@ -47,6 +47,14 @@ class TrainedRegressor:
     gamma: float
     coef: np.ndarray          # (N, m), solves (S(U,U) + gamma I) coef = targets
     chol: np.ndarray          # (N, N) lower factor of S(U,U) + gamma I, zeros above
+
+    def __post_init__(self) -> None:
+        N = self.inputs.shape[0] if self.inputs.ndim == 2 else None
+        if not (N is not None and self.coef.ndim == 2 and self.coef.shape[0] == N and self.chol.shape == (N, N)):
+            raise ValueError("regressor arrays must be inputs (N, n), coef (N, m) and chol (N, N), got "
+                             f"{self.inputs.shape}, {self.coef.shape} and {self.chol.shape}")
+        if not (isinstance(self.gamma, float) and np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be a finite float >= 0, got {self.gamma!r}")
 
     @property
     def n_train(self) -> int:
@@ -235,15 +243,18 @@ class TuningSpec:
     """Grid-search settings over kernel hyperparameters and gamma.
 
     Each grid entry is a kernel config dict (see ScalarKernel.from_config)
-    optionally carrying a "gamma" key. ``objective`` is "cv" (minimize mean
-    held-out relative error over contiguous folds of a seeded shuffle) or
-    "lml" (maximize log marginal likelihood).
+    optionally carrying a "gamma" key, 0 when absent. Entries are parsed here,
+    at construction, into ``entries``, the (kernel, gamma) pairs that ``tune``
+    scores. ``objective`` is "cv" (minimize mean held-out relative error over
+    contiguous folds of a seeded shuffle) or "lml" (maximize log marginal
+    likelihood).
     """
 
     grid: tuple
     objective: str = "lml"
     folds: int = 5
     seed: int = 0
+    entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.grid) == 0:
@@ -253,14 +264,14 @@ class TuningSpec:
         if self.objective == "cv" and self.folds < 2:
             raise ValueError("cross-validation needs folds >= 2")
         object.__setattr__(self, "grid", tuple(dict(entry) for entry in self.grid))
-
-
-def _entry_kernel_gamma(entry: dict, default_family: str | None) -> tuple[ScalarKernel, float]:
-    entry = dict(entry)
-    gamma = float(entry.pop("gamma", 0.0))
-    if "family" not in entry and default_family is not None:
-        entry["family"] = default_family
-    return ScalarKernel.from_config(entry), gamma
+        entries = []
+        for entry in self.grid:
+            kernel = {k: v for k, v in entry.items() if k != "gamma"}
+            gamma = float(entry.get("gamma", 0.0))
+            if not (np.isfinite(gamma) and gamma >= 0):
+                raise ValueError(f"grid entry {entry} needs a finite gamma >= 0")
+            entries.append((ScalarKernel.from_config(kernel), gamma))
+        object.__setattr__(self, "entries", tuple(entries))
 
 
 def _cv_score(kernel: ScalarKernel, gamma: float, U, V, folds: int, seed: int) -> float:
@@ -281,8 +292,9 @@ def _cv_score(kernel: ScalarKernel, gamma: float, U, V, folds: int, seed: int) -
     return float(np.mean(fold_means))
 
 
-def tune(spec: TuningSpec, inputs, targets, default_family: str | None = None):
-    """Evaluate every grid entry and return (best_params, best_value, report).
+def tune(spec: TuningSpec, inputs, targets):
+    """Evaluate every grid entry and return (best_params, best_value, report);
+    best_params is the grid entry whose pair in ``spec.entries`` won.
 
     Ties are broken by first occurrence in grid order; entries whose
     factorization fails are recorded in the report and skipped. If every entry
@@ -292,11 +304,10 @@ def tune(spec: TuningSpec, inputs, targets, default_family: str | None = None):
     V = _as_matrix(targets, "targets")
     if spec.objective == "cv" and spec.folds > U.shape[0]:
         raise ValueError(f"folds={spec.folds} exceeds sample count {U.shape[0]}")
-    entries = [_entry_kernel_gamma(entry, default_family) for entry in spec.grid]
     if spec.objective == "lml":
-        outcomes = _lml_outcomes(entries, U, V)
+        outcomes = _lml_outcomes(spec.entries, U, V)
     else:
-        outcomes = [_attempt(_cv_score, k, gamma, U, V, spec.folds, spec.seed) for k, gamma in entries]
+        outcomes = [_attempt(_cv_score, k, gamma, U, V, spec.folds, spec.seed) for k, gamma in spec.entries]
     report = []
     best_idx = None
     best_value = None

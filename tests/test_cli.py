@@ -2,9 +2,12 @@ import csv
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from odlearn import cli
+from odlearn import cli, operator, regression
+from odlearn.data import load_dataset
+from odlearn.kernels import ScalarKernel
 
 
 def run(argv):
@@ -54,6 +57,16 @@ class TestGenerate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "advection1" in err and "darcy" in err
+
+    @pytest.mark.parametrize("flag", ["--train", "--test"])
+    def test_negative_count_exits_2_before_generating(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setitem(cli.GENERATORS, "darcy", None)  # never called
+        counts = {"--train": "3", "--test": "5", flag: "-3"}
+        out = tmp_path / "d"
+        assert run(["generate", "darcy", *[a for kv in counts.items() for a in kv], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag.strip("-") in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_summary_output(self, tmp_path, capsys):
         assert run(["generate", "advection2", "--train", "4", "--test", "2",
@@ -140,6 +153,7 @@ class TestTrain:
         ({"dataset": None, "generator": {"problem": "burgers", "t_final": 0.5}}, 2, "t_final"),
         ({"gamma": -1.0}, 1, "gamma"),
         ({"seed": "x"}, 2, "seed"),
+        ({"tuning": {"grid": [{"family": "linear"}], "objetcive": "cv"}}, 2, "objetcive"),
     ]
 
     @pytest.mark.parametrize("change,code,named", BAD_CONFIG,
@@ -157,6 +171,101 @@ class TestTrain:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    # grid entries that cannot be parsed, alone or merged with the config kernel
+    BAD_ENTRIES = [
+        ({"family": "bogus"}, None),
+        (["linear"], None),
+        ({"family": "matern", "lengthscale": 1.0}, None),
+        ({"lengthscale": 1.0}, {"family": "matern", "nu": 2.0}),
+        ({"family": "linear", "colour": 1}, None),
+        ({"family": "linear", "gamma": "x"}, None),
+        ({"family": "linear", "gamma": -1.0}, None),
+        ({"family": "linear"}, None),  # the entry takes the config gamma, here -1
+    ]
+
+    @pytest.mark.parametrize("source", ["generator", "dataset"])
+    @pytest.mark.parametrize("entry,kernel", BAD_ENTRIES, ids=[str(i) for i in range(len(BAD_ENTRIES))])
+    def test_malformed_tuning_entry_exits_2_before_data(self, tmp_path, capsys, monkeypatch, source, entry, kernel):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a malformed entry must be reported before any data is read")
+
+        monkeypatch.setitem(cli.GENERATORS, "darcy", no_data)
+        monkeypatch.setattr(cli, "load_dataset", no_data)
+        cfg = {
+            "tuning": {"grid": [{"family": "linear", "gamma": 1e-8}, entry]},
+            "output_dir": str(tmp_path / "model"),
+            "gamma": -1.0 if entry == {"family": "linear"} else 1e-8,
+        }
+        if kernel is not None:
+            cfg["kernel"] = kernel
+        if source == "generator":
+            cfg["generator"] = {"problem": "darcy", "train": 310, "test": 10, "seed": 42}
+        else:
+            cfg["dataset"] = str(tmp_path)
+        assert run(["train", "--config", write_config(tmp_path / "cfg.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "tuning" in err and "Traceback" not in err
+        assert not (tmp_path / "model").exists()
+
+    def test_entry_without_gamma_scored_and_fitted_at_config_gamma(self, tmp_path):
+        data = tmp_path / "adv1"
+        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--seed", "1",
+                    "--out", str(data)]) == 0
+        grid = [{"family": "matern", "nu": 2.5, "lengthscale": l} for l in (3.0, 6.0)]
+        grid.append({"family": "matern", "nu": 2.5, "lengthscale": 4.0, "gamma": 1e-6})
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(data),
+            "gamma": 1e-3,
+            "tuning": {"objective": "lml", "grid": grid},
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        ds = load_dataset(data)
+        feats = operator.prepare_features(ds.input_grid, ds.output_grid, ds.train_inputs, ds.train_outputs)
+        resolved = json.loads((tmp_path / "model" / "resolved_config.json").read_text())
+        for entry, row in zip(grid, resolved["tuning_report"]):
+            gamma = entry.get("gamma", 1e-3)
+            assert row["params"] == {**entry, "gamma": gamma}
+            lml = regression.log_marginal_likelihood(
+                ScalarKernel.matern(nu=2.5, lengthscale=entry["lengthscale"]), feats.features, feats.targets, gamma
+            )
+            assert row["objective"] == pytest.approx(lml, rel=1e-10)
+        best = max(resolved["tuning_report"], key=lambda row: row["objective"])
+        assert resolved["gamma"] == best["params"]["gamma"]
+        assert resolved["kernel"]["lengthscale"] == best["params"]["lengthscale"]
+        assert json.loads((tmp_path / "model" / "manifest.json").read_text())["gamma"] == resolved["gamma"]
+
+    def test_kernel_spec_fills_tuning_entries(self, adv1_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "matern", "nu": 1.5, "lengthscale": 100.0},
+            "gamma": 1e-8,
+            "tuning": {"grid": [{"lengthscale": 2.0}, {"lengthscale": 5.0, "nu": 2.5}]},
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        resolved = json.loads((tmp_path / "model" / "resolved_config.json").read_text())
+        params = [row["params"] for row in resolved["tuning_report"]]
+        assert params == [
+            {"family": "matern", "nu": 1.5, "lengthscale": 2.0, "gamma": 1e-8},
+            {"family": "matern", "nu": 2.5, "lengthscale": 5.0, "gamma": 1e-8},
+        ]
+        assert {k: resolved["kernel"][k] for k in ("family", "nu", "lengthscale")} in [
+            {k: p[k] for k in ("family", "nu", "lengthscale")} for p in params
+        ]
+
+    @pytest.mark.parametrize("key", ["train", "test"])
+    def test_negative_generator_count_exits_2_before_generating(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.setitem(cli.GENERATORS, "darcy", None)  # never called
+        cfg = write_config(tmp_path / "cfg.json", {
+            "generator": {"problem": "darcy", "train": 3, "test": 5, key: -3},
+            "kernel": {"family": "linear"},
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -362,6 +471,10 @@ class TestEval:
         ("model", ("s_kernel",), 5, "manifest.json"),
         ("model", ("input_nugget",), "small", "manifest.json"),
         ("model", (), [1, 2], "manifest.json"),
+        ("model", ("gamma",), "1e-08", "gamma"),
+        ("model", ("gamma",), -1.0, "gamma"),
+        ("model", ("gamma",), float("nan"), "gamma"),
+        ("model", ("gamma",), None, "gamma"),
         ("dataset", ("grids", "input"), 5, "grids.input"),
         ("dataset", ("grids", "output", "points"), "abc", "grids.output"),
         ("dataset", ("grids", "output", "shape"), 7, "grids.output"),
@@ -393,6 +506,33 @@ class TestEval:
         err = capsys.readouterr().err
         assert named in err and "manifest.json" in err
         assert "Traceback" not in err
+
+    # (array, rows and columns kept); each leaves the model's arrays inconsistent
+    SHRUNK = [("gram_factor", (39, 39)), ("gram_factor", (40, 39)), ("coefficients", (39, None)),
+              ("train_features", (39, None))]
+
+    @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
+    @pytest.mark.parametrize("name,keep", SHRUNK, ids=[f"{n}{k}" for n, k in SHRUNK])
+    def test_inconsistent_regressor_arrays_exit_1(self, tmp_path, capsys, name, keep, with_uq):
+        data = tmp_path / "adv1"
+        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
+                    "--out", str(data)]) == 0
+        model = tmp_path / "model"
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
+            "gamma": 1e-6, "output_dir": str(model),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        manifest = json.loads((model / "manifest.json").read_text())
+        entry = manifest["arrays"][name]
+        arr = np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"])
+        arr = np.ascontiguousarray(arr[: keep[0], : keep[1]])
+        arr.tofile(model / entry["file"])
+        entry["shape"] = list(arr.shape)
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["eval", str(model), str(data)] + (["--with-uq"] if with_uq else [])) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "(N, N)" in err and "Traceback" not in err
 
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []
@@ -532,6 +672,74 @@ class TestSweep:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    # (config change, text the error must contain); a None value drops that key
+    BAD_SWEEP = [
+        ({"seed": "x"}, "seed"),
+        ({"varients": []}, "varients"),
+        ({"generator": {"problem": "darcy", "train": 30, "test": 10}}, "exactly one"),
+        ({"dataset": None}, "exactly one"),
+        ({"dataset": None, "generator": {"problem": "darcy", "train": -3}}, "train"),
+        ({"dataset": None, "generator": {"problem": "darcy", "t_final": 1}}, "t_final"),
+        ({"dataset": None, "generator": {"problem": "helmholtz"}}, "helmholtz"),
+    ]
+
+    @pytest.mark.parametrize("change,named", BAD_SWEEP, ids=[row[1] + f"-{i}" for i, row in enumerate(BAD_SWEEP)])
+    def test_bad_config_exits_2_before_output_dir(self, adv1_dir, tmp_path, capsys, monkeypatch, change, named):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a sweep config error must come before any data is read")
+
+        monkeypatch.setitem(cli.GENERATORS, "darcy", no_data)
+        monkeypatch.setattr(cli, "load_dataset", no_data)
+        cfg = {
+            "dataset": str(adv1_dir),
+            "output_dir": str(tmp_path / "sweep"),
+            "variants": [{"label": "linear", "kernel": {"family": "linear"}, "gamma": 1e-12}],
+            **change,
+        }
+        path = write_config(tmp_path / "sweep.json", {k: v for k, v in cfg.items() if v is not None})
+        assert run(["sweep", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("output_dir", "elsewhere"),
+        ("dataset", "other"),
+        ("generator", {"problem": "advection1"}),
+    ])
+    def test_variant_setting_sweep_key_is_error_row(self, adv1_dir, tmp_path, key, value):
+        cfg = write_config(tmp_path / "sweep.json", {
+            "dataset": str(adv1_dir),
+            "output_dir": str(tmp_path / "sweep"),
+            "variants": [
+                {"label": "bad", "kernel": {"family": "linear"}, "gamma": 1e-12, key: value},
+                {"label": "good", "kernel": {"family": "linear"}, "gamma": 1e-12},
+            ],
+        })
+        assert run(["sweep", "--config", cfg]) == 0
+        rows = {r["label"]: r for r in csv.DictReader((tmp_path / "sweep" / "sweep.csv").open())}
+        assert rows["bad"]["status"] == "error" and key in rows["bad"]["detail"]
+        assert rows["good"]["status"] == "ok"
+        assert not (tmp_path / "sweep" / "variants" / "bad").exists()
+
+    def test_variant_directory_matches_train(self, adv1_dir, tmp_path):
+        variant = {"kernel": {"family": "gaussian", "lengthscale": 3.0}, "gamma": 1e-8, "seed": 4}
+        cfg = write_config(tmp_path / "sweep.json", {
+            "dataset": str(adv1_dir),
+            "output_dir": str(tmp_path / "sweep"),
+            "variants": [{"label": "g", **variant}],
+        })
+        assert run(["sweep", "--config", cfg]) == 0
+        train_cfg = write_config(tmp_path / "train.json", {
+            "dataset": str(adv1_dir), "output_dir": str(tmp_path / "model"), **variant,
+        })
+        assert run(["train", "--config", train_cfg]) == 0
+        swept = tmp_path / "sweep" / "variants" / "g"
+        for f in (tmp_path / "model").iterdir():
+            assert f.read_bytes() == (swept / f.name).read_bytes(), f.name
+        assert {f.name for f in swept.iterdir()} == {f.name for f in (tmp_path / "model").iterdir()}
+        assert "resolved_config.json" in {f.name for f in swept.iterdir()}
 
     def test_generator_spec_and_jobs(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json", {

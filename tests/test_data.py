@@ -21,11 +21,11 @@ from odlearn.errors import DatasetFormatError, SolverError
 
 
 class TestGaussianFields:
-    def test_constant_mode_only(self):
-        spec = GaussianFieldSpec(boundary="periodic1d", grid_size=16, truncation=1)
-        _, fields = sample_field_matrix(spec, seed=0, count=5)
-        for f in fields:
-            assert np.ptp(f) == 0.0
+    def test_first_mode_constant(self):
+        eigfuns, variances = mode_table(GaussianFieldSpec(boundary="periodic1d", grid_size=16))
+        assert eigfuns.shape == (15, 16)  # the constant and 7 sine/cosine pairs
+        assert np.ptp(eigfuns[0]) == 0.0
+        assert (np.diff(variances) <= 1e-15).all()  # sorted by eigenvalue
 
     def test_empirical_variance_matches_kl_sum(self):
         # oracle: analytic variance sum over modes at each grid point
@@ -51,17 +51,16 @@ class TestGaussianFields:
         np.testing.assert_array_equal(small, large[:2])
 
     def test_neumann2d_modes(self):
-        spec = GaussianFieldSpec(boundary="neumann2d", grid_size=9, truncation=20)
+        spec = GaussianFieldSpec(boundary="neumann2d", grid_size=9)
         eigfuns, variances = mode_table(spec)
-        assert eigfuns.shape == (20, 81)
+        assert eigfuns.shape == (81, 81)
         assert (np.diff(variances) <= 1e-15).all()  # sorted by eigenvalue
         grid, fields = sample_field_matrix(spec, seed=0, count=4)
         assert grid.shape == (81, 2) and fields.shape == (4, 81)
 
-    def test_neumann2d_constant_mode_only(self):
-        spec = GaussianFieldSpec(boundary="neumann2d", grid_size=7, truncation=1)
-        _, fields = sample_field_matrix(spec, seed=2, count=3)
-        assert (np.ptp(fields, axis=1) == 0.0).all()
+    def test_neumann2d_first_mode_constant(self):
+        eigfuns, _ = mode_table(GaussianFieldSpec(boundary="neumann2d", grid_size=7))
+        assert np.ptp(eigfuns[0]) == 0.0
 
     def test_neumann2d_variance_matches_kl_sum(self):
         spec = GaussianFieldSpec(boundary="neumann2d", grid_size=7, tau=3.0, exponent=2.0)
@@ -69,12 +68,6 @@ class TestGaussianFields:
         eigfuns, variances = mode_table(spec)
         analytic = (variances[:, None] * eigfuns**2).sum(axis=0)
         np.testing.assert_allclose(fields.var(axis=0), analytic, rtol=0.05)
-
-    def test_truncation_validation(self):
-        with pytest.raises(ValueError, match="truncation"):
-            GaussianFieldSpec(boundary="periodic1d", grid_size=16, truncation=0)
-        with pytest.raises(ValueError, match="truncation"):
-            GaussianFieldSpec(boundary="periodic1d", grid_size=16, truncation=100)
 
 
 class TestAdvection:
