@@ -39,6 +39,7 @@ import numpy as np
 
 from . import metrics, operator, regression
 from .data import GENERATORS, Dataset, load_dataset, manifest_sha256, save_dataset
+from .data.container import manifest_count, manifest_file
 from .errors import OdlearnError, UsageError
 from .kernels import ScalarKernel
 from .recovery import recovery_weights  # noqa: F401 - traced by bench/spans.py
@@ -104,6 +105,13 @@ def config_value(cfg: dict, key: str, default=None, convert=None):
         return cfg[last] if convert is None else convert(cfg[last])
 
 
+def json_number(value) -> float:
+    """A config number: a JSON integer or float, not a bool (``config_key`` names the key)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def check_keys(obj: dict, allowed, what: str) -> None:
     """A UsageError naming every key of ``obj`` outside ``allowed``."""
     extra = set(obj) - set(allowed)
@@ -118,14 +126,14 @@ def _validate_pca(cfg: dict) -> tuple[float | None, float | None]:
     fr_out = config_value(cfg, "pca.output_fraction")
     for name, f in (("input_fraction", fr_in), ("output_fraction", fr_out)):
         with config_key(f"pca.{name}"):
-            if f is not None and not (0.0 < f <= 1.0):
+            if f is not None and not (0.0 < json_number(f) <= 1.0):
                 raise UsageError(f"pca.{name} must lie in (0, 1], got {f}")
     if fr_in is None and fr_out is None:
         raise UsageError("pca.enabled is true but neither fraction is set")
     return fr_in, fr_out
 
 
-GENERATOR_DEFAULTS = {"train": 100, "test": 20, "grid": None, "seed": 0}  # for a config spec
+GENERATOR_DEFAULTS = {"train": 100, "test": 20, "seed": 0}  # counts of a config spec; "grid" defaults to None
 
 
 def check_generator(problem: str, train: int, test: int) -> None:
@@ -154,9 +162,10 @@ def dataset_source(cfg: dict) -> Path | dict:
     if cfg.get("dataset"):
         return config_value(cfg, "dataset", convert=resolve_dataset_path)
     with config_key("generator"):
-        check_keys(cfg["generator"], {"problem", *GENERATOR_DEFAULTS}, "generator")
+        check_keys(cfg["generator"], {"problem", "grid", *GENERATOR_DEFAULTS}, "generator")
     args = {"problem": config_value(cfg, "generator.problem", convert=str)}
-    args.update({k: config_value(cfg, f"generator.{k}", d, int) for k, d in GENERATOR_DEFAULTS.items()})
+    args.update({k: config_value(cfg, f"generator.{k}", d, manifest_count) for k, d in GENERATOR_DEFAULTS.items()})
+    args["grid"] = config_value(cfg, "generator.grid", None, lambda g: g if g is None else manifest_count(g))
     check_generator(args["problem"], args["train"], args["test"])
     return args
 
@@ -216,19 +225,19 @@ def read_train_config(cfg: dict) -> Callable[[Dataset], tuple[operator.OperatorM
     precond = cfg.get("preconditioner", "none")
     if precond not in ("none", "cholesky"):
         raise UsageError(f"preconditioner must be 'none' or 'cholesky', got {precond!r}")
-    gamma = config_value(cfg, "gamma", 0.0, float)
-    seed = config_value(cfg, "seed", 0, int)
+    gamma = config_value(cfg, "gamma", 0.0, json_number)
+    seed = config_value(cfg, "seed", 0, manifest_count)
     kernel = spec = None
     if cfg.get("tuning"):
         grid = config_value(cfg, "tuning.grid", (), tuple)
         objective = config_value(cfg, "tuning.objective", "lml")
-        folds = config_value(cfg, "tuning.folds", 5, int)
-        tuning_seed = config_value(cfg, "tuning.seed", seed, int)
+        folds = config_value(cfg, "tuning.folds", 5, manifest_count)
+        tuning_seed = config_value(cfg, "tuning.seed", seed, manifest_count)
         check_keys(cfg["tuning"], TUNING_KEYS, "tuning")
         with config_key("kernel"):
             base = dict(cfg.get("kernel") or {})
         with config_key("tuning"):  # each entry resolved once, as the module docstring says
-            grid = [{**base, **entry, "gamma": entry.get("gamma", gamma)} for entry in grid]
+            grid = [{**base, **entry, "gamma": json_number(entry.get("gamma", gamma))} for entry in grid]
             spec = regression.TuningSpec(grid=grid, objective=objective, folds=folds, seed=tuning_seed)
     elif not cfg.get("kernel"):
         raise UsageError("config needs a 'kernel' spec (or a tuning grid)")
@@ -439,8 +448,7 @@ def _run_variant(payload: dict) -> dict:
             raise UsageError(f"variant sets {owned}, which only the sweep config sets")
         cfg.setdefault("seed", payload.get("seed", 0))
         train = read_train_config(cfg)
-        model_dir = Path(payload["out_dir"]) / "variants" / payload["label"]
-        model, dataset, _ = train_and_save(train, Path(payload["dataset_path"]), model_dir)
+        model, dataset, _ = train_and_save(train, Path(payload["dataset_path"]), Path(payload["model_dir"]))
         row.update(_csv_row(model, dataset.name, evaluate_model(model, dataset, split="test", with_flops=True)))
     except Exception as exc:  # noqa: BLE001 - isolation: a variant must not kill the sweep
         row.update(status="error", detail=str(exc))
@@ -453,18 +461,21 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = load_config(ns.config)
     check_keys(cfg, SWEEP_KEYS, "sweep config")
     out = output_dir(cfg, ns.out)
-    seed = config_value(cfg, "seed", 0, int)
+    seed = config_value(cfg, "seed", 0, manifest_count)
     source = dataset_source(cfg)
     dataset_path = source if isinstance(source, Path) else out / "dataset"
     variants = cfg.get("variants") or []
     if not variants:
         raise UsageError("sweep config needs a nonempty 'variants' list")
-    shared = {"dataset_path": str(dataset_path), "out_dir": str(out), "seed": seed}
+    shared = {"dataset_path": str(dataset_path), "seed": seed}
     with config_key("variants"):
-        payloads = [
-            {"label": str(v.get("label") or f"variant{i}"),
+        labels = [str(v.get("label") or f"variant{i}") for i, v in enumerate(variants)]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"variant labels must be unique, got {labels}")
+        payloads = [  # a label names its model directory, so it obeys the manifest file-name rule
+            {"label": label, "model_dir": str(manifest_file(out / "variants", label)),
              "variant": {k: x for k, x in v.items() if k != "label"}, **shared}
-            for i, v in enumerate(variants)
+            for label, v in zip(labels, variants)
         ]
     out.mkdir(parents=True, exist_ok=True)
     if not isinstance(source, Path):

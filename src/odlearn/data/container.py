@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DatasetFormatError
+from ..kernels import as_points
 
 FORMAT_VERSION = 1
 
@@ -58,10 +59,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         for attr in ("input_grid", "output_grid"):
-            g = np.asarray(getattr(self, attr), dtype=float)
-            if g.ndim == 1:
-                g = g[:, None]
-            setattr(self, attr, g)
+            setattr(self, attr, as_points(getattr(self, attr), attr))
         for attr in ("train_inputs", "train_outputs", "test_inputs", "test_outputs"):
             setattr(self, attr, np.atleast_2d(np.asarray(getattr(self, attr), dtype=float)))
         n, m = self.input_grid.shape[0], self.output_grid.shape[0]
@@ -169,9 +167,9 @@ def _grid_from_json(entry: dict) -> np.ndarray:
     if entry.get("kind") != "points":
         raise ValueError(f"unsupported grid kind {entry.get('kind')!r}")
     grid = np.asarray(entry["points"], dtype=float)
-    if grid.ndim not in (1, 2) or list(grid.shape) != list(entry["shape"]):
+    if list(grid.shape) != list(entry["shape"]):
         raise ValueError(f"grid shape {list(grid.shape)} does not match declared {entry['shape']}")
-    return grid
+    return as_points(grid, "points")
 
 
 def save_dataset(ds: Dataset, directory) -> dict:

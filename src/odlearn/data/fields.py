@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels import as_points
+
 BOUNDARIES = ("periodic1d", "neumann2d")
 
 
@@ -43,7 +45,7 @@ def grid_points(spec: GaussianFieldSpec) -> np.ndarray:
     """Sampling grid: periodic 1D grid j/n on [0,1), or the closed unit square."""
     n = spec.grid_size
     if spec.boundary == "periodic1d":
-        return (np.arange(n) / n)[:, None]
+        return as_points(np.arange(n) / n, "grid")
     xs = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])

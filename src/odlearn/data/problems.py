@@ -24,15 +24,11 @@ from scipy.linalg.lapack import dpbsv
 
 from ..errors import SolverError
 from .container import Dataset
-from .fields import GaussianFieldSpec, sample_field_matrix, substream
+from .fields import GaussianFieldSpec, grid_points, sample_field_matrix, substream
 
 BURGERS_CFL = 0.5  # advective time-step factor: dt <= 0.5 dx / max|w|
 BURGERS_NU = 0.1  # viscosity of the burgers generator
 BURGERS_T_FINAL = 1.0  # time of its output states
-
-
-def _periodic_grid(n: int) -> np.ndarray:
-    return (np.arange(n) / n)[:, None]
 
 
 def _split(name: str, grid, inputs, outputs, count_train: int, seed: int, provenance: str) -> Dataset:
@@ -66,9 +62,8 @@ def _half_shift(values: np.ndarray, n: int) -> np.ndarray:
 def gen_advection1(count_train: int, count_test: int, grid_size: int = 40, seed: int = 0) -> Dataset:
     """Square waves h*1_[c-b/2, c+b/2] with (c, b, h) uniform on
     [0.3, 0.7] x [0.3, 0.6] x [1, 2]; outputs are the inputs shifted by 0.5."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    x = np.arange(grid_size) / grid_size
+    grid = grid_points(GaussianFieldSpec(boundary="periodic1d", grid_size=grid_size))
+    x = grid[:, 0]
     total = count_train + count_test
     inputs = np.empty((total, grid_size))
     for i in range(total):
@@ -78,7 +73,7 @@ def gen_advection1(count_train: int, count_test: int, grid_size: int = 40, seed:
         h = rng.uniform(1.0, 2.0)
         inputs[i] = np.where((x >= c - b / 2) & (x <= c + b / 2), h, 0.0)
     return _split(
-        "advection1", _periodic_grid(grid_size), inputs, _half_shift(inputs, grid_size), count_train, seed,
+        "advection1", grid, inputs, _half_shift(inputs, grid_size), count_train, seed,
         f"random square waves on a uniform periodic grid of {grid_size}; "
         "(c, b, h) ~ U([0.3,0.7] x [0.3,0.6] x [1,2]); outputs are the exact "
         "periodic transport by 0.5",
@@ -88,10 +83,10 @@ def gen_advection1(count_train: int, count_test: int, grid_size: int = 40, seed:
 def gen_advection2(count_train: int, count_test: int, grid_size: int = 200, seed: int = 0) -> Dataset:
     """Binarized Gaussian fields -1 + 2*1{field >= 0}; outputs shifted by 0.5."""
     spec = GaussianFieldSpec(boundary="periodic1d", grid_size=grid_size, scale=1.0, tau=3.0, exponent=2.0)
-    _, fields = sample_field_matrix(spec, seed, count_train + count_test)
+    grid, fields = sample_field_matrix(spec, seed, count_train + count_test)
     inputs = np.where(fields >= 0.0, 1.0, -1.0)
     return _split(
-        "advection2", _periodic_grid(grid_size), inputs, _half_shift(inputs, grid_size), count_train, seed,
+        "advection2", grid, inputs, _half_shift(inputs, grid_size), count_train, seed,
         f"sign of a periodic Gaussian field with covariance (-Lap + 9 I)^-2 on "
         f"{grid_size} grid points, mapped to -1/+1; outputs are the exact periodic "
         "transport by 0.5",

@@ -158,7 +158,9 @@ class ScalarKernel:
         return y
 
 
-def _as_points(X, name: str) -> np.ndarray:
+def as_points(X, name: str) -> np.ndarray:
+    """Points as a nonempty, finite (n, dim) array, a 1-D array being n points on a line:
+    the one reading of grids, query points, and regression features and targets."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -171,16 +173,10 @@ def _as_points(X, name: str) -> np.ndarray:
 
 def eval_kernel(kernel: ScalarKernel, x, y) -> float:
     """Evaluate k(x, y) for a single pair of equal-dimension vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size or x.size == 0:
-        raise ValueError(f"dimension mismatch: |x|={x.size}, |y|={y.size}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite input coordinates")
-    if kernel.family == "linear":
-        return kernel.output_scale * float(np.dot(x, y))
-    r = float(np.linalg.norm(x - y))
-    return kernel.output_scale * float(kernel.stationary_value(r))
+    x, y = np.ravel(x), np.ravel(y)
+    if x.size == 0:
+        raise ValueError("x must be a nonempty vector")
+    return float(gram(kernel, [x], [y])[0, 0])
 
 
 def gram(kernel: ScalarKernel, X, Y=None) -> np.ndarray:
@@ -189,11 +185,11 @@ def gram(kernel: ScalarKernel, X, Y=None) -> np.ndarray:
     ``Y=None`` means ``Y = X``; the result is then symmetric positive
     semidefinite up to roundoff.
     """
-    X = _as_points(X, "X")
+    X = as_points(X, "X")
     if Y is None:
         Y = X
     else:
-        Y = _as_points(Y, "Y")
+        Y = as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: X is {X.shape[1]}-d, Y is {Y.shape[1]}-d")
     if kernel.family == "linear":
@@ -213,7 +209,7 @@ def stationary_gram(kernel: ScalarKernel, distances) -> np.ndarray:
 
 def gram_diag(kernel: ScalarKernel, X) -> np.ndarray:
     """Vector of k(X_i, X_i) values, cheaper than diag(gram(k, X))."""
-    X = _as_points(X, "X")
+    X = as_points(X, "X")
     if kernel.family == "linear":
         return kernel.output_scale * np.einsum("ij,ij->i", X, X)
     at_zero = float(kernel.stationary_value(0.0))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import as_points
 from .operator import OperatorModel
 
 QUADRATURES = ("trapezoid1d", "trapezoid2d", "euclidean")
@@ -68,9 +69,7 @@ def quadrature_weights(grid, quadrature: str) -> np.ndarray:
     """Per-point quadrature weights for the given grid."""
     if quadrature not in QUADRATURES:
         raise ValueError(f"quadrature must be one of {QUADRATURES}, got {quadrature!r}")
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = as_points(grid, "grid")
     if quadrature == "euclidean":
         return np.ones(pts.shape[0])
     if quadrature == "trapezoid1d":

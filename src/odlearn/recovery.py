@@ -25,7 +25,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
-from .kernels import ScalarKernel, gram, gram_diag
+from .kernels import ScalarKernel, as_points, gram, gram_diag
 
 NUGGET_FACTOR = 1e-10  # default nugget = 1e-10 * mean(diag Gram)
 
@@ -38,18 +38,14 @@ class FunctionSamples:
     values: np.ndarray  # (n_points,)
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim == 1:
-            grid = grid[:, None]
+        grid = as_points(self.grid, "grid")
         values = np.asarray(self.values, dtype=float).ravel()
-        if grid.ndim != 2 or grid.shape[0] == 0:
-            raise ValueError("grid must be a nonempty (n_points, dim) array")
         if values.shape[0] != grid.shape[0]:
             raise ValueError(
                 f"values length {values.shape[0]} != grid length {grid.shape[0]}"
             )
-        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
-            raise ValueError("grid and values must be finite")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -65,13 +61,7 @@ class MeasurementOperator:
     preconditioner: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, dim) array")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
+        pts = as_points(self.points, "points")
         n = pts.shape[0]
         if len(np.unique(pts, axis=0)) < n:  # rows compare as floats, so -0.0 == 0.0
             raise ValueError("collocation points must be pairwise distinct")
@@ -182,8 +172,7 @@ def recover(rmap: RecoveryMap, U, query_points) -> FunctionSamples:
     matrix cannot be factorized; measuring the result returns U up to the
     nugget-level error.
     """
-    qp = np.asarray(query_points, dtype=float)
-    qp = qp[:, None] if qp.ndim == 1 else qp
+    qp = as_points(query_points, "query_points")
     return FunctionSamples(qp, evaluate(rmap, rmap.coefficients(U), qp))
 
 
@@ -197,10 +186,7 @@ def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.n
 
 def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:
     """Matrix W with recover(U)(query_points) = W @ U (rows indexed by query point)."""
-    qp = np.asarray(query_points, dtype=float)
-    if qp.ndim == 1:
-        qp = qp[:, None]
-    kq = gram(rmap.kernel, qp, rmap.measurement.points)
+    kq = gram(rmap.kernel, query_points, rmap.measurement.points)
     W = cho_solve(rmap._factor, kq.T).T
     if rmap.measurement.preconditioner is not None:
         W = lu_solve(rmap._preconditioner_lu, W.T, trans=1).T
@@ -231,14 +217,8 @@ def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None =
 
 def fill_distance(sample, domain_probe) -> float:
     """max over probe points of the distance to the nearest sample point."""
-    S = np.asarray(sample, dtype=float)
-    P = np.asarray(domain_probe, dtype=float)
-    if S.ndim == 1:
-        S = S[:, None]
-    if P.ndim == 1:
-        P = P[:, None]
-    if S.shape[0] == 0 or P.shape[0] == 0:
-        raise ValueError("sample and probe must be nonempty")
+    S = as_points(sample, "sample")
+    P = as_points(domain_probe, "domain_probe")
     if S.shape[1] != P.shape[1]:
         raise ValueError("sample and probe dimensions differ")
     return float(cdist(P, S).min(axis=1).max())

@@ -18,6 +18,10 @@ solve L^-1 R, where a solve against all m target columns would cost 2 N^2 m.
 With m <= N, R is V and the solve costs N^2 m. With m > N, R is lower
 triangular, so L^-1 R is too; solving it in ``TRIANGLE_BLOCKS`` column blocks,
 each against its trailing rows only, costs about N^3/2 in place of N^3.
+
+Features and targets given to ``fit``, ``log_marginal_likelihood`` and ``tune``
+are points (``kernels.as_points``): a 1-D array is N samples of one value. A query
+to ``predict`` or ``posterior_variance`` is values: a 1-D array is one n-vector.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
-from .kernels import ScalarKernel, gram, gram_diag, stationary_gram
+from .kernels import ScalarKernel, as_points, gram, gram_diag, stationary_gram
 
 log = logging.getLogger(__name__)
 
@@ -69,17 +73,6 @@ class TrainedRegressor:
         return self.coef.shape[1]
 
 
-def _as_matrix(A, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != 2 or A.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty 2-d matrix")
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return A
-
-
 def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedRegressor:
     """Fit the regressor by factorizing S(U, U) + gamma*I once.
 
@@ -88,8 +81,8 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
     silently. An explicitly positive gamma that still fails raises
     FactorizationError advising a larger value.
     """
-    U = _as_matrix(inputs, "inputs")
-    V = _as_matrix(targets, "targets")
+    U = as_points(inputs, "inputs")
+    V = as_points(targets, "targets")
     if U.shape[0] != V.shape[0]:
         raise ValueError(f"inputs have {U.shape[0]} rows but targets have {V.shape[0]}")
     if gamma < 0:
@@ -124,15 +117,21 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
     return TrainedRegressor(kernel=kernel, inputs=U, gamma=float(gamma), coef=coef, chol=chol)
 
 
+def _queries(model: TrainedRegressor, U) -> tuple[np.ndarray, bool]:
+    """Queries as a (B, n) batch, and whether ``U`` was one n-vector query."""
+    U = np.asarray(U, dtype=float)
+    single = U.ndim == 1
+    U = U[None, :] if single else U
+    if U.shape[1] != model.input_dim:
+        raise ValueError(f"query dimension {U.shape[1]} != trained dimension {model.input_dim}")
+    return U, single
+
+
 def predict(model: TrainedRegressor, U) -> np.ndarray:
     """Predict S(U, inputs) @ coef; a single n-vector gives an m-vector, an
     (B, n) batch gives (B, m)."""
-    U = np.asarray(U, dtype=float)
-    single = U.ndim == 1
-    U2 = U[None, :] if single else U
-    if U2.shape[1] != model.input_dim:
-        raise ValueError(f"query dimension {U2.shape[1]} != trained dimension {model.input_dim}")
-    out = gram(model.kernel, U2, model.inputs) @ model.coef
+    U, single = _queries(model, U)
+    out = gram(model.kernel, U, model.inputs) @ model.coef
     return out[0] if single else out
 
 
@@ -143,13 +142,9 @@ def posterior_variance(model: TrainedRegressor, U):
     posterior variance of every output component. A single query returns a
     float; a batch returns a vector.
     """
-    U = np.asarray(U, dtype=float)
-    single = U.ndim == 1
-    U2 = U[None, :] if single else U
-    if U2.shape[1] != model.input_dim:
-        raise ValueError(f"query dimension {U2.shape[1]} != trained dimension {model.input_dim}")
-    Z = solve_triangular(model.chol, gram(model.kernel, U2, model.inputs).T, lower=True)
-    var = gram_diag(model.kernel, U2) - np.sum(np.square(Z, out=Z), axis=0)
+    U, single = _queries(model, U)
+    Z = solve_triangular(model.chol, gram(model.kernel, U, model.inputs).T, lower=True)
+    var = gram_diag(model.kernel, U) - np.sum(np.square(Z, out=Z), axis=0)
     return float(var[0]) if single else var
 
 
@@ -159,8 +154,8 @@ def log_marginal_likelihood(kernel: ScalarKernel, inputs, targets, gamma: float 
     Returns sum_j [ -1/2 V_j^T (S + gamma I)^-1 V_j ] - (m/2) logdet(S + gamma I)
     - (N m / 2) log(2 pi), all columns sharing one factorization.
     """
-    U = _as_matrix(inputs, "inputs")
-    V = _as_matrix(targets, "targets")
+    U = as_points(inputs, "inputs")
+    V = as_points(targets, "targets")
     if U.shape[0] != V.shape[0]:
         raise ValueError("inputs and targets row counts differ")
     return _evidence(gram(kernel, U), gamma, _target_factor(V), V.shape[1])
@@ -230,12 +225,12 @@ def fit_residual(model: TrainedRegressor, targets) -> float:
     """Mean over the rows of the training targets V of |V_i - fitted_i| / |V_i|. The
     fitted targets are S (S + gamma I)^-1 V = V - gamma * coef, so no prediction is run."""
     rows = model.gamma * np.linalg.norm(model.coef, axis=1)
-    return float(np.mean(rows / np.linalg.norm(_as_matrix(targets, "targets"), axis=1)))
+    return float(np.mean(rows / np.linalg.norm(as_points(targets, "targets"), axis=1)))
 
 
 def rkhs_norm_squared(model: TrainedRegressor, targets) -> float:
     """Squared RKHS norm of the map fitted to V: trace(V^T coef) = sum_j V_j^T (S+gamma I)^-1 V_j."""
-    return float(np.sum(_as_matrix(targets, "targets") * model.coef))
+    return float(np.sum(as_points(targets, "targets") * model.coef))
 
 
 @dataclass(frozen=True)
@@ -300,8 +295,8 @@ def tune(spec: TuningSpec, inputs, targets):
     factorization fails are recorded in the report and skipped. If every entry
     fails, FactorizationError is raised.
     """
-    U = _as_matrix(inputs, "inputs")
-    V = _as_matrix(targets, "targets")
+    U = as_points(inputs, "inputs")
+    V = as_points(targets, "targets")
     if spec.objective == "cv" and spec.folds > U.shape[0]:
         raise ValueError(f"folds={spec.folds} exceeds sample count {U.shape[0]}")
     if spec.objective == "lml":

@@ -154,6 +154,17 @@ class TestTrain:
         ({"gamma": -1.0}, 1, "gamma"),
         ({"seed": "x"}, 2, "seed"),
         ({"tuning": {"grid": [{"family": "linear"}], "objetcive": "cv"}}, 2, "objetcive"),
+        # counts are JSON integers >= 0 and numbers are not bools; each of these would coerce
+        ({"dataset": None, "generator": {"problem": "advection1", "train": 20.9}}, 2, "generator.train"),
+        ({"dataset": None, "generator": {"problem": "advection1", "test": True}}, 2, "generator.test"),
+        ({"dataset": None, "generator": {"problem": "advection1", "grid": 16.0}}, 2, "generator.grid"),
+        ({"dataset": None, "generator": {"problem": "advection1", "seed": 2.7}}, 2, "generator.seed"),
+        ({"seed": 2.7}, 2, "seed"),
+        ({"tuning": {"grid": [{"family": "linear"}], "objective": "cv", "folds": 2.5}}, 2, "tuning.folds"),
+        ({"tuning": {"grid": [{"family": "linear"}], "seed": True}}, 2, "tuning.seed"),
+        ({"gamma": True}, 2, "gamma"),
+        ({"pca": {"enabled": True, "input_fraction": True}}, 2, "pca.input_fraction"),
+        ({"pca": {"enabled": True, "output_fraction": True}}, 2, "pca.output_fraction"),
     ]
 
     @pytest.mark.parametrize("change,code,named", BAD_CONFIG,
@@ -182,6 +193,7 @@ class TestTrain:
         ({"family": "linear", "gamma": "x"}, None),
         ({"family": "linear", "gamma": -1.0}, None),
         ({"family": "linear"}, None),  # the entry takes the config gamma, here -1
+        ({"family": "linear", "gamma": True}, None),
     ]
 
     @pytest.mark.parametrize("source", ["generator", "dataset"])
@@ -480,6 +492,7 @@ class TestEval:
         ("dataset", ("grids", "output", "shape"), 7, "grids.output"),
         ("dataset", ("grids", "input", "kind"), "bogus", "grids.input"),
         ("dataset", ("grids", "output", "shape"), [3, 1], "grids.output"),
+        ("dataset", ("grids", "input", "points"), [[0.0]] * 39 + [[float("nan")]], "grids.input"),
         ("dataset", ("splits", "test"), "many", "splits.test"),
         ("dataset", ("splits", "train"), [60], "splits.train"),
         ("dataset", ("splits", "test"), 20.0, "splits.test"),
@@ -682,6 +695,10 @@ class TestSweep:
         ({"dataset": None, "generator": {"problem": "darcy", "train": -3}}, "train"),
         ({"dataset": None, "generator": {"problem": "darcy", "t_final": 1}}, "t_final"),
         ({"dataset": None, "generator": {"problem": "helmholtz"}}, "helmholtz"),
+        # a label names the variant's directory: a bare file name, unique in the sweep
+        ({"variants": [{"label": "a", "kernel": {"family": "linear"}},
+                       {"label": "a", "kernel": {"family": "gaussian", "lengthscale": 2.0}}]}, "variants"),
+        ({"variants": [{"label": "../../escaped", "kernel": {"family": "linear"}}]}, "variants"),
     ]
 
     @pytest.mark.parametrize("change,named", BAD_SWEEP, ids=[row[1] + f"-{i}" for i, row in enumerate(BAD_SWEEP)])
@@ -701,7 +718,7 @@ class TestSweep:
         assert run(["sweep", "--config", path]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
-        assert not (tmp_path / "sweep").exists()
+        assert not (tmp_path / "sweep").exists() and not (tmp_path / "escaped").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("output_dir", "elsewhere"),

@@ -1,0 +1,50 @@
+"""Import layering of the package, read from the source with ``ast``: the kernels
+module depends on nothing in odlearn, and the data layer only on errors and
+kernels, so that recovery, regression or the operator never enter it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import odlearn
+
+PACKAGE = Path(odlearn.__file__).parent
+
+
+def odlearn_imports(path: Path) -> set[str]:
+    """Absolute names of everything the file imports from odlearn: for
+    ``from ..errors import E`` both ``odlearn.errors`` and ``odlearn.errors.E``."""
+    module = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    package = module[:-1]  # for __init__.py, the package itself
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = list(package[: len(package) - node.level + 1]) if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name for name in found if name == "odlearn" or name.startswith("odlearn.")}
+
+
+def outside(names: set[str], allowed: tuple[str, ...]) -> set[str]:
+    return {n for n in names if not any(n == a or n.startswith(a + ".") for a in allowed)}
+
+
+def test_kernels_imports_nothing_from_odlearn():
+    assert odlearn_imports(PACKAGE / "kernels.py") == set()
+
+
+@pytest.mark.parametrize("path", sorted((PACKAGE / "data").glob("*.py")), ids=lambda p: p.name)
+def test_data_layer_imports_only_errors_and_kernels(path):
+    names = odlearn_imports(path)
+    assert outside(names, ("odlearn.data", "odlearn.errors", "odlearn.kernels")) == set()
+
+
+def test_relative_imports_resolve():
+    # the reader itself: the data layer's known edges, and the CLI's package imports
+    assert {"odlearn.errors", "odlearn.kernels"} <= odlearn_imports(PACKAGE / "data" / "container.py")
+    assert "odlearn.data.container" in odlearn_imports(PACKAGE / "data" / "__init__.py")
+    assert {"odlearn.operator", "odlearn.regression"} <= odlearn_imports(PACKAGE / "cli.py")

@@ -556,6 +556,25 @@ class TestInferenceCore:
                 got = apply(model, u, q).values
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_outputs_do_not_depend_on_process_history(self, tmp_path, uq_dataset_model):
+        # repeating a request must take the path its first use took: an off-grid set
+        # no other test uses, and the own grid of a reloaded model
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        g = ds.output_grid
+        cases = [(model, g + 0.37 * (g[1] - g[0])), (load_model(tmp_path / "m"), g)]
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+
+        def outputs(m, q):  # apply first, so that its first call is the set's first use
+            single = apply(m, u, q).values
+            mean, std = apply_with_uq(m, u, q)
+            return single, apply_batch(m, ds.test_inputs, q), mean.values, std.values
+
+        first = [outputs(m, q) for m, q in cases]
+        for _ in range(3):
+            for (m, q), expected in zip(cases, first):
+                assert all(map(np.array_equal, outputs(m, q), expected))
+
     def test_input_nugget_is_the_gram_default_and_persists(self, tmp_path, uq_dataset_model):
         _, model = uq_dataset_model
         pts = model.input_measurement.points
