@@ -41,11 +41,18 @@ class GaussianFieldSpec:
             raise ValueError("scale, tau and exponent must be positive")
 
 
+def periodic_grid(n: int) -> np.ndarray:
+    """The uniform periodic grid j/n, j = 0..n-1, on [0, 1) as (n, 1) points."""
+    if n < 2:
+        raise ValueError("grid_size must be at least 2")
+    return as_points(np.arange(n) / n, "grid")
+
+
 def grid_points(spec: GaussianFieldSpec) -> np.ndarray:
     """Sampling grid: periodic 1D grid j/n on [0,1), or the closed unit square."""
     n = spec.grid_size
     if spec.boundary == "periodic1d":
-        return as_points(np.arange(n) / n, "grid")
+        return periodic_grid(n)
     xs = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpbsv
 
 from ..errors import SolverError
 from .container import Dataset
-from .fields import GaussianFieldSpec, grid_points, sample_field_matrix, substream
+from .fields import GaussianFieldSpec, periodic_grid, sample_field_matrix, substream
 
 BURGERS_CFL = 0.5  # advective time-step factor: dt <= 0.5 dx / max|w|
 BURGERS_NU = 0.1  # viscosity of the burgers generator
@@ -62,7 +62,7 @@ def _half_shift(values: np.ndarray, n: int) -> np.ndarray:
 def gen_advection1(count_train: int, count_test: int, grid_size: int = 40, seed: int = 0) -> Dataset:
     """Square waves h*1_[c-b/2, c+b/2] with (c, b, h) uniform on
     [0.3, 0.7] x [0.3, 0.6] x [1, 2]; outputs are the inputs shifted by 0.5."""
-    grid = grid_points(GaussianFieldSpec(boundary="periodic1d", grid_size=grid_size))
+    grid = periodic_grid(grid_size)
     x = grid[:, 0]
     total = count_train + count_test
     inputs = np.empty((total, grid_size))

@@ -173,10 +173,16 @@ def as_points(X, name: str) -> np.ndarray:
 
 def eval_kernel(kernel: ScalarKernel, x, y) -> float:
     """Evaluate k(x, y) for a single pair of equal-dimension vectors."""
-    x, y = np.ravel(x), np.ravel(y)
-    if x.size == 0:
-        raise ValueError("x must be a nonempty vector")
-    return float(gram(kernel, [x], [y])[0, 0])
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size != y.size or x.size == 0:
+        raise ValueError(f"dimension mismatch: |x|={x.size}, |y|={y.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite input coordinates")
+    if kernel.family == "linear":
+        return kernel.output_scale * float(np.dot(x, y))
+    r = float(np.linalg.norm(x - y))
+    return kernel.output_scale * float(kernel.stationary_value(r))
 
 
 def gram(kernel: ScalarKernel, X, Y=None) -> np.ndarray:

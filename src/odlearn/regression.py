@@ -73,6 +73,14 @@ class TrainedRegressor:
         return self.coef.shape[1]
 
 
+def _samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Training features and targets as points, one row per sample in each."""
+    U, V = as_points(inputs, "inputs"), as_points(targets, "targets")
+    if U.shape[0] != V.shape[0]:
+        raise ValueError(f"inputs have {U.shape[0]} rows but targets have {V.shape[0]}")
+    return U, V
+
+
 def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedRegressor:
     """Fit the regressor by factorizing S(U, U) + gamma*I once.
 
@@ -81,10 +89,7 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
     silently. An explicitly positive gamma that still fails raises
     FactorizationError advising a larger value.
     """
-    U = as_points(inputs, "inputs")
-    V = as_points(targets, "targets")
-    if U.shape[0] != V.shape[0]:
-        raise ValueError(f"inputs have {U.shape[0]} rows but targets have {V.shape[0]}")
+    U, V = _samples(inputs, targets)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     G = gram(kernel, U)
@@ -154,10 +159,7 @@ def log_marginal_likelihood(kernel: ScalarKernel, inputs, targets, gamma: float 
     Returns sum_j [ -1/2 V_j^T (S + gamma I)^-1 V_j ] - (m/2) logdet(S + gamma I)
     - (N m / 2) log(2 pi), all columns sharing one factorization.
     """
-    U = as_points(inputs, "inputs")
-    V = as_points(targets, "targets")
-    if U.shape[0] != V.shape[0]:
-        raise ValueError("inputs and targets row counts differ")
+    U, V = _samples(inputs, targets)
     return _evidence(gram(kernel, U), gamma, _target_factor(V), V.shape[1])
 
 
@@ -295,8 +297,7 @@ def tune(spec: TuningSpec, inputs, targets):
     factorization fails are recorded in the report and skipped. If every entry
     fails, FactorizationError is raised.
     """
-    U = as_points(inputs, "inputs")
-    V = as_points(targets, "targets")
+    U, V = _samples(inputs, targets)
     if spec.objective == "cv" and spec.folds > U.shape[0]:
         raise ValueError(f"folds={spec.folds} exceeds sample count {U.shape[0]}")
     if spec.objective == "lml":

@@ -331,6 +331,12 @@ class TestTune:
         with pytest.raises(ValueError, match="folds"):
             tune(spec, np.zeros((3, 1)) + np.arange(3)[:, None], np.ones((3, 1)))
 
+    @pytest.mark.parametrize("objective", ["lml", "cv"])
+    def test_row_count_mismatch_names_both_arguments(self, objective):
+        spec = TuningSpec(grid=({"family": "gaussian", "lengthscale": 1.0},), objective=objective, folds=2)
+        with pytest.raises(ValueError, match="inputs have 5 rows but targets have 4"):
+            tune(spec, np.arange(10.0).reshape(5, 2), np.ones((4, 1)))
+
     def test_all_entries_failing_raises(self):
         U = np.array([[0.0], [0.0]])  # duplicate rows, gamma forced tiny
         V = np.array([[1.0], [1.0]])
