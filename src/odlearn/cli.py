@@ -120,7 +120,10 @@ def check_keys(obj: dict, allowed, what: str) -> None:
 
 
 def _validate_pca(cfg: dict) -> tuple[float | None, float | None]:
-    if not config_value(cfg, "pca.enabled", False):
+    enabled = config_value(cfg, "pca.enabled", False)
+    if not isinstance(enabled, bool):
+        raise UsageError(f"pca.enabled must be true or false, got {enabled!r}")
+    if not enabled:
         return None, None
     fr_in = config_value(cfg, "pca.input_fraction")
     fr_out = config_value(cfg, "pca.output_fraction")
@@ -266,8 +269,8 @@ def read_train_config(cfg: dict) -> Callable[[Dataset], tuple[operator.OperatorM
             "kernel": s_kernel.to_config(),
             "gamma": model.regressor.gamma,
             "preconditioner": precond,
-            "q_kernel": feats.q_kernel.to_config(),
-            "k_kernel": feats.k_kernel.to_config(),
+            "q_kernel": feats.input_recovery.kernel.to_config(),
+            "k_kernel": feats.output_recovery.kernel.to_config(),
             "pca": {
                 "enabled": fr_in is not None or fr_out is not None,
                 "input_fraction": fr_in,

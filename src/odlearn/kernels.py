@@ -73,6 +73,9 @@ class ScalarKernel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("lengthscale", "alpha", "nu", "output_scale"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"kernel {name} must be a number, got {getattr(self, name)!r}")
         if not (self.output_scale > 0):
             raise ValueError("output_scale must be positive")
         if self.family == "linear":

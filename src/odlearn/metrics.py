@@ -91,15 +91,6 @@ def quadrature_weights(grid, quadrature: str) -> np.ndarray:
     return wx[ix] * wy[iy]
 
 
-def integrate(values, grid, quadrature: str) -> float:
-    """Quadrature of sampled values: sum of weights times values."""
-    w = quadrature_weights(grid, quadrature)
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size != w.size:
-        raise ValueError(f"values length {v.size} != grid length {w.size}")
-    return float(np.dot(w, v))
-
-
 def relative_l2(predictions, truths, grid, quadrature: str = "euclidean") -> ErrorReport:
     """Mean of per-sample relative L2 errors over a batch of samples.
 

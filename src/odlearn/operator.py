@@ -1,18 +1,20 @@
 """End-to-end learned operator between function spaces.
 
-The model composes three stages: measure the input function (pointwise values,
-optional preconditioner, optional PCA projection), map the measurement vector
-through the fitted ridge regressor, and recover an output function from the
-predicted measurement vector (optional PCA reconstruction, then kernel
-interpolation on the output grid). Because the middle stage works on plain
+A model is an input recovery map, an optional input PCA, a fitted ridge
+regressor, an optional output PCA and an output recovery map. The input map's
+measurement operator (pointwise values, optional preconditioner) measures the
+input function, and the output map interpolates the predicted measurement
+vector on any query points. Each map factorizes its kernel matrix only when
+something recovers through it. Because the middle stage works on plain
 vectors, the same trained regressor can be driven from measurement operators
 unseen at training time (``apply_mesh_invariant``), and the Gaussian-process
 reading of the regressor yields pointwise predictive standard deviations
 (``apply_with_uq``) and a deterministic worst-case error bound
 (``error_bound``).
 
-Models are immutable after assembly, apart from cached recovery weights for
-their own output grid, shared by reloads; all apply-style operations are pure.
+Models are immutable after assembly, apart from cached factors and the
+recovery weights for their own output grid, shared by reloads; all apply-style
+operations are pure.
 The grid kernels use the default nugget, and the preconditioner type a model
 reports is read off its measurement operators.
 A saved model uses the dataset container's layout and loader
@@ -50,7 +52,6 @@ from .recovery import (
     measure,
     recover,
     recovery_weights,
-    resolve_nugget,
     restrict,
 )
 
@@ -60,11 +61,9 @@ _last_weights = None  # (output chain, output_weights) of the last model to buil
 
 @dataclass(frozen=True)
 class OperatorModel:
-    """Assembled operator: input measurement -> regressor -> output recovery."""
+    """Assembled operator: input recovery -> regressor -> output recovery."""
 
-    input_measurement: MeasurementOperator
-    q_kernel: ScalarKernel               # input-grid interpolation kernel, persisted only
-    input_nugget: float                  # and its nugget
+    input_recovery: RecoveryMap          # measurement and interpolation map on the input grid
     input_pca: PcaProjector | None
     regressor: regression.TrainedRegressor
     output_pca: PcaProjector | None
@@ -85,6 +84,10 @@ class OperatorModel:
             raise ValueError(
                 f"regressor output dim {m_reg} inconsistent with output chain ({m_expected})"
             )
+
+    @property
+    def input_measurement(self) -> MeasurementOperator:
+        return self.input_recovery.measurement
 
     @property
     def output_measurement(self) -> MeasurementOperator:
@@ -184,20 +187,17 @@ def apply_batch(model: OperatorModel, input_values, query_points) -> np.ndarray:
 def apply_mesh_invariant(
     model: OperatorModel,
     u_foreign: FunctionSamples,
-    foreign_measurement: MeasurementOperator,
     foreign_recovery: RecoveryMap,
     query_points,
 ) -> FunctionSamples:
     """Evaluate the operator on a function known only through a foreign grid.
 
-    The foreign measurements are turned back into a function with the supplied
-    recovery map (built on the foreign points with the input-space kernel),
-    that function is re-measured with the training-time operator, and the rest
-    proceeds as ``apply``. Any fixed-grid model can be retrofitted this way.
+    The function is measured and recovered through the foreign map (built on
+    the foreign points, typically with the input-space kernel), re-measured
+    with the training-time operator, and the rest proceeds as ``apply``. Any
+    fixed-grid model can be retrofitted this way.
     """
-    if not np.array_equal(foreign_recovery.measurement.points, foreign_measurement.points):
-        raise ValueError("foreign recovery map must be built on the foreign measurement points")
-    U_f = measure(foreign_measurement, u_foreign)
+    U_f = measure(foreign_recovery.measurement, u_foreign)
     u_native = recover(foreign_recovery, U_f, model.input_measurement.points)
     return apply(model, u_native, query_points)
 
@@ -264,14 +264,12 @@ class PipelineFeatures:
     same features for every grid entry.
     """
 
-    input_measurement: MeasurementOperator
-    output_measurement: MeasurementOperator
+    input_recovery: RecoveryMap
+    output_recovery: RecoveryMap
     input_pca: PcaProjector | None
     output_pca: PcaProjector | None
     features: np.ndarray   # (N, n) regressor inputs
     targets: np.ndarray    # (N, m) regressor targets
-    q_kernel: ScalarKernel
-    k_kernel: ScalarKernel
 
 
 def prepare_features(
@@ -289,10 +287,10 @@ def prepare_features(
     """Measure and preprocess sample-major training pairs.
 
     The grid kernels default to Matern nu=5/2 with a mesh-scaled lengthscale
-    (see ``mesh_lengthscale``); ``preconditioner="cholesky"`` equips both
-    measurement operators with the norm-equalizing factor built from those
-    kernels with the default nugget. PCA fractions of None disable projection
-    on that side.
+    (see ``mesh_lengthscale``), and both recovery maps use the default nugget;
+    ``preconditioner="cholesky"`` equips both measurement operators with the
+    norm-equalizing factor built from those kernels. PCA fractions of None
+    disable projection on that side.
     """
     if preconditioner not in ("none", "cholesky"):
         raise ValueError(f"preconditioner must be 'none' or 'cholesky', got {preconditioner!r}")
@@ -309,12 +307,12 @@ def prepare_features(
         L_out = L_in if same else cholesky_preconditioner(k_kernel, output_grid)
     else:
         L_in = L_out = None
-    in_meas = MeasurementOperator(input_grid, L_in)
-    out_meas = MeasurementOperator(output_grid, L_out)
-    if X.shape[1] != in_meas.size:
-        raise ValueError(f"train_inputs have {X.shape[1]} columns, input grid has {in_meas.size}")
-    if Y.shape[1] != out_meas.size:
-        raise ValueError(f"train_outputs have {Y.shape[1]} columns, output grid has {out_meas.size}")
+    in_map = RecoveryMap(q_kernel, MeasurementOperator(input_grid, L_in))
+    out_map = RecoveryMap(k_kernel, MeasurementOperator(output_grid, L_out))
+    if X.shape[1] != in_map.size:
+        raise ValueError(f"train_inputs have {X.shape[1]} columns, input grid has {in_map.size}")
+    if Y.shape[1] != out_map.size:
+        raise ValueError(f"train_outputs have {Y.shape[1]} columns, output grid has {out_map.size}")
 
     raw_U = X if L_in is None else X @ L_in.T
     raw_V = Y if L_out is None else Y @ L_out.T
@@ -323,14 +321,12 @@ def prepare_features(
     U = project(in_pca, raw_U) if in_pca is not None else raw_U
     V = project(out_pca, raw_V) if out_pca is not None else raw_V
     return PipelineFeatures(
-        input_measurement=in_meas,
-        output_measurement=out_meas,
+        input_recovery=in_map,
+        output_recovery=out_map,
         input_pca=in_pca,
         output_pca=out_pca,
         features=U,
         targets=V,
-        q_kernel=q_kernel,
-        k_kernel=k_kernel,
     )
 
 
@@ -340,13 +336,11 @@ def fit_operator_from_features(
     """Fit the regressor on prepared features and assemble the operator."""
     reg = regression.fit(s_kernel, feats.features, feats.targets, gamma)
     return OperatorModel(
-        input_measurement=feats.input_measurement,
-        q_kernel=feats.q_kernel,
-        input_nugget=resolve_nugget(feats.q_kernel, feats.input_measurement.points),
+        input_recovery=feats.input_recovery,
         input_pca=feats.input_pca,
         regressor=reg,
         output_pca=feats.output_pca,
-        output_recovery=RecoveryMap(feats.k_kernel, feats.output_measurement),
+        output_recovery=feats.output_recovery,
     )
 
 
@@ -424,10 +418,10 @@ def save_model(model: OperatorModel, directory) -> None:
     write_manifest(directory, {
         "format_version": MODEL_FORMAT_VERSION,
         "s_kernel": model.regressor.kernel.to_config(),
-        "q_kernel": model.q_kernel.to_config(),
+        "q_kernel": model.input_recovery.kernel.to_config(),
         "k_kernel": model.output_recovery.kernel.to_config(),
         "gamma": model.regressor.gamma,
-        "input_nugget": model.input_nugget,
+        "input_nugget": model.input_recovery.nugget,
         "output_nugget": model.output_recovery.nugget,
         "pca_input": _pca_to_files(directory, "pca_input.bin", model.input_pca),
         "pca_output": _pca_to_files(directory, "pca_output.bin", model.output_pca),
@@ -456,9 +450,7 @@ def load_model(directory) -> OperatorModel:
             chol=_read_bin(directory, arrays, "gram_factor"),
         )
         return OperatorModel(
-            input_measurement=MeasurementOperator(in_pts, L_in),
-            q_kernel=q_kernel,
-            input_nugget=resolve_nugget(q_kernel, in_pts, manifest["input_nugget"]),
+            input_recovery=RecoveryMap(q_kernel, MeasurementOperator(in_pts, L_in), manifest["input_nugget"]),
             input_pca=_pca_from_files(directory, manifest, "pca_input"),
             regressor=reg,
             output_pca=_pca_from_files(directory, manifest, "pca_output"),

@@ -11,13 +11,13 @@ so that measuring the recovered function gives back U. The module also
 provides the norm-equalizing preconditioner (``cholesky_preconditioner``) and
 fill-distance computation.
 
-Recovery maps are immutable after construction: the regularized kernel matrix
-is factorized once and reused for every query.
+Recovery maps are immutable data: the regularized kernel matrix is factorized
+on the first recovery and reused, so an unused map costs no factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -120,29 +120,28 @@ class RecoveryMap:
     """Optimal-recovery interpolant factory for one kernel/measurement pair.
 
     The kernel matrix on the measurement points is assembled and
-    Cholesky-factorized once at construction; ``recover`` reuses the factor
-    for all queries, so concurrent calls are safe. The LU factor of a
-    preconditioner is computed on first use and cached.
+    Cholesky-factorized on first use, as is the LU factor of a preconditioner;
+    both are cached, and concurrent first uses at worst compute equal factors twice.
     """
 
     kernel: ScalarKernel
     measurement: MeasurementOperator
     nugget: float | None = None
-    _factor: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nugget = resolve_nugget(self.kernel, self.measurement.points, self.nugget)
         object.__setattr__(self, "nugget", nugget)
+
+    @cached_property
+    def _factor(self) -> tuple:
         G = gram(self.kernel, self.measurement.points)
-        A = G + nugget * np.eye(G.shape[0])
         try:
-            factor = cho_factor(A, lower=True)
+            return cho_factor(G + self.nugget * np.eye(G.shape[0]), lower=True)
         except LinAlgError as exc:
             raise FactorizationError(
                 "kernel matrix is numerically singular even after adding "
-                f"nugget={nugget:.3e}; increase the nugget"
+                f"nugget={self.nugget:.3e}; increase the nugget"
             ) from exc
-        object.__setattr__(self, "_factor", factor)
 
     @property
     def size(self) -> int:
@@ -168,8 +167,8 @@ class RecoveryMap:
 def recover(rmap: RecoveryMap, U, query_points) -> FunctionSamples:
     """Evaluate the minimum-norm interpolant of the measurement vector U.
 
-    Raises FactorizationError at map construction (not here) if the kernel
-    matrix cannot be factorized; measuring the result returns U up to the
+    Raises FactorizationError, on the map's first use, if the kernel matrix
+    cannot be factorized; measuring the result returns U up to the
     nugget-level error.
     """
     qp = as_points(query_points, "query_points")

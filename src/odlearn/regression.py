@@ -265,8 +265,8 @@ class TuningSpec:
         for entry in self.grid:
             kernel = {k: v for k, v in entry.items() if k != "gamma"}
             gamma = float(entry.get("gamma", 0.0))
-            if not (np.isfinite(gamma) and gamma >= 0):
-                raise ValueError(f"grid entry {entry} needs a finite gamma >= 0")
+            if isinstance(entry.get("gamma"), bool) or not (np.isfinite(gamma) and gamma >= 0):
+                raise ValueError(f"grid entry {entry} needs a finite number gamma >= 0")
             entries.append((ScalarKernel.from_config(kernel), gamma))
         object.__setattr__(self, "entries", tuple(entries))
 

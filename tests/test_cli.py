@@ -165,6 +165,11 @@ class TestTrain:
         ({"gamma": True}, 2, "gamma"),
         ({"pca": {"enabled": True, "input_fraction": True}}, 2, "pca.input_fraction"),
         ({"pca": {"enabled": True, "output_fraction": True}}, 2, "pca.output_fraction"),
+        ({"kernel": {"family": "gaussian", "lengthscale": True}}, 2, "kernel"),
+        ({"kernel": {"family": "rq", "lengthscale": 1.0, "alpha": True, "output_scale": True}}, 2, "kernel"),
+        # pca.enabled is a JSON bool: "no" would read as true and 0 as false
+        ({"pca": {"enabled": "no", "input_fraction": 0.9}}, 2, "pca.enabled"),
+        ({"pca": {"enabled": 1, "input_fraction": 0.9}}, 2, "pca.enabled"),
     ]
 
     @pytest.mark.parametrize("change,code,named", BAD_CONFIG,
@@ -194,6 +199,8 @@ class TestTrain:
         ({"family": "linear", "gamma": -1.0}, None),
         ({"family": "linear"}, None),  # the entry takes the config gamma, here -1
         ({"family": "linear", "gamma": True}, None),
+        ({"family": "gaussian", "lengthscale": True}, None),
+        ({"lengthscale": 1.0, "alpha": True}, {"family": "rq"}),
     ]
 
     @pytest.mark.parametrize("source", ["generator", "dataset"])

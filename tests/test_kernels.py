@@ -155,6 +155,12 @@ class TestValidationAndConfig:
             dict(family="gaussian", lengthscale=1.0, output_scale=0.0),
             dict(family="linear", lengthscale=1.0),      # linear takes none
             dict(family="spline", lengthscale=1.0),
+            # bools are ints to Python, so each of these would pass as 1
+            dict(family="gaussian", lengthscale=True),
+            dict(family="rq", lengthscale=1.0, alpha=True),
+            dict(family="gaussian", lengthscale=1.0, nu=True),
+            dict(family="gaussian", lengthscale=1.0, output_scale=True),
+            dict(family="linear", output_scale=True),
         ],
     )
     def test_invalid_parameters_raise(self, bad):

@@ -131,10 +131,7 @@ class TestMeshInvariance:
         model = fit_operator(grid, grid, inputs, outputs, ScalarKernel.gaussian(2.0), gamma=1e-10)
         u = FunctionSamples(grid, inputs[2] + 0.1)
         native = apply(model, u, grid).values
-        got = apply_mesh_invariant(
-            model, u, model.input_measurement,
-            RecoveryMap(model.q_kernel, model.input_measurement, model.input_nugget), grid
-        ).values
+        got = apply_mesh_invariant(model, u, model.input_recovery, grid).values
         np.testing.assert_allclose(got, native, atol=1e-10)
 
     def test_finer_foreign_grid_close_to_native(self):
@@ -151,11 +148,8 @@ class TestMeshInvariance:
         a, b, c = rng.normal(size=3)
         vals_fine = a * np.sin(2 * np.pi * x) + b * np.cos(2 * np.pi * x) + c
         vals_native = a * np.sin(2 * np.pi * grid[:, 0]) + b * np.cos(2 * np.pi * grid[:, 0]) + c
-        phi_t = MeasurementOperator(fine)
-        psi_t = RecoveryMap(q_kernel, phi_t)
-        got = apply_mesh_invariant(
-            model, FunctionSamples(fine, vals_fine), phi_t, psi_t, grid
-        ).values
+        psi_t = RecoveryMap(q_kernel, MeasurementOperator(fine))
+        got = apply_mesh_invariant(model, FunctionSamples(fine, vals_fine), psi_t, grid).values
         native = apply(model, FunctionSamples(grid, vals_native), grid).values
         rel = np.linalg.norm(got - native) / np.linalg.norm(native)
         assert rel <= 1e-2
@@ -163,21 +157,9 @@ class TestMeshInvariance:
     def test_single_point_foreign_operator_is_defined(self):
         grid, inputs, outputs = smooth_dataset(seed=6)
         model = fit_operator(grid, grid, inputs, outputs, ScalarKernel.gaussian(2.0), gamma=1e-10)
-        phi_t = MeasurementOperator(np.array([[0.5]]))
-        psi_t = RecoveryMap(ScalarKernel.gaussian(0.3), phi_t)
-        out = apply_mesh_invariant(
-            model, FunctionSamples(np.array([[0.5]]), [1.0]), phi_t, psi_t, grid
-        )
+        psi_t = RecoveryMap(ScalarKernel.gaussian(0.3), MeasurementOperator(np.array([[0.5]])))
+        out = apply_mesh_invariant(model, FunctionSamples(np.array([[0.5]]), [1.0]), psi_t, grid)
         assert np.isfinite(out.values).all()
-
-    def test_mismatched_foreign_recovery_rejected(self, adv1_model):
-        ds, model = adv1_model
-        phi_t = MeasurementOperator(np.array([[0.1], [0.2]]))
-        psi_other = RecoveryMap(ScalarKernel.gaussian(1.0), MeasurementOperator(np.array([[0.3], [0.4]])))
-        with pytest.raises(ValueError, match="foreign"):
-            apply_mesh_invariant(
-                model, FunctionSamples(np.array([[0.1], [0.2]]), [1.0, 2.0]), phi_t, psi_other, ds.output_grid
-            )
 
 
 class TestUq:
@@ -304,12 +286,12 @@ class TestPcaPipeline:
                             lambda *a: calls.append(a[0]) or real(*a))
         feats = prepare_features(grid, grid.copy(), inputs, outputs, preconditioner="cholesky")
         assert len(calls) == 1
-        assert feats.output_measurement.preconditioner is feats.input_measurement.preconditioner
+        assert feats.output_recovery.measurement.preconditioner is feats.input_recovery.measurement.preconditioner
         other = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
         feats = prepare_features(grid, grid, inputs, outputs, preconditioner="cholesky", k_kernel=other)
         assert len(calls) == 3 and calls[-1] == other
         np.testing.assert_array_equal(
-            feats.output_measurement.preconditioner, real(other, grid, None))
+            feats.output_recovery.measurement.preconditioner, real(other, grid, None))
 
 
 class TestPersistence:
@@ -450,6 +432,21 @@ def offgrid(grid):
 
 
 class TestInferenceCore:
+    @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])
+    def test_fit_and_load_factorize_no_recovery_map(self, tmp_path, monkeypatch, preconditioner):
+        from odlearn import recovery
+
+        calls = []
+        real = recovery.cho_factor
+        monkeypatch.setattr(recovery, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        grid, inputs, outputs = smooth_dataset(n_train=12, seed=33)
+        s_kernel, kw = ScalarKernel.gaussian(2.0), {"preconditioner": preconditioner, "pca_input_fraction": 0.999}
+        model = fit_operator(grid, grid, inputs, outputs, s_kernel, 1e-8, **kw)
+        operator.fit_operator_from_features(prepare_features(grid, grid, inputs, outputs, **kw), s_kernel, 1e-8)
+        save_model(model, tmp_path / "m")
+        load_model(tmp_path / "m")
+        assert calls == []
+
     def test_single_apply_matches_batch_row(self, uq_dataset_model, adv1_model):
         for ds, model in (uq_dataset_model, adv1_model):
             for q in (ds.output_grid, offgrid(ds.output_grid)):
@@ -526,8 +523,9 @@ class TestInferenceCore:
         real = recovery.gram
         monkeypatch.setattr(recovery, "gram", lambda *a: sizes.append(a[1].shape[0]) or real(*a))
         loaded = load_model(tmp_path / "m")
-        assert sizes == [loaded.output_measurement.size]   # the output recovery map only
+        assert sizes == []
         assert "output_weights" not in vars(loaded)
+        assert "_factor" not in vars(loaded.output_recovery)
         assert "_preconditioner_lu" not in vars(loaded.output_recovery)
 
     def test_offgrid_uq_builds_one_cross_gram_and_its_mean_is_apply(self, uq_dataset_model, monkeypatch):
@@ -577,8 +575,8 @@ class TestInferenceCore:
 
     def test_input_nugget_is_the_gram_default_and_persists(self, tmp_path, uq_dataset_model):
         _, model = uq_dataset_model
-        pts = model.input_measurement.points
-        assert model.input_nugget == NUGGET_FACTOR * float(np.mean(np.diag(gram(model.q_kernel, pts))))
+        pts, q_kernel = model.input_measurement.points, model.input_recovery.kernel
+        assert model.input_recovery.nugget == NUGGET_FACTOR * float(np.mean(np.diag(gram(q_kernel, pts))))
         save_model(model, tmp_path / "a")
         save_model(load_model(tmp_path / "a"), tmp_path / "b")
         for f in (tmp_path / "a").iterdir():

@@ -80,10 +80,32 @@ class TestRecover:
             recover(rmap, [1.0, 2.0, 3.0], pts)
 
     def test_singular_gram_error_advises_nugget(self):
-        # nugget forced to zero with near-duplicate points: factorization must fail
+        # nugget forced to zero with near-duplicate points: factorization, on first use, must fail
         pts = np.array([[0.0], [1e-13]])
+        rmap = RecoveryMap(ScalarKernel.gaussian(1.0), MeasurementOperator(pts), nugget=0.0)
         with pytest.raises(FactorizationError, match="nugget"):
-            RecoveryMap(ScalarKernel.gaussian(1.0), MeasurementOperator(pts), nugget=0.0)
+            recover(rmap, [1.0, 2.0], pts)
+        with pytest.raises(FactorizationError, match="nugget"):
+            recovery_weights(rmap, pts)
+
+    @pytest.mark.parametrize("preconditioned", [False, True])
+    def test_factor_built_on_first_recovery_then_reused(self, monkeypatch, preconditioned):
+        from odlearn import recovery
+
+        calls = []
+        real = recovery.cho_factor
+        monkeypatch.setattr(recovery, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(0, 1, size=(8, 1))
+        L = rng.normal(size=(8, 8)) + 4 * np.eye(8) if preconditioned else None
+        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.3), MeasurementOperator(pts, L))
+        assert calls == [] and "_factor" not in vars(rmap)
+        U, q = rng.normal(size=8), rng.uniform(0, 1, size=(5, 1))
+        first = recover(rmap, U, q).values
+        assert len(calls) == 1
+        assert np.array_equal(recover(rmap, U, q).values, first)
+        recovery_weights(rmap, q)
+        assert len(calls) == 1
 
     def test_gram_factor_reproduces_regularized_gram(self):
         rng = np.random.default_rng(5)

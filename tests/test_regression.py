@@ -351,6 +351,10 @@ class TestTune:
             TuningSpec(grid=({"family": "linear"},), objective="mse")
         with pytest.raises(ValueError, match="folds"):
             TuningSpec(grid=({"family": "linear"},), objective="cv", folds=1)
+        with pytest.raises(ValueError, match="gamma"):
+            TuningSpec(grid=({"family": "linear", "gamma": True},))
+        with pytest.raises(ValueError, match="lengthscale"):
+            TuningSpec(grid=({"family": "gaussian", "lengthscale": True, "gamma": 1e-8},))
 
 
 class TestTuneLmlPath:
