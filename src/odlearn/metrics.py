@@ -130,7 +130,11 @@ def count_inference_flops(model: OperatorModel, output_query_count: int) -> Flop
     output PCA reconstruction (when present), and the output-recovery matvec
     for the requested number of query points. The count depends only on the
     model shapes. On the model's own output grid serving does exactly the
-    counted output matvec; off-grid queries also pay one recovery solve per sample.
+    counted output matvec. Off-grid queries also pay, uncounted, one recovery
+    solve per sample and the kernel values of the cross Gram; on a lattice
+    query set (see ``recovery``) the cross-Gram product is instead an FFT
+    convolution, O(L log L) per sample for the padded lattice size L, in place
+    of the counted matvec.
     """
     if output_query_count < 0:
         raise ValueError("output_query_count must be nonnegative")

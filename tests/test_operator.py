@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +114,18 @@ class TestApply:
         for i in range(5):
             single = apply(model, FunctionSamples(ds.input_grid, ds.test_inputs[i]), ds.output_grid)
             np.testing.assert_allclose(batch[i], single.values, atol=1e-10)
+
+    @pytest.mark.parametrize("query_points, message", [
+        ([[np.nan]], "query_points contains non-finite coordinates"),
+        ([], "query_points must be a nonempty list of vectors"),
+        ([[0.1, 0.2], [0.3, 0.4]], "query_points are 2-d but the output grid is 1-d"),
+    ], ids=["non-finite", "empty", "dimension"])
+    def test_off_grid_errors_name_the_query_points(self, uq_dataset_model, query_points, message):
+        ds, model = uq_dataset_model
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        for call in (apply, apply_with_uq):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(model, u, query_points)
 
     def test_output_projection_property(self):
         # measuring then recovering a sampled output function is a projection
@@ -554,13 +567,20 @@ class TestInferenceCore:
                 got = apply(model, u, q).values
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_outputs_do_not_depend_on_process_history(self, tmp_path, uq_dataset_model):
+    def test_outputs_do_not_depend_on_process_history(self, tmp_path, monkeypatch, uq_dataset_model):
         # repeating a request must take the path its first use took: an off-grid set
-        # no other test uses, and the own grid of a reloaded model
+        # no other test uses, a lattice at half the grid step, and the own grid of a
+        # reloaded model; the lattice threshold admits each of the lattice's two
+        # cosets, not the 20-point sets
+        from odlearn import recovery
+
         ds, model = uq_dataset_model
         save_model(model, tmp_path / "m")
         g = ds.output_grid
-        cases = [(model, g + 0.37 * (g[1] - g[0])), (load_model(tmp_path / "m"), g)]
+        h = g[1] - g[0]
+        lattice = g[0] + 0.1 * h + np.arange(80)[:, None] * (h / 2)
+        monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", len(lattice) * len(g) // 2)
+        cases = [(model, g + 0.37 * h), (model, lattice), (load_model(tmp_path / "m"), g)]
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
 
         def outputs(m, q):  # apply first, so that its first call is the set's first use

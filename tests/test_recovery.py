@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from odlearn import recovery
 from odlearn.errors import FactorizationError
 from odlearn.kernels import ScalarKernel, gram
 from odlearn.recovery import (
@@ -8,6 +9,7 @@ from odlearn.recovery import (
     MeasurementOperator,
     RecoveryMap,
     cholesky_preconditioner,
+    evaluate,
     fill_distance,
     measure,
     recover,
@@ -275,3 +277,130 @@ class TestValidation:
     def test_preconditioner_shape_checked(self):
         with pytest.raises(ValueError, match="preconditioner"):
             MeasurementOperator(np.array([[0.0], [1.0]]), np.eye(3))
+
+
+def tensor_points(*axes):
+    """C-ordered tensor product of 1-D coordinate arrays, the last axis fastest."""
+    return np.column_stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")])
+
+
+def lattice_map(kernel_of_step, dim, preconditioner, n):
+    """A recovery map on n points per axis of [0, 1]^dim, with the grid step h,
+    and a smooth batch of three measurement rows."""
+    xs = np.linspace(0.0, 1.0, n)
+    h = xs[1] - xs[0]
+    grid = tensor_points(*[xs] * dim)
+    kernel = kernel_of_step(h)
+    L = cholesky_preconditioner(kernel, grid) if preconditioner == "cholesky" else None
+    rmap = RecoveryMap(kernel, MeasurementOperator(grid, L))
+    waves = [np.sin(3.0 * grid[:, 0] + 1.0), np.cos(5.0 * grid.sum(axis=1)), np.exp(-grid[:, -1])]
+    U = np.array(waves) @ (L.T if L is not None else np.eye(len(grid)))
+    return rmap, h, U
+
+
+def lattice_and_dense(monkeypatch, rmap, C, q, threshold=0):
+    """evaluate on q at the lattice threshold given, then each column of C alone,
+    then with the lattice path off; and whether the batch took the lattice path
+    (which builds no cross Gram)."""
+    calls = []
+    real = recovery.gram
+    monkeypatch.setattr(recovery, "gram", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", threshold)
+    fast = evaluate(rmap, C, q)
+    took_lattice = not calls
+    singles = np.column_stack([evaluate(rmap, c, q) for c in C.T])
+    monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", np.inf)
+    return fast, singles, evaluate(rmap, C, q), took_lattice
+
+
+def matern(h):
+    return ScalarKernel.matern(nu=2.5, lengthscale=2.0 * h)
+
+
+class TestLattice:
+    """evaluate on lattice query sets convolves by FFT; it must agree with the
+    blocked dense path to 1e-13 of each column, bitwise for one column alone or
+    in a batch, and fall back bitwise wherever a condition fails."""
+
+    def check_lattice(self, monkeypatch, rmap, U, q):
+        C = rmap.coefficients(U)
+        fast, singles, dense, took_lattice = lattice_and_dense(monkeypatch, rmap, C, q)
+        assert took_lattice
+        assert fast.shape == dense.shape == (len(q), len(U))
+        err = np.linalg.norm(fast - dense, axis=0)
+        assert np.all(err <= 1e-13 * np.linalg.norm(dense, axis=0)), err
+        assert np.array_equal(singles, fast)
+
+    @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [0.25, 0.5])
+    @pytest.mark.parametrize("dim, n", [(1, 40), (2, 24)])
+    def test_offset_lattices_match_dense(self, monkeypatch, dim, n, offset, p, preconditioner):
+        rmap, h, U = lattice_map(matern, dim, preconditioner, n)
+        qs = offset * h + np.arange(p * (n - 1)) * (h / p)  # step h/p, p^dim cosets
+        self.check_lattice(monkeypatch, rmap, U, tensor_points(*[qs] * dim))
+
+    @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])
+    @pytest.mark.parametrize("kernel_of_step", [
+        *(lambda h, nu=nu: ScalarKernel.matern(nu=nu, lengthscale=2.0 * h) for nu in (0.5, 1.5, 2.5, 3.5)),
+        lambda h: ScalarKernel.gaussian(lengthscale=h, output_scale=3.0),
+        lambda h: ScalarKernel.rq(lengthscale=h, alpha=1.5),
+    ], ids=["matern0.5", "matern1.5", "matern2.5", "matern3.5", "gaussian", "rq"])
+    def test_every_stationary_kernel_matches_dense(self, monkeypatch, kernel_of_step, preconditioner):
+        rmap, h, U = lattice_map(kernel_of_step, 2, preconditioner, 16)
+        xs, ys = 0.1 * h + np.arange(30) * (h / 2), -0.4 * h + np.arange(16) * h  # p = 2 and p = 1
+        self.check_lattice(monkeypatch, rmap, U, tensor_points(xs, ys))
+
+    def check_fallback(self, monkeypatch, rmap, U, q, threshold=0):
+        C = rmap.coefficients(U)
+        fast, singles, dense, took_lattice = lattice_and_dense(monkeypatch, rmap, C, q, threshold)
+        assert not took_lattice
+        assert np.array_equal(fast, dense)
+
+    def test_linear_kernel_falls_back(self, monkeypatch):
+        rmap, h, U = lattice_map(lambda h: ScalarKernel.linear(), 2, "none", 12)
+        self.check_fallback(monkeypatch, rmap, U, rmap.measurement.points + 0.5 * h)
+
+    @pytest.mark.parametrize("moved", ["query", "grid"])
+    def test_point_moved_off_the_lattice_falls_back(self, monkeypatch, moved):
+        xs = np.linspace(0.0, 1.0, 24)
+        h = xs[1] - xs[0]
+        grid, q = tensor_points(xs, xs), tensor_points(xs + 0.5 * h, xs + 0.5 * h)
+        (q if moved == "query" else grid)[100, 1] += 1e-9 * h
+        rmap = RecoveryMap(matern(h), MeasurementOperator(grid))
+        self.check_fallback(monkeypatch, rmap, np.sin(3.0 * grid[:, 0])[None, :], q)
+
+    def test_xy_ordered_lattice_falls_back(self, monkeypatch):
+        rmap, h, U = lattice_map(matern, 2, "none", 24)
+        xs = np.linspace(0.0, 1.0, 24) + 0.5 * h
+        xx, yy = np.meshgrid(xs, xs, indexing="xy")  # the first axis varies fastest
+        self.check_fallback(monkeypatch, rmap, U, np.column_stack([xx.ravel(), yy.ravel()]))
+
+    @pytest.mark.parametrize("order", ["descending", "repeated"])
+    def test_descending_or_repeated_points_fall_back(self, monkeypatch, order):
+        rmap, h, U = lattice_map(matern, 2, "none", 12)
+        q = rmap.measurement.points + 0.5 * h
+        q = q[::-1] if order == "descending" else np.vstack([q[:1], q[:1], -q])
+        self.check_fallback(monkeypatch, rmap, U, q)
+
+    def test_non_integer_step_ratio_falls_back(self, monkeypatch):
+        rmap, h, U = lattice_map(matern, 1, "none", 20)
+        self.check_fallback(monkeypatch, rmap, U, np.linspace(0.0, 1.0, 301)[:, None])
+
+    def test_too_few_queries_per_coset_fall_back(self, monkeypatch):
+        rmap, h, U = lattice_map(matern, 1, "none", 20)
+        self.check_fallback(monkeypatch, rmap, U, (0.1 + np.arange(3) * (h / 2))[:, None])
+
+    def test_cosets_below_the_threshold_fall_back(self, monkeypatch):
+        # a fine lattice over a few grid cells: the whole cross Gram reaches the
+        # threshold, but each of its 16 cosets is a sixteenth of it
+        rmap, h, U = lattice_map(matern, 2, "none", 16)
+        qs = 0.3 + np.arange(16) * (h / 4)
+        q = tensor_points(qs, qs)
+        entries = len(q) * rmap.size
+        self.check_fallback(monkeypatch, rmap, U, q, threshold=entries)
+        took_lattice = lattice_and_dense(monkeypatch, rmap, rmap.coefficients(U), q, entries // 16)[-1]
+        assert took_lattice  # at a sixteenth of the threshold it convolves
+
+    def test_default_threshold_keeps_burgers_dense_and_darcy_on_the_lattice(self):
+        assert 128 * 128 < recovery.LATTICE_MIN_ENTRIES <= 28 * 28 * 29 * 29
