@@ -18,11 +18,10 @@ Evaluating the interpolant, k(q, X) @ C, builds the cross Gram in blocks,
 except on a lattice query set: there it is an exact discrete convolution of C
 with a stencil of kernel values, done by FFT (the structured-grid idea of
 Saatci 2011 and of Wilson & Nickisch's KISS-GP, used without interpolation).
-That path runs when the kernel is stationary, both point sets are C-ordered
-tensor products of arithmetic progressions (to 1e-12 of their extent, at least
-two points per axis), and each query step is h/p for a positive integer p, h
-the grid step on that axis, with at least two queries per axis in each of the
-prod(p) cosets of step h; and the cross Gram of each coset would have at least
+That path runs when the kernel is stationary; both point sets are C-ordered
+tensor products of arithmetic progressions, with at least two points per axis,
+to ``LATTICE_TOL`` of their extent; the query step equals the grid step on
+every axis, to ``LATTICE_TOL`` of it; and the cross Gram would have at least
 ``LATTICE_MIN_ENTRIES`` entries. Every other query set takes the blocked dense
 path.
 """
@@ -40,10 +39,13 @@ from .errors import FactorizationError
 from .kernels import ScalarKernel, as_points, gram, gram_diag, stationary_gram
 
 NUGGET_FACTOR = 1e-10  # default nugget = 1e-10 * mean(diag Gram)
-LATTICE_TOL = 1e-12  # lattice detection tolerance, relative to the point set's extent
-# Cross-Gram entries per coset from which evaluate convolves on lattices. Timeit,
-# 1 BLAS thread: the two paths cross near 30k entries for p = 1 in 1-D and 2-D, and
-# the lattice path won every case measured above this. Burgers' 128x128 stays dense.
+# Lattice detection tolerance, relative to the point set's extent: 128 ulps. Grids
+# from linspace and their midpoints or cell centres sit within about 1 ulp, and a
+# point this far off moves the convolved result by about that much times |grad k|.
+LATTICE_TOL = 128 * np.finfo(float).eps
+# Cross-Gram entries from which evaluate convolves on lattices. Timeit, 1 BLAS
+# thread: the two paths cross near 30k entries in 1-D and 2-D, and the lattice
+# path won every case measured above this. Burgers' 128x128 stays dense.
 LATTICE_MIN_ENTRIES = 65_536
 
 
@@ -221,7 +223,7 @@ class RecoveryMap:
         return cho_solve(self._factor, w)
 
 
-def _query_points(rmap: RecoveryMap, query_points) -> np.ndarray:
+def as_query_points(rmap: RecoveryMap, query_points) -> np.ndarray:
     """``as_points`` of the query points, of the dimension of the map's grid."""
     qp = as_points(query_points, "query_points")
     d = rmap.measurement.points.shape[1]
@@ -237,73 +239,61 @@ def recover(rmap: RecoveryMap, U, query_points) -> FunctionSamples:
     cannot be factorized; measuring the result returns U up to the
     nugget-level error.
     """
-    qp = _query_points(rmap, query_points)
+    qp = as_query_points(rmap, query_points)
     return FunctionSamples(qp, evaluate(rmap, rmap.coefficients(U), qp))
 
 
-def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points) -> np.ndarray:
-    """k(query_points, X) @ C for coefficients C from ``rmap.coefficients``.
+def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.ndarray:
+    """k(query_points, X) @ C for coefficients C from ``rmap.coefficients`` and
+    query points from ``as_query_points``.
 
     On a lattice query set that meets the conditions in the module docstring,
     the product is an FFT convolution of C, reshaped to the grid, with the
     kernel's values at the lattice offsets. Otherwise the cross Gram is built
     in 128-row blocks, whose temporaries the allocator reuses between calls.
     """
-    qp = _query_points(rmap, query_points)
     grid = rmap.measurement.points
-    lattices = _lattice_pair(rmap, qp)
+    lattices = _lattice_pair(rmap, query_points)
     if lattices is not None:
-        return _convolve(rmap.kernel, C.reshape(len(grid), -1), *lattices).reshape(len(qp), *C.shape[1:])
-    return np.concatenate([gram(rmap.kernel, qp[i:i + 128], grid) @ C for i in range(0, len(qp), 128)])
+        return _convolve(rmap.kernel, C.reshape(len(grid), -1), *lattices).reshape(len(query_points), *C.shape[1:])
+    blocks = range(0, len(query_points), 128)
+    return np.concatenate([gram(rmap.kernel, query_points[i:i + 128], grid) @ C for i in blocks])
 
 
-def _lattice_pair(rmap: RecoveryMap, qp: np.ndarray) -> tuple[_Lattice, _Lattice, tuple[int, ...]] | None:
-    """The query lattice, the grid lattice and the step ratios p when evaluate
-    convolves (the conditions in the module docstring), else None."""
-    entries = len(qp) * rmap.size
-    if rmap.kernel.family == "linear" or entries < LATTICE_MIN_ENTRIES:
+def _lattice_pair(rmap: RecoveryMap, qp: np.ndarray) -> tuple[_Lattice, _Lattice] | None:
+    """The query lattice and the grid lattice when evaluate convolves (the
+    conditions in the module docstring), else None."""
+    if rmap.kernel.family == "linear" or len(qp) * rmap.size < LATTICE_MIN_ENTRIES:
         return None
     x = rmap._lattice
     q = _lattice_of(qp) if x is not None else None
-    if q is None:
+    if q is None or np.any(np.abs(q.step - x.step) > LATTICE_TOL * x.step):
         return None
-    ratio = x.step / q.step
-    p = np.round(ratio).astype(int)
-    if np.any(np.abs(ratio - p) > LATTICE_TOL * ratio) or np.any(np.array(q.shape) < 2 * p):
-        return None
-    # each coset is a convolution of its own, so each must be past the crossover
-    return (q, x, tuple(p)) if entries >= LATTICE_MIN_ENTRIES * np.prod(p) else None
+    return q, x
 
 
-def _convolve(kernel: ScalarKernel, C: np.ndarray, q: _Lattice, x: _Lattice, p: tuple[int, ...]) -> np.ndarray:
-    """k(q, x) @ C, (n_q, B), for the lattices q and x where x's step is p times q's.
+def _convolve(kernel: ScalarKernel, C: np.ndarray, q: _Lattice, x: _Lattice) -> np.ndarray:
+    """k(q, x) @ C, (n_q, B), for lattices q and x of one step (x's).
 
-    The queries fall into prod(p) cosets of x's step. On a coset, k(q_i, x_j)
-    depends only on i - j, so its rows are the valid part of the convolution
-    of C with the kernel at every offset i - j; one FFT of C serves all cosets.
+    k(q_i, x_j) depends only on i - j, so the product is the valid part of the
+    convolution of C, on the grid, with the kernel at every offset i - j.
     """
     d, B = len(x.shape), C.shape[1]
-    cells = [-(-m // pk) for m, pk in zip(q.shape, p)]  # the largest coset's shape
-    size = tuple(m + n - 1 for m, n in zip(cells, x.shape))
+    size = tuple(m + n - 1 for m, n in zip(q.shape, x.shape))
+    r2 = 0.0
+    for k in range(d):
+        offset = q.origin[k] - x.origin[k] + (np.arange(size[k]) - (x.shape[k] - 1)) * x.step[k]
+        r2 = r2 + (offset * offset).reshape((-1,) + (1,) * (d - 1 - k))
+    stencil = np.fft.rfftn(stationary_gram(kernel, np.sqrt(r2)), axes=tuple(range(d)))
     axes = tuple(range(1, d + 1))
-    spectrum = np.fft.rfftn(C.T.reshape(B, *x.shape), s=size, axes=axes)
-    out = np.empty((B, *q.shape))
-    for coset in np.ndindex(*p):
-        start = q.origin + np.array(coset) * q.step - x.origin
-        r2 = 0.0
-        for k in range(d):
-            offset = start[k] + (np.arange(size[k]) - (x.shape[k] - 1)) * x.step[k]
-            r2 = r2 + (offset * offset).reshape((-1,) + (1,) * (d - 1 - k))
-        stencil = np.fft.rfftn(stationary_gram(kernel, np.sqrt(r2)), axes=tuple(range(d)))
-        full = np.fft.irfftn(spectrum * stencil, s=size, axes=axes)
-        rows = out[(slice(None),) + tuple(slice(c, None, pk) for c, pk in zip(coset, p))]
-        rows[...] = full[(slice(None),) + tuple(slice(n - 1, n - 1 + m) for n, m in zip(x.shape, rows.shape[1:]))]
-    return out.reshape(B, -1).T
+    full = np.fft.irfftn(np.fft.rfftn(C.T.reshape(B, *x.shape), s=size, axes=axes) * stencil, s=size, axes=axes)
+    valid = full[(slice(None),) + tuple(slice(n - 1, n - 1 + m) for n, m in zip(x.shape, q.shape))]
+    return valid.reshape(B, -1).T
 
 
 def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:
     """Matrix W with recover(U)(query_points) = W @ U (rows indexed by query point)."""
-    query_points = _query_points(rmap, query_points)
+    query_points = as_query_points(rmap, query_points)
     kq = gram(rmap.kernel, query_points, rmap.measurement.points)
     W = cho_solve(rmap._factor, kq.T).T
     if rmap.measurement.preconditioner is not None:

@@ -122,10 +122,12 @@ class TestApply:
     ], ids=["non-finite", "empty", "dimension"])
     def test_off_grid_errors_name_the_query_points(self, uq_dataset_model, query_points, message):
         ds, model = uq_dataset_model
+        fresh = replace(model, output_recovery=replace(model.output_recovery))
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
         for call in (apply, apply_with_uq):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                call(model, u, query_points)
+                call(fresh, u, query_points)
+        assert "_factor" not in vars(fresh.output_recovery)  # rejected before the solve
 
     def test_output_projection_property(self):
         # measuring then recovering a sampled output function is a projection
@@ -569,17 +571,17 @@ class TestInferenceCore:
 
     def test_outputs_do_not_depend_on_process_history(self, tmp_path, monkeypatch, uq_dataset_model):
         # repeating a request must take the path its first use took: an off-grid set
-        # no other test uses, a lattice at half the grid step, and the own grid of a
-        # reloaded model; the lattice threshold admits each of the lattice's two
-        # cosets, not the 20-point sets
+        # no other test uses, a 40-point lattice of the grid's step, and the own grid
+        # of a reloaded model; the lattice threshold admits the lattice, not the
+        # 20-point sets
         from odlearn import recovery
 
         ds, model = uq_dataset_model
         save_model(model, tmp_path / "m")
         g = ds.output_grid
         h = g[1] - g[0]
-        lattice = g[0] + 0.1 * h + np.arange(80)[:, None] * (h / 2)
-        monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", len(lattice) * len(g) // 2)
+        lattice = g[0] + 0.1 * h + np.arange(40)[:, None] * h
+        monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", len(lattice) * len(g))
         cases = [(model, g + 0.37 * h), (model, lattice), (load_model(tmp_path / "m"), g)]
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
 

@@ -332,12 +332,11 @@ class TestLattice:
         assert np.array_equal(singles, fast)
 
     @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])
-    @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("offset", [0.25, 0.5])
     @pytest.mark.parametrize("dim, n", [(1, 40), (2, 24)])
-    def test_offset_lattices_match_dense(self, monkeypatch, dim, n, offset, p, preconditioner):
+    def test_offset_lattices_match_dense(self, monkeypatch, dim, n, offset, preconditioner):
         rmap, h, U = lattice_map(matern, dim, preconditioner, n)
-        qs = offset * h + np.arange(p * (n - 1)) * (h / p)  # step h/p, p^dim cosets
+        qs = offset * h + np.arange(n - 1) * h
         self.check_lattice(monkeypatch, rmap, U, tensor_points(*[qs] * dim))
 
     @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])
@@ -348,8 +347,19 @@ class TestLattice:
     ], ids=["matern0.5", "matern1.5", "matern2.5", "matern3.5", "gaussian", "rq"])
     def test_every_stationary_kernel_matches_dense(self, monkeypatch, kernel_of_step, preconditioner):
         rmap, h, U = lattice_map(kernel_of_step, 2, preconditioner, 16)
-        xs, ys = 0.1 * h + np.arange(30) * (h / 2), -0.4 * h + np.arange(16) * h  # p = 2 and p = 1
+        xs, ys = 0.1 * h + np.arange(20) * h, -0.4 * h + np.arange(16) * h  # past the grid, and not square
         self.check_lattice(monkeypatch, rmap, U, tensor_points(xs, ys))
+
+    @pytest.mark.parametrize("moved", ["query", "grid"])
+    def test_point_just_inside_the_tolerance_matches_dense(self, monkeypatch, moved):
+        # the convolution evaluates the ideal lattice: a point 0.9 LATTICE_TOL off it
+        # moves the result by about 3e-14 of the column here, 1e-12 by about 7e-13
+        xs = np.linspace(0.0, 1.0, 40)
+        h = xs[1] - xs[0]
+        grid, q = xs[:, None], (xs[:-1] + 0.5 * h)[:, None]
+        (q if moved == "query" else grid)[20, 0] += 0.9 * recovery.LATTICE_TOL * (1.0 - h)
+        rmap = RecoveryMap(matern(h), MeasurementOperator(grid))
+        self.check_lattice(monkeypatch, rmap, np.array([np.sin(3.0 * xs + 1.0), np.cos(5.0 * xs)]), q)
 
     def check_fallback(self, monkeypatch, rmap, U, q, threshold=0):
         C = rmap.coefficients(U)
@@ -383,24 +393,18 @@ class TestLattice:
         q = q[::-1] if order == "descending" else np.vstack([q[:1], q[:1], -q])
         self.check_fallback(monkeypatch, rmap, U, q)
 
-    def test_non_integer_step_ratio_falls_back(self, monkeypatch):
+    @pytest.mark.parametrize("queries", ["301 points", "half step"])
+    def test_another_step_falls_back(self, monkeypatch, queries):
         rmap, h, U = lattice_map(matern, 1, "none", 20)
-        self.check_fallback(monkeypatch, rmap, U, np.linspace(0.0, 1.0, 301)[:, None])
+        q = np.linspace(0.0, 1.0, 301) if queries == "301 points" else 0.1 + np.arange(40) * (h / 2)
+        self.check_fallback(monkeypatch, rmap, U, q[:, None])
 
-    def test_too_few_queries_per_coset_fall_back(self, monkeypatch):
-        rmap, h, U = lattice_map(matern, 1, "none", 20)
-        self.check_fallback(monkeypatch, rmap, U, (0.1 + np.arange(3) * (h / 2))[:, None])
-
-    def test_cosets_below_the_threshold_fall_back(self, monkeypatch):
-        # a fine lattice over a few grid cells: the whole cross Gram reaches the
-        # threshold, but each of its 16 cosets is a sixteenth of it
-        rmap, h, U = lattice_map(matern, 2, "none", 16)
-        qs = 0.3 + np.arange(16) * (h / 4)
-        q = tensor_points(qs, qs)
+    def test_threshold_counts_cross_gram_entries(self, monkeypatch):
+        rmap, h, U = lattice_map(matern, 2, "none", 12)
+        q = rmap.measurement.points + 0.5 * h
         entries = len(q) * rmap.size
-        self.check_fallback(monkeypatch, rmap, U, q, threshold=entries)
-        took_lattice = lattice_and_dense(monkeypatch, rmap, rmap.coefficients(U), q, entries // 16)[-1]
-        assert took_lattice  # at a sixteenth of the threshold it convolves
+        self.check_fallback(monkeypatch, rmap, U, q, threshold=entries + 1)
+        assert lattice_and_dense(monkeypatch, rmap, rmap.coefficients(U), q, entries)[-1]
 
     def test_default_threshold_keeps_burgers_dense_and_darcy_on_the_lattice(self):
         assert 128 * 128 < recovery.LATTICE_MIN_ENTRIES <= 28 * 28 * 29 * 29
