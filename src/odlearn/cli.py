@@ -310,6 +310,8 @@ def evaluate_model(
             )
     inputs = dataset.train_inputs if split == "train" else dataset.test_inputs
     truths = dataset.train_outputs if split == "train" else dataset.test_outputs
+    if len(inputs) == 0:
+        raise OdlearnError(f"dataset {dataset.name!r} has no {split} samples to evaluate")
     quad = quadrature or default_quadrature(dataset.output_grid)
     preds, std = operator._predict(model, inputs, dataset.output_grid, std=with_uq)
     report_err = metrics.relative_l2(preds, truths, dataset.output_grid, quad)

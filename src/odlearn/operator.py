@@ -71,20 +71,12 @@ class OperatorModel:
     output_recovery: RecoveryMap         # interpolation map on the output grid
 
     def __post_init__(self) -> None:
-        n_meas = self.input_measurement.size
-        n_reg = self.regressor.input_dim
-        n_expected = self.input_pca.k if self.input_pca is not None else n_meas
-        if n_reg != n_expected:
-            raise ValueError(
-                f"regressor input dim {n_reg} inconsistent with measurement chain ({n_expected})"
-            )
-        m_meas = self.output_measurement.size
-        m_reg = self.regressor.output_dim
-        m_expected = self.output_pca.k if self.output_pca is not None else m_meas
-        if m_reg != m_expected:
-            raise ValueError(
-                f"regressor output dim {m_reg} inconsistent with output chain ({m_expected})"
-            )
+        reg = self.regressor
+        for side, dim, pca, op in (("input", reg.input_dim, self.input_pca, self.input_measurement),
+                                   ("output", reg.output_dim, self.output_pca, self.output_measurement)):
+            expected = pca.k if pca is not None else op.size
+            if dim != expected:
+                raise ValueError(f"regressor {side} dim {dim} inconsistent with the {side} chain ({expected})")
 
     @property
     def input_measurement(self) -> MeasurementOperator:
@@ -128,25 +120,23 @@ def _features(model: OperatorModel, X: np.ndarray) -> np.ndarray:
     return raw if model.input_pca is None else project(model.input_pca, raw)
 
 
-def _variance(model: OperatorModel, U: np.ndarray) -> np.ndarray:
-    """Conditional variance at each feature row, negative roundoff clamped to 0."""
-    return np.clip(regression.posterior_variance(model.regressor, U), 0.0, None)
-
-
 def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     """The inference core: (B, n_input_points) rows of input values in grid
     order to (mean, std), each (B, n_query_points); std is None unless asked.
-    On the model's own output grid the recovery is one product with the cached
-    ``output_weights``. Other query sets pay one recovery solve per row, or,
-    when std is asked, build their weights once for both mean and std.
+    The regressor reads the mean and the variance off one kernel row per input
+    row. On the model's own output grid the recovery is one product with the
+    cached ``output_weights``. Other query sets pay one recovery solve per row,
+    or, when std is asked, build their weights once for both mean and std.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.input_measurement.size:
-        raise ValueError(
-            f"rows have {X.shape[1]} values, expected {model.input_measurement.size}"
-        )
+    n = model.input_measurement.size
+    if X.shape[1] != n or len(X) == 0:
+        raise ValueError(f"input values must be one or more rows of {n} values, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+        raise ValueError(f"input row {bad} has a non-finite value")
     U = _features(model, X)
-    z = regression.predict(model.regressor, U)
+    z, var = regression.posterior(model.regressor, U) if std else (regression.predict(model.regressor, U), None)
     V = z if model.output_pca is None else reconstruct(model.output_pca, z)
     # the on-grid test only reshapes: as_query_points adds ~4 us to a 70 us burgers apply
     qp = np.asarray(query_points, dtype=float)
@@ -163,7 +153,7 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     mean = V @ W.T
     if not std:
         return mean, None
-    return mean, np.sqrt(_variance(model, U))[:, None] * norms
+    return mean, np.sqrt(np.clip(var, 0.0, None))[:, None] * norms
 
 
 def _row(model: OperatorModel, u: FunctionSamples) -> np.ndarray:
@@ -226,10 +216,10 @@ def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float
     the measured input; the bound covers any target operator whose
     vector-valued RKHS norm is at most ``rkhs_norm_bound``.
     """
-    if rkhs_norm_bound < 0:
-        raise ValueError("rkhs_norm_bound must be nonnegative")
-    s = _variance(model, _features(model, _row(model, u)))[0]
-    return float(np.sqrt(model.regressor.output_dim * s) * rkhs_norm_bound)
+    if not rkhs_norm_bound >= 0:
+        raise ValueError(f"rkhs_norm_bound must be a number >= 0, got {rkhs_norm_bound!r}")
+    s = regression.posterior_variance(model.regressor, _features(model, _row(model, u)))[0]
+    return float(np.sqrt(model.regressor.output_dim * max(s, 0.0)) * rkhs_norm_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,8 @@ def resolve_nugget(kernel: ScalarKernel, points, nugget: float | None = None) ->
     """``nugget``, or by default 1e-10 times the mean kernel diagonal on the points."""
     if nugget is None:
         nugget = NUGGET_FACTOR * float(np.mean(gram_diag(kernel, points)))
-    if nugget < 0:
-        raise ValueError("nugget must be nonnegative")
+    if isinstance(nugget, bool) or not (np.isfinite(nugget) and nugget >= 0):
+        raise ValueError(f"nugget must be a finite number >= 0, got {nugget!r}")
     return float(nugget)
 
 

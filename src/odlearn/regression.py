@@ -6,7 +6,9 @@ Cholesky factorization of S(U, U) + gamma*I serves all coefficient columns;
 this is the dominant cost saver of the whole pipeline. A fitted regressor keeps
 the lower factor L of that matrix next to the coefficients, so the
 Gaussian-process posterior variance at a query is one triangular solve against
-L: s(q, q) - |L^-1 s(U, q)|^2.
+L: s(q, q) - |L^-1 s(U, q)|^2. ``posterior`` reads the mean s(q, U) coef and
+that variance off one kernel row per query. Every factorization of S + gamma*I,
+in ``fit`` and in the evidence, is one step that advises a larger gamma on failure.
 
 Hyperparameters are tuned by grid search, either over K-fold cross-validation
 loss or the log marginal likelihood; they are shared across all output
@@ -21,7 +23,8 @@ each against its trailing rows only, costs about N^3/2 in place of N^3.
 
 Features and targets given to ``fit``, ``log_marginal_likelihood`` and ``tune``
 are points (``kernels.as_points``): a 1-D array is N samples of one value. A query
-to ``predict`` or ``posterior_variance`` is values: a 1-D array is one n-vector.
+to ``predict``, ``posterior_variance`` or ``posterior`` is values: a 1-D array is
+one n-vector.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ def _samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
+def _factor(G: np.ndarray, gamma: float, failed: str = "at") -> np.ndarray:
+    """The lower Cholesky factor of G + gamma*I, or a FactorizationError advising a
+    larger gamma; ``failed`` is "at", or "even at" for the default ridge."""
+    try:
+        return cho_factor(G + gamma * np.eye(G.shape[0]), lower=True)[0]
+    except LinAlgError as exc:
+        raise FactorizationError(
+            f"Gram factorization failed {failed} gamma={gamma:.3e}; increase gamma"
+        ) from exc
+
+
 def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedRegressor:
     """Fit the regressor by factorizing S(U, U) + gamma*I once.
 
@@ -90,31 +104,17 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
     FactorizationError advising a larger value.
     """
     U, V = _samples(inputs, targets)
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if isinstance(gamma, bool) or not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be a finite number >= 0, got {gamma!r}")
     G = gram(kernel, U)
-    eye = np.eye(G.shape[0])
     try:
-        chol, _ = cho_factor(G + gamma * eye, lower=True)
-    except LinAlgError:
-        if gamma == 0.0:
-            fallback = DEFAULT_GAMMA_FACTOR * float(np.mean(np.diag(G)))
-            log.warning(
-                "Gram factorization failed at gamma=0; retrying with default gamma=%.3e",
-                fallback,
-            )
-            try:
-                chol, _ = cho_factor(G + fallback * eye, lower=True)
-                gamma = fallback
-            except LinAlgError as exc:
-                raise FactorizationError(
-                    f"Gram factorization failed even at gamma={fallback:.3e}; "
-                    "increase gamma"
-                ) from exc
-        else:
-            raise FactorizationError(
-                f"Gram factorization failed at gamma={gamma:.3e}; increase gamma"
-            ) from None
+        chol = _factor(G, gamma)
+    except FactorizationError:
+        if gamma > 0:
+            raise
+        gamma = DEFAULT_GAMMA_FACTOR * float(np.mean(np.diag(G)))
+        log.warning("Gram factorization failed at gamma=0; retrying with default gamma=%.3e", gamma)
+        chol = _factor(G, gamma, "even at")
     # C-order everything so persisted and in-memory models take identical BLAS paths
     # (memory order moves matmul results by ULPs); cho_solve reads only the lower triangle
     chol = np.ascontiguousarray(np.tril(chol))
@@ -122,21 +122,27 @@ def fit(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> TrainedReg
     return TrainedRegressor(kernel=kernel, inputs=U, gamma=float(gamma), coef=coef, chol=chol)
 
 
-def _queries(model: TrainedRegressor, U) -> tuple[np.ndarray, bool]:
-    """Queries as a (B, n) batch, and whether ``U`` was one n-vector query."""
+def _queries(model: TrainedRegressor, U) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Queries as a (B, n) batch, its kernel rows S(U, inputs), and whether U was one vector."""
     U = np.asarray(U, dtype=float)
     single = U.ndim == 1
     U = U[None, :] if single else U
     if U.shape[1] != model.input_dim:
         raise ValueError(f"query dimension {U.shape[1]} != trained dimension {model.input_dim}")
-    return U, single
+    return U, gram(model.kernel, U, model.inputs), single
+
+
+def _variance(model: TrainedRegressor, U: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """s(U, U) - |L^-1 K^T|^2 per query, from the batch's kernel rows K."""
+    Z = solve_triangular(model.chol, K.T, lower=True)
+    return gram_diag(model.kernel, U) - np.sum(np.square(Z, out=Z), axis=0)
 
 
 def predict(model: TrainedRegressor, U) -> np.ndarray:
     """Predict S(U, inputs) @ coef; a single n-vector gives an m-vector, an
     (B, n) batch gives (B, m)."""
-    U, single = _queries(model, U)
-    out = gram(model.kernel, U, model.inputs) @ model.coef
+    _, K, single = _queries(model, U)
+    out = K @ model.coef
     return out[0] if single else out
 
 
@@ -147,10 +153,16 @@ def posterior_variance(model: TrainedRegressor, U):
     posterior variance of every output component. A single query returns a
     float; a batch returns a vector.
     """
-    U, single = _queries(model, U)
-    Z = solve_triangular(model.chol, gram(model.kernel, U, model.inputs).T, lower=True)
-    var = gram_diag(model.kernel, U) - np.sum(np.square(Z, out=Z), axis=0)
+    U, K, single = _queries(model, U)
+    var = _variance(model, U, K)
     return float(var[0]) if single else var
+
+
+def posterior(model: TrainedRegressor, U):
+    """``predict`` and ``posterior_variance`` at once, from one kernel row per query."""
+    U, K, single = _queries(model, U)
+    mean, var = K @ model.coef, _variance(model, U, K)
+    return (mean[0], float(var[0])) if single else (mean, var)
 
 
 def log_marginal_likelihood(kernel: ScalarKernel, inputs, targets, gamma: float = 0.0) -> float:
@@ -174,12 +186,7 @@ def _evidence(G: np.ndarray, gamma: float, R: np.ndarray, m: int) -> float:
     """Log marginal likelihood of m output columns with target factor R (see
     ``_target_factor``): the data fit is -1/2 |L^-1 R|_F^2 with L L^T = G + gamma I."""
     n = G.shape[0]
-    try:
-        L, _ = cho_factor(G + gamma * np.eye(n), lower=True)
-    except LinAlgError as exc:
-        raise FactorizationError(
-            f"Gram factorization failed at gamma={gamma:.3e}; increase gamma"
-        ) from exc
+    L = _factor(G, gamma)
     if m <= n:
         Z = solve_triangular(L, R, lower=True)
         data_fit = -0.5 * float(np.sum(np.square(Z, out=Z)))

@@ -7,6 +7,7 @@ import pytest
 
 from odlearn import cli, operator, regression
 from odlearn.data import load_dataset
+from odlearn.errors import OdlearnError
 from odlearn.kernels import ScalarKernel
 
 
@@ -422,6 +423,17 @@ class TestEval:
 
     def test_missing_dataset_exits_2(self, trained, tmp_path):
         assert run(["eval", str(trained), str(tmp_path / "nope")]) == 2
+
+    def test_empty_split_named_exits_1(self, trained, tmp_path, capsys):
+        data = tmp_path / "no_test"
+        assert run(["generate", "advection1", "--train", "4", "--test", "0",
+                    "--grid", "40", "--seed", "3", "--out", str(data)]) == 0
+        with pytest.raises(OdlearnError, match="^dataset 'advection1' has no test samples to evaluate$"):
+            cli.evaluate_model(operator.load_model(trained), load_dataset(data))
+        capsys.readouterr()
+        assert run(["eval", str(trained), str(data), "--with-uq"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dataset 'advection1' has no test samples to evaluate\n"
 
     def test_missing_manifest_key_exits_1(self, trained, adv1_dir, capsys):
         path = trained / "manifest.json"

@@ -1,6 +1,7 @@
 """Import layering of the package, read from the source with ``ast``: the kernels
 module depends on nothing in odlearn, and the data layer only on errors and
-kernels, so that recovery, regression or the operator never enter it."""
+kernels, so that recovery, regression or the operator never enter it. Also read
+from the source: the regressor factorizes S + gamma*I at one call site."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,10 @@ def test_relative_imports_resolve():
     assert {"odlearn.errors", "odlearn.kernels"} <= odlearn_imports(PACKAGE / "data" / "container.py")
     assert "odlearn.data.container" in odlearn_imports(PACKAGE / "data" / "__init__.py")
     assert {"odlearn.operator", "odlearn.regression"} <= odlearn_imports(PACKAGE / "cli.py")
+
+
+def test_regression_factorizes_at_one_call_site():
+    tree = ast.parse((PACKAGE / "regression.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cho_factor"]
+    assert len(calls) == 1

@@ -129,6 +129,20 @@ class TestApply:
                 call(fresh, u, query_points)
         assert "_factor" not in vars(fresh.output_recovery)  # rejected before the solve
 
+    @pytest.mark.parametrize("rows, message", [
+        (np.empty((0, 20)), "input values must be one or more rows of 20 values, got shape (0, 20)"),
+        (np.ones((3, 19)), "input values must be one or more rows of 20 values, got shape (3, 19)"),
+        (np.where(np.arange(60).reshape(3, 20) == 47, np.nan, 1.0), "input row 2 has a non-finite value"),
+        (np.where(np.arange(60).reshape(3, 20) == 21, -np.inf, 1.0), "input row 1 has a non-finite value"),
+    ], ids=["empty", "length", "nan", "inf"])
+    def test_bad_input_rows_named(self, uq_dataset_model, rows, message):
+        ds, model = uq_dataset_model
+        for q in (ds.output_grid, offgrid(ds.output_grid)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                apply_batch(model, rows, q)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                operator._predict(model, rows, q, std=True)
+
     def test_output_projection_property(self):
         # measuring then recovering a sampled output function is a projection
         grid, inputs, outputs = smooth_dataset(seed=3)
@@ -241,6 +255,11 @@ class TestErrorBound:
         assert error_bound(model, u, 0.0) == 0.0
         with pytest.raises(ValueError):
             error_bound(model, u, -1.0)
+
+    def test_nan_bound_rejected(self, adv1_model):
+        ds, model = adv1_model
+        with pytest.raises(ValueError, match="^rkhs_norm_bound must be a number >= 0, got nan$"):
+            error_bound(model, FunctionSamples(ds.input_grid, ds.test_inputs[0]), float("nan"))
 
     def test_bound_dominates_synthetic_truth(self):
         # operator whose measurement-space map lives in the RKHS with known norm
@@ -405,6 +424,18 @@ class TestPersistence:
                 u = FunctionSamples(ds.input_grid, x)
                 assert np.array_equal(apply_with_uq(old, u, q)[1].values, apply_with_uq(new, u, q)[1].values)
 
+    @pytest.mark.parametrize("key, value", [
+        ("output_nugget", True), ("output_nugget", float("nan")), ("input_nugget", float("inf")),
+    ], ids=["true", "nan", "inf"])
+    def test_bad_nugget_rejected_at_load(self, tmp_path, adv1_model, key, value):
+        save_model(adv1_model[1], tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match=r"manifest\.json.*nugget must be a finite number >= 0"):
+            load_model(tmp_path / "m")
+
     @pytest.mark.parametrize("key", ["arrays.coefficients", "pca_input"])
     def test_file_outside_directory_rejected(self, tmp_path, key):
         # a manifest that names another model's binary by absolute path must not
@@ -490,6 +521,33 @@ class TestInferenceCore:
         report = cli.evaluate_model(model, ds, with_uq=True)
         assert report["uq"]["max_std"] == pytest.approx(stds.max(), rel=1e-12)
         assert report["uq"]["mean_std"] == pytest.approx(stds.mean(), rel=1e-12)
+
+    def test_uq_builds_one_kernel_row_per_input_row(self, uq_dataset_model, monkeypatch):
+        ds, model = uq_dataset_model
+        reg = model.regressor
+        rows = []  # batch sizes of the kernel rows built against the training features
+        real = regression.gram
+
+        def counted(kernel, X, Y=None):
+            if Y is reg.inputs:
+                rows.append(len(X))
+            return real(kernel, X, Y)
+
+        monkeypatch.setattr(regression, "gram", counted)
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        for q in (ds.output_grid, offgrid(ds.output_grid)):
+            rows.clear()
+            apply_with_uq(model, u, q)
+            assert rows == [1]
+            rows.clear()
+            mean, std = operator._predict(model, ds.test_inputs, q, std=True)
+            assert rows == [len(ds.test_inputs)]
+            # bitwise what predict and the clipped posterior_variance give
+            U = operator._features(model, ds.test_inputs)
+            W, norms = model.output_weights if q is ds.output_grid else operator._weight_rows(model, q)
+            V = reconstruct(model.output_pca, regression.predict(reg, U))
+            assert np.array_equal(mean, V @ W.T)
+            assert np.array_equal(std, np.sqrt(np.clip(regression.posterior_variance(reg, U), 0.0, None))[:, None] * norms)
 
     def test_on_grid_weights_built_once_per_model(self, tmp_path, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model

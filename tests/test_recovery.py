@@ -81,6 +81,12 @@ class TestRecover:
         with pytest.raises(ValueError, match="length"):
             recover(rmap, [1.0, 2.0, 3.0], pts)
 
+    @pytest.mark.parametrize("nugget", [True, False, np.nan, np.inf, -1e-12], ids=str)
+    def test_nugget_must_be_a_finite_number_at_least_zero(self, nugget):
+        op = MeasurementOperator(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="nugget must be a finite number >= 0"):
+            RecoveryMap(ScalarKernel.gaussian(1.0), op, nugget=nugget)
+
     def test_singular_gram_error_advises_nugget(self):
         # nugget forced to zero with near-duplicate points: factorization, on first use, must fail
         pts = np.array([[0.0], [1e-13]])

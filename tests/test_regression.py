@@ -100,6 +100,11 @@ class TestFit:
         with pytest.raises(FactorizationError, match="increase gamma"):
             fit(ScalarKernel.gaussian(1.0), U, V, gamma=1e-300)
 
+    @pytest.mark.parametrize("gamma", [-1e-12, np.nan, np.inf, True], ids=str)
+    def test_gamma_must_be_a_finite_number_at_least_zero(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be a finite number >= 0"):
+            fit(ScalarKernel.gaussian(1.0), [[0.0], [1.0]], [[1.0], [2.0]], gamma=gamma)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             fit(ScalarKernel.gaussian(1.0), np.zeros((2, 2)), np.zeros((3, 1)))
@@ -185,6 +190,22 @@ class TestPosteriorVariance:
         var = posterior_variance(model, queries)
         assert (var >= -1e-10).all()
         assert (var <= 1.0 + 1e-10).all()  # k(u, u) = 1 for unit output_scale
+
+
+    def test_posterior_is_predict_and_variance_from_one_kernel_row(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        U = rng.normal(size=(9, 3))
+        model = fit(ScalarKernel.matern(nu=2.5, lengthscale=1.3), U, rng.normal(size=(9, 4)), gamma=1e-6)
+        Q = rng.normal(size=(5, 3))
+        calls = []
+        real = regression.gram
+        monkeypatch.setattr(regression, "gram", lambda *a: calls.append(1) or real(*a))
+        mean, var = regression.posterior(model, Q)
+        assert len(calls) == 1
+        assert np.array_equal(mean, predict(model, Q)) and np.array_equal(var, posterior_variance(model, Q))
+        mean1, var1 = regression.posterior(model, Q[3])
+        assert np.array_equal(mean1, predict(model, Q[3])) and var1 == posterior_variance(model, Q[3])
+        assert isinstance(var1, float)
 
 
 class TestLogMarginalLikelihood:
