@@ -329,6 +329,7 @@ def evaluate_model(
         fl = metrics.count_inference_flops(model, dataset.output_grid.shape[0])
         report["flops"] = {
             "per_query_flops": fl.per_query_flops,
+            "served_flops": fl.served_flops,
             "breakdown": dict(fl.breakdown),
             "assumptions_note": fl.assumptions_note,
         }
@@ -434,7 +435,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if ns.with_uq:
         print(f"predictive std: mean {report['uq']['mean_std']:.3e}, max {report['uq']['max_std']:.3e}")
     if ns.flops:
-        print(f"flops per query: {report['flops']['per_query_flops']}")
+        print(f"flops per query: {report['flops']['per_query_flops']} "
+              f"(served on the output grid: {report['flops']['served_flops']})")
     print(f"report written to {report_path}")
     return 0
 

@@ -50,6 +50,7 @@ class FlopsReport:
     per_query_flops: int
     breakdown: tuple[tuple[str, int], ...]
     assumptions_note: str
+    served_flops: int  # per query on the model's own output grid, as served from the fold
 
 
 def _trapezoid_weights_1d(x: np.ndarray) -> np.ndarray:
@@ -129,12 +130,18 @@ def count_inference_flops(model: OperatorModel, output_query_count: int) -> Flop
     the kernel row against all training features, the regression matvec, the
     output PCA reconstruction (when present), and the output-recovery matvec
     for the requested number of query points. The count depends only on the
-    model shapes. On the model's own output grid serving does exactly the
-    counted output matvec. Off-grid queries also pay, uncounted, one recovery
-    solve per sample and the kernel values of the cross Gram; on a lattice
-    query set (see ``recovery``) the cross-Gram product is instead an FFT
-    convolution, O(L log L) per sample for the padded lattice size L, in place
-    of the counted matvec.
+    model shapes, and ``per_query_flops`` counts this staged pipeline.
+
+    Serving folds the linear stages (see ``operator``), so on the model's own
+    output grid a query does ``served_flops``: one feature matvec (the
+    preconditioner and the input PCA folded into one matrix, plus the
+    centering), the same kernel row, and one matvec from the N kernel values to
+    the m output points (plus the output PCA mean). Off-grid queries run the
+    folded features and the staged output, and also pay, uncounted, one
+    recovery solve per sample and the kernel values of the cross Gram; on a
+    lattice query set (see ``recovery``) the cross-Gram product is instead an
+    FFT convolution, O(L log L) per sample for the padded lattice size L, in
+    place of the counted matvec.
     """
     if output_query_count < 0:
         raise ValueError("output_query_count must be nonnegative")
@@ -148,14 +155,19 @@ def count_inference_flops(model: OperatorModel, output_query_count: int) -> Flop
         breakdown.append(("input_pca_projection", n_pts + _matvec_flops(n_pts, k)))
     n = model.regressor.input_dim
     N = model.regressor.n_train
-    breakdown.append(("kernel_row_evaluation", N * KERNEL_EVAL_FLOPS_PER_COORD * n))
+    kernel_row = N * KERNEL_EVAL_FLOPS_PER_COORD * n
+    breakdown.append(("kernel_row_evaluation", kernel_row))
     m_reg = model.regressor.output_dim
     breakdown.append(("regression_matvec", _matvec_flops(N, m_reg)))
     if model.output_pca is not None:
         breakdown.append(("output_pca_reconstruction", _matvec_flops(m_reg, m_pts) + m_pts))
     breakdown.append(("output_reconstruction_matvec", _matvec_flops(m_pts, int(output_query_count))))
+    L, pca = model.input_measurement.preconditioner, model.input_pca
+    features = 0 if L is None and pca is None else _matvec_flops(n_pts, n) + (n if pca is not None else 0)
+    output = _matvec_flops(N, m_pts) + (m_pts if model.output_pca is not None else 0)
     return FlopsReport(
         per_query_flops=int(sum(v for _, v in breakdown)),
         breakdown=tuple(breakdown),
         assumptions_note=ASSUMPTIONS_NOTE,
+        served_flops=features + kernel_row + output,
     )

@@ -109,10 +109,11 @@ def restrict(op: MeasurementOperator, f: FunctionSamples) -> np.ndarray:
         raise ValueError(
             f"grid dimension {f.grid.shape[1]} != measurement dimension {op.points.shape[1]}"
         )
-    index = {row.tobytes(): i for i, row in enumerate(f.grid)}
+    # rows are keyed by their bytes with -0.0 made 0.0, so they compare as floats, as above
+    index = {(row + 0.0).tobytes(): i for i, row in enumerate(f.grid)}
     sel = np.empty(op.size, dtype=int)
     for i, row in enumerate(op.points):
-        j = index.get(row.tobytes())
+        j = index.get((row + 0.0).tobytes())
         if j is None:
             raise ValueError(f"function grid has no value at measurement point {row.tolist()}")
         sel[i] = j
@@ -299,6 +300,18 @@ def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:
     if rmap.measurement.preconditioner is not None:
         W = lu_solve(rmap._preconditioner_lu, W.T, trans=1).T
     return W
+
+
+def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
+    """W @ R for the recovery weights W at the map's own points, ``recovery_weights``
+    at ``rmap.measurement.points``, in the exact form Y - nugget * G^-1 Y with
+    Y = L^-1 R: at its own points the kernel matrix is G - nugget * I, so no
+    kernel matrix is built. R is one vector or a matrix of columns."""
+    Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R)
+    Z = cho_solve(rmap._factor, Y)
+    Z *= -rmap.nugget  # in place: Z may be as large as the grid's kernel matrix
+    Z += Y
+    return Z
 
 
 def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None = None) -> np.ndarray:

@@ -376,9 +376,23 @@ class TestEval:
         N, n, m, q = 60, 40, 40, 40
         expected = N * 3 * n + m * (2 * N - 1) + q * (2 * m - 1)
         assert data["flops"]["per_query_flops"] == expected
+        assert data["flops"]["served_flops"] == N * 3 * n + m * (2 * N - 1)
         row = next(csv.DictReader(report.with_suffix(".csv").open()))
         assert int(row["flops_per_query"]) == expected
         assert row["dataset"] == "advection1"
+
+    def test_eval_then_serving_builds_the_fold_once(self, trained, adv1_dir, monkeypatch):
+        builds = []
+        real = operator._build_fold
+        monkeypatch.setattr(operator, "_build_fold", lambda *a: builds.append(1) or real(*a))
+        monkeypatch.setattr(operator, "_last_fold", None)
+        assert run(["eval", str(trained), str(adv1_dir), "--with-uq"]) == 0
+        model, ds = operator.load_model(trained), load_dataset(adv1_dir)
+        u = operator.FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        operator.apply_batch(model, ds.test_inputs, ds.output_grid)
+        operator.apply(model, u, ds.output_grid)
+        operator.apply_with_uq(model, u, ds.output_grid)
+        assert len(builds) == 1
 
     def test_with_uq_small_on_training_inputs(self, tmp_path):
         # gamma = 0 keeps the conditional variance at the training inputs at

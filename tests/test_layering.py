@@ -1,7 +1,9 @@
 """Import layering of the package, read from the source with ``ast``: the kernels
 module depends on nothing in odlearn, and the data layer only on errors and
 kernels, so that recovery, regression or the operator never enter it. Also read
-from the source: the regressor factorizes S + gamma*I at one call site."""
+from the source: the regressor factorizes S + gamma*I at one call site, and the
+operator builds recovery weights only for off-grid UQ and keeps one module-level
+cache, its fold."""
 
 import ast
 from pathlib import Path
@@ -34,6 +36,11 @@ def outside(names: set[str], allowed: tuple[str, ...]) -> set[str]:
     return {n for n in names if not any(n == a or n.startswith(a + ".") for a in allowed)}
 
 
+def calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
 def test_kernels_imports_nothing_from_odlearn():
     assert odlearn_imports(PACKAGE / "kernels.py") == set()
 
@@ -53,6 +60,10 @@ def test_relative_imports_resolve():
 
 def test_regression_factorizes_at_one_call_site():
     tree = ast.parse((PACKAGE / "regression.py").read_text())
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cho_factor"]
-    assert len(calls) == 1
+    assert len(calls_to(tree, "cho_factor")) == 1
+
+
+def test_operator_builds_weights_at_one_call_site_and_holds_one_global():
+    tree = ast.parse((PACKAGE / "operator.py").read_text())
+    assert len(calls_to(tree, "recovery_weights")) == 1  # off-grid UQ
+    assert [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)] == [["_last_fold"]]

@@ -130,6 +130,8 @@ class TestFlops:
         expected = 5 * 3 * 4 + 3 * (2 * 5 - 1) + q * (2 * 3 - 1)
         assert rep.per_query_flops == expected
         assert rep.per_query_flops == sum(v for _, v in rep.breakdown)
+        # served: the kernel row and one matvec from it to the 3 output points
+        assert rep.served_flops == 5 * 3 * 4 + 3 * (2 * 5 - 1)
 
     def test_single_sample_kernel_row_rule(self):
         # N=1, c=3, n=4: the kernel-row stage contributes exactly 12
@@ -174,6 +176,11 @@ class TestFlops:
             + 4 * (2 * 5 - 1)                    # output recovery matvec
         )
         assert rep.per_query_flops == expected
+        assert rep.served_flops == (
+            k_in * (2 * 6 - 1) + k_in            # folded feature matvec + offset
+            + 8 * 3 * k_in                       # kernel row
+            + 5 * (2 * 8 - 1) + 5                # folded output matvec + PCA mean
+        )
 
     def test_note_mentions_conventions(self):
         rep = count_inference_flops(toy_model(), 2)

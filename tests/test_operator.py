@@ -327,6 +327,18 @@ class TestPcaPipeline:
         np.testing.assert_array_equal(
             feats.output_recovery.measurement.preconditioner, real(other, grid, None))
 
+    def test_default_kernels_on_equal_grids_take_one_lengthscale(self, monkeypatch):
+        grid, inputs, outputs = smooth_dataset(n_train=10, seed=16)
+        calls = []
+        real = operator.mesh_lengthscale
+        monkeypatch.setattr(operator, "mesh_lengthscale", lambda p: calls.append(1) or real(p))
+        feats = prepare_features(grid, grid.copy(), inputs, outputs)
+        assert len(calls) == 1
+        assert feats.output_recovery.kernel == feats.input_recovery.kernel
+        feats = prepare_features(grid, 2.0 * grid, inputs, outputs)
+        assert len(calls) == 3
+        assert feats.output_recovery.kernel.lengthscale == 2.0 * feats.input_recovery.kernel.lengthscale
+
 
 class TestPersistence:
     def test_round_trip_preserves_predictions(self, tmp_path, adv1_model):
@@ -542,22 +554,28 @@ class TestInferenceCore:
             rows.clear()
             mean, std = operator._predict(model, ds.test_inputs, q, std=True)
             assert rows == [len(ds.test_inputs)]
-            # bitwise what predict and the clipped posterior_variance give
+            # bitwise what predict and the clipped posterior_variance give: on the own
+            # grid through the folded A and a0, elsewhere through the weights W
             U = operator._features(model, ds.test_inputs)
-            W, norms = model.output_weights if q is ds.output_grid else operator._weight_rows(model, q)
-            V = reconstruct(model.output_pca, regression.predict(reg, U))
-            assert np.array_equal(mean, V @ W.T)
+            if q is ds.output_grid:
+                fold = model._fold
+                expected, norms = regression.predict(model._grid_regressor, U) + fold.a0, fold.norms
+            else:
+                W, norms = operator._weight_rows(model, q)
+                expected = reconstruct(model.output_pca, regression.predict(reg, U)) @ W.T
+            assert np.array_equal(mean, expected)
             assert np.array_equal(std, np.sqrt(np.clip(regression.posterior_variance(reg, U), 0.0, None))[:, None] * norms)
 
     def test_on_grid_weights_built_once_per_model(self, tmp_path, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
         save_model(model, tmp_path / "m")
-        calls = []
-        real = operator.recovery_weights
-        monkeypatch.setattr(operator, "recovery_weights", lambda *a: calls.append(1) or real(*a))
-        monkeypatch.setattr(operator, "_last_weights", None)  # nothing to reuse
+        builds, weights = [], []
+        real_build, real_weights = operator._build_fold, operator.recovery_weights
+        monkeypatch.setattr(operator, "_build_fold", lambda *a: builds.append(1) or real_build(*a))
+        monkeypatch.setattr(operator, "recovery_weights", lambda *a: weights.append(1) or real_weights(*a))
+        monkeypatch.setattr(operator, "_last_fold", None)  # nothing to reuse
         loaded = load_model(tmp_path / "m")
-        assert calls == [] and "output_weights" not in vars(loaded)
+        assert builds == [] and "_fold" not in vars(loaded)
         g = ds.output_grid
         for x in ds.test_inputs[:3]:
             u = FunctionSamples(ds.input_grid, x)
@@ -565,27 +583,53 @@ class TestInferenceCore:
             apply_with_uq(loaded, u, g)
             apply_batch(loaded, ds.test_inputs, g)
             error_bound(loaded, u, 1.0)
-        assert len(calls) == 1
+        assert len(builds) == 1 and weights == []  # on-grid serving builds no weight matrix
         apply(loaded, FunctionSamples(ds.input_grid, ds.test_inputs[0]), offgrid(g))
-        assert len(calls) == 1
+        assert len(builds) == 1
 
     def test_reloaded_model_reuses_weights_changed_chain_does_not(self, tmp_path, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
         save_model(model, tmp_path / "m")
-        calls = []
-        real = operator.recovery_weights
-        monkeypatch.setattr(operator, "recovery_weights", lambda *a: calls.append(1) or real(*a))
-        monkeypatch.setattr(operator, "_last_weights", None)
+        builds = []
+        real = operator._build_fold
+        monkeypatch.setattr(operator, "_build_fold", lambda *a: builds.append(1) or real(*a))
+        monkeypatch.setattr(operator, "_last_fold", None)
         g = ds.output_grid
         first = apply_batch(load_model(tmp_path / "m"), ds.test_inputs, g)
         again = load_model(tmp_path / "m")
-        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(calls) == 1
+        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(builds) == 1
         r = again.output_recovery
         other = replace(again, output_recovery=RecoveryMap(r.kernel, r.measurement, 2.0 * r.nugget))
-        assert "output_weights" not in vars(other)
+        assert "_fold" not in vars(other)
         apply_batch(other, ds.test_inputs, g)
-        assert len(calls) == 2
-        assert other.output_weights[0] is not again.output_weights[0]
+        assert len(builds) == 2
+        assert other._fold is not again._fold
+
+    def test_models_differing_only_in_coefficients_keep_their_own_fold(self, uq_dataset_model, monkeypatch):
+        # a refit at another gamma has the same chain but other coefficients; served
+        # alternately, each answers bitwise as from an empty cache
+        ds, model = uq_dataset_model
+        g = ds.output_grid
+        other = fit_operator(
+            g, g, ds.train_inputs, ds.train_outputs, model.regressor.kernel, gamma=1e-3,
+            preconditioner=model.preconditioner, pca_input_fraction=0.999, pca_output_fraction=0.999,
+        )
+        same = [np.array_equal(a, b) for a, b in zip(operator._fold_key(model), operator._fold_key(other))]
+        assert same == [True] * 3 + [False] + [True] * 6  # everything but the coefficients
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+
+        def outputs(m):
+            mean, std = apply_with_uq(m, u, g)
+            return apply(m, u, g).values, apply_batch(m, ds.test_inputs, g), mean.values, std.values
+
+        expected = []
+        for m in (model, other):
+            monkeypatch.setattr(operator, "_last_fold", None)
+            expected.append(outputs(replace(m)))  # a copy caches nothing
+        assert not np.array_equal(expected[0][1], expected[1][1])
+        for _ in range(2):
+            for m, want in zip((model, other, replace(model), replace(other)), expected * 2):
+                assert all(map(np.array_equal, outputs(m), want))
 
     def test_load_builds_no_weights_no_input_gram_no_lu(self, tmp_path, uq_dataset_model, monkeypatch):
         _, model = uq_dataset_model
@@ -597,7 +641,7 @@ class TestInferenceCore:
         monkeypatch.setattr(recovery, "gram", lambda *a: sizes.append(a[1].shape[0]) or real(*a))
         loaded = load_model(tmp_path / "m")
         assert sizes == []
-        assert "output_weights" not in vars(loaded)
+        assert "_fold" not in vars(loaded)
         assert "_factor" not in vars(loaded.output_recovery)
         assert "_preconditioner_lu" not in vars(loaded.output_recovery)
 

@@ -12,6 +12,7 @@ from odlearn.recovery import (
     evaluate,
     fill_distance,
     measure,
+    on_grid_weights,
     recover,
     recovery_weights,
 )
@@ -43,6 +44,12 @@ class TestMeasure:
         op = MeasurementOperator(grid[[2, 7]])
         f = FunctionSamples(grid, np.arange(11.0))
         np.testing.assert_array_equal(measure(op, f), [2.0, 7.0])
+
+    @pytest.mark.parametrize("grid", [[[-0.0], [0.5]], [[-0.0], [0.25], [0.5]]], ids=["equal", "superset"])
+    def test_signed_zeros_are_one_point_on_every_path(self, grid):
+        op = MeasurementOperator(np.array([[0.0], [0.5]]))
+        f = FunctionSamples(np.array(grid), np.arange(len(grid), dtype=float))
+        np.testing.assert_array_equal(measure(op, f), [0.0, len(grid) - 1.0])
 
     def test_missing_point_error_names_point(self):
         op = MeasurementOperator(np.array([[0.25]]))
@@ -233,6 +240,16 @@ class TestProperties:
         W = recovery_weights(rmap, queries)
         np.testing.assert_allclose(W @ U, recover(rmap, U, queries).values, atol=1e-11)
 
+    @pytest.mark.parametrize("preconditioned", [False, True], ids=["identity", "preconditioned"])
+    def test_on_grid_weights_are_the_weights_at_the_map_points(self, preconditioned):
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(0, 1, size=(7, 1))
+        L = rng.normal(size=(7, 7)) + 3 * np.eye(7) if preconditioned else None
+        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.3), MeasurementOperator(pts, L))
+        R = rng.normal(size=(7, 3))
+        W = recovery_weights(rmap, pts)
+        np.testing.assert_allclose(on_grid_weights(rmap, R), W @ R, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(on_grid_weights(rmap, R[:, 0]), W @ R[:, 0], rtol=1e-10, atol=1e-12)
 
     def test_batched_coefficients_and_cached_preconditioner_lu(self, monkeypatch):
         from odlearn import recovery
