@@ -13,6 +13,13 @@ fill-distance computation.
 
 Recovery maps are immutable data: the regularized kernel matrix is factorized
 on the first recovery and reused, so an unused map costs no factorization.
+Every solve against G is two LAPACK triangular solves (``dtrtrs``) on that
+cached factor, and a solve against L is one against its cached LU factor. The
+factors are trusted, as they were built from checked matrices, so no request
+rescans them; the right-hand sides are checked instead, and a non-finite
+measurement vector is a ValueError. Many columns take LAPACK's blocked path
+and give the bits of ``potrs``; one column takes the unblocked one, which
+differs only by rounding and costs less than half as much.
 
 Evaluating the interpolant, k(q, X) @ C, builds the cross Gram in blocks,
 except on a lattice query set: there it is an exact discrete convolution of C
@@ -32,7 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, lu_factor, lu_solve
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
@@ -218,10 +226,25 @@ class RecoveryMap:
         U = U.ravel() if U.ndim != 2 else U
         if U.shape[-1] != self.size:
             raise ValueError(f"measurement vector has length {U.shape[-1]}, expected {self.size}")
+        if not np.isfinite(U).all():
+            raise ValueError("measurement vector must be finite")
         w = U.T
         if self.measurement.preconditioner is not None:
-            w = lu_solve(self._preconditioner_lu, w)
-        return cho_solve(self._factor, w)
+            w = lu_solve(self._preconditioner_lu, w, check_finite=False)
+        return _gram_solve(self, w)
+
+
+def _gram_solve(rmap: RecoveryMap, Y: np.ndarray) -> np.ndarray:
+    """G^-1 Y, for a vector or a matrix of columns Y, by two triangular solves
+    on the map's cached Cholesky factor. Neither operand is scanned: the
+    factor was built from a checked matrix, and the caller checks Y."""
+    c = rmap._factor[0]
+    X, info = dtrtrs(c, Y, lower=1)
+    if info == 0:
+        X, info = dtrtrs(c, X, lower=1, trans=1, overwrite_b=1)
+    if info != 0:
+        raise FactorizationError(f"recovery solve failed with LAPACK info={info}; increase the nugget")
+    return X
 
 
 def as_query_points(rmap: RecoveryMap, query_points) -> np.ndarray:
@@ -296,9 +319,9 @@ def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:
     """Matrix W with recover(U)(query_points) = W @ U (rows indexed by query point)."""
     query_points = as_query_points(rmap, query_points)
     kq = gram(rmap.kernel, query_points, rmap.measurement.points)
-    W = cho_solve(rmap._factor, kq.T).T
+    W = _gram_solve(rmap, kq.T).T  # kernel values at checked points are finite
     if rmap.measurement.preconditioner is not None:
-        W = lu_solve(rmap._preconditioner_lu, W.T, trans=1).T
+        W = lu_solve(rmap._preconditioner_lu, W.T, trans=1, check_finite=False).T
     return W
 
 
@@ -306,9 +329,12 @@ def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
     """W @ R for the recovery weights W at the map's own points, ``recovery_weights``
     at ``rmap.measurement.points``, in the exact form Y - nugget * G^-1 Y with
     Y = L^-1 R: at its own points the kernel matrix is G - nugget * I, so no
-    kernel matrix is built. R is one vector or a matrix of columns."""
-    Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R)
-    Z = cho_solve(rmap._factor, Y)
+    kernel matrix is built. R is one vector or a matrix of columns; a non-finite R
+    is a ValueError."""
+    if not np.isfinite(R).all():
+        raise ValueError("right-hand side of the recovery solve is not finite")
+    Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R, check_finite=False)
+    Z = _gram_solve(rmap, Y)
     Z *= -rmap.nugget  # in place: Z may be as large as the grid's kernel matrix
     Z += Y
     return Z

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .errors import FactorizationError
+from .errors import FactorizationError, OdlearnError
 from .kernels import ScalarKernel, as_points, gram, gram_diag, stationary_gram
 
 log = logging.getLogger(__name__)
@@ -133,9 +133,17 @@ def _queries(model: TrainedRegressor, U) -> tuple[np.ndarray, np.ndarray, bool]:
 
 
 def _variance(model: TrainedRegressor, U: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """s(U, U) - |L^-1 K^T|^2 per query, from the batch's kernel rows K."""
-    Z = solve_triangular(model.chol, K.T, lower=True)
-    return gram_diag(model.kernel, U) - np.sum(np.square(Z, out=Z), axis=0)
+    """s(U, U) - |L^-1 K^T|^2 per query, from the batch's kernel rows K. The
+    N x N factor is not scanned for finiteness, only its diagonal and the B
+    variances: a NaN or an infinity in the factor makes a variance non-finite,
+    except an infinity on the diagonal. So a corrupt factor fails here, as do
+    values that overflow."""
+    Z = solve_triangular(model.chol, K.T, lower=True, check_finite=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = gram_diag(model.kernel, U) - np.sum(np.square(Z, out=Z), axis=0)
+    if not (np.isfinite(var).all() and np.isfinite(np.diagonal(model.chol)).all()):
+        raise OdlearnError("posterior variance is not finite: the regressor's Gram factor is corrupt")
+    return var
 
 
 def predict(model: TrainedRegressor, U) -> np.ndarray:

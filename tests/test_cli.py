@@ -580,6 +580,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "(N, N)" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "overflow"])
+    def test_corrupt_gram_factor_fails_uq_eval(self, tmp_path, capsys, value):
+        data = tmp_path / "adv1"
+        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
+                    "--out", str(data)]) == 0
+        model = tmp_path / "model"
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
+            "gamma": 1e-6, "output_dir": str(model),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        entry = json.loads((model / "manifest.json").read_text())["arrays"]["gram_factor"]
+        arr = np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"])
+        arr[7, 2] = value
+        arr.tofile(model / entry["file"])
+        assert run(["eval", str(model), str(data), "--with-uq"]) == 1
+        err = capsys.readouterr().err
+        assert "regressor's Gram factor is corrupt" in err and "Traceback" not in err
+
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []
         for tag in ("one", "two"):

@@ -1,9 +1,9 @@
 """Import layering of the package, read from the source with ``ast``: the kernels
 module depends on nothing in odlearn, and the data layer only on errors and
 kernels, so that recovery, regression or the operator never enter it. Also read
-from the source: the regressor factorizes S + gamma*I at one call site, and the
-operator builds recovery weights only for off-grid UQ and keeps one module-level
-cache, its fold."""
+from the source: the regressor factorizes S + gamma*I at one call site, recovery
+solves against a map's cached factor at one call site, and the operator builds
+recovery weights only for off-grid UQ and keeps one module-level cache, its fold."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,17 @@ def test_relative_imports_resolve():
 def test_regression_factorizes_at_one_call_site():
     tree = ast.parse((PACKAGE / "regression.py").read_text())
     assert len(calls_to(tree, "cho_factor")) == 1
+
+
+def test_recovery_solves_against_its_factor_at_one_call_site():
+    tree = ast.parse((PACKAGE / "recovery.py").read_text())
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_factor"]
+    assert len(reads) == 1
+    solver = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and reads[0] in ast.walk(f))
+    assert len(calls_to(solver, "dtrtrs")) == len(calls_to(tree, "dtrtrs")) == 2
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "cho_solve" not in names
 
 
 def test_operator_builds_weights_at_one_call_site_and_holds_one_global():

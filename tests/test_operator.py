@@ -8,7 +8,7 @@ import pytest
 from odlearn import cli, operator
 from odlearn.data import Dataset, gen_advection1
 from odlearn.data.container import write_array
-from odlearn.errors import DatasetFormatError
+from odlearn.errors import DatasetFormatError, OdlearnError
 from odlearn.kernels import ScalarKernel, gram
 from odlearn.operator import (
     apply,
@@ -505,14 +505,22 @@ class TestInferenceCore:
         load_model(tmp_path / "m")
         assert calls == []
 
-    def test_single_apply_matches_batch_row(self, uq_dataset_model, adv1_model):
-        for ds, model in (uq_dataset_model, adv1_model):
-            for q in (ds.output_grid, offgrid(ds.output_grid)):
-                batch = apply_batch(model, ds.test_inputs, q)
-                scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))
-                for i in range(batch.shape[0]):
-                    single = apply(model, FunctionSamples(ds.input_grid, ds.test_inputs[i]), q).values
-                    assert np.linalg.norm(single - batch[i]) <= 1e-13 * scale
+    def test_single_apply_matches_batch_row(self, uq_dataset_model, adv1_model, monkeypatch):
+        # one off-grid row takes the unblocked triangular solves, a batch the blocked
+        # ones; at threshold 0 the off-grid set, a lattice of the grid's step, convolves
+        from odlearn import recovery
+
+        for threshold in (recovery.LATTICE_MIN_ENTRIES, 0):
+            monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", threshold)
+            for ds, model in (uq_dataset_model, adv1_model):
+                for q in (ds.output_grid, offgrid(ds.output_grid)):
+                    batch = apply_batch(model, ds.test_inputs, q)
+                    scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))
+                    for i in range(batch.shape[0]):
+                        single = apply(model, FunctionSamples(ds.input_grid, ds.test_inputs[i]), q).values
+                        assert np.linalg.norm(single - batch[i]) <= 1e-13 * scale
+        ds, model = uq_dataset_model
+        assert recovery._lattice_pair(model.output_recovery, offgrid(ds.output_grid)) is not None
 
     def test_single_uq_std_matches_batched_eval_std(self, uq_dataset_model):
         ds, model = uq_dataset_model
@@ -705,3 +713,43 @@ class TestInferenceCore:
         save_model(load_model(tmp_path / "a"), tmp_path / "b")
         for f in (tmp_path / "a").iterdir():
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
+
+
+class TestRecoverySolves:
+    """Output recovery solves on the cached factors: the fold keeps the bits of a
+    cho_solve build, and a corrupt regressor factor still fails the UQ requests
+    that read it."""
+
+    @pytest.mark.parametrize("which", ["pca", "plain"])
+    def test_fold_is_bitwise_a_cho_solve_build(self, uq_dataset_model, adv1_model, which):
+        from scipy.linalg import cho_solve, lu_solve
+
+        _, model = uq_dataset_model if which == "pca" else adv1_model
+        rmap, out, coef = model.output_recovery, model.output_pca, model.regressor.coef
+
+        def weights(R):  # on_grid_weights with scipy's cho_solve
+            Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R)
+            return Y - rmap.nugget * cho_solve(rmap._factor, Y)
+
+        fold = model._fold
+        P_T, directions = (coef.T, np.eye(rmap.size)) if out is None else (out.basis @ coef.T, out.basis)
+        assert np.array_equal(fold.A, weights(P_T).T)
+        assert np.array_equal(fold.norms, np.linalg.norm(weights(directions), axis=1))
+        if out is not None:  # one column: the unblocked solve, within rounding
+            np.testing.assert_allclose(fold.a0, weights(out.mean), rtol=0, atol=1e-13 * np.abs(fold.a0).max())
+
+    @pytest.mark.parametrize("entry,value", [((3, 3), np.nan), ((7, 2), np.nan), ((0, 0), np.inf),
+                                             ((7, 2), np.inf), ((7, 2), 1e300)],
+                             ids=["nan-diagonal", "nan-below", "inf-diagonal", "inf-below", "overflow"])
+    def test_corrupt_gram_factor_fails_uq(self, uq_dataset_model, entry, value):
+        ds, model = uq_dataset_model
+        chol = model.regressor.chol.copy()
+        chol[entry] = value
+        bad = replace(model, regressor=replace(model.regressor, chol=chol))
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        for q in (ds.output_grid, offgrid(ds.output_grid)):
+            with pytest.raises(OdlearnError, match="regressor's Gram factor is corrupt"):
+                apply_with_uq(bad, u, q)
+        with pytest.raises(OdlearnError, match="regressor's Gram factor is corrupt"):
+            error_bound(bad, u, 1.0)
+        assert np.array_equal(apply(bad, u, ds.output_grid).values, apply(model, u, ds.output_grid).values)

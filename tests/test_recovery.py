@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, lu_solve
 
 from odlearn import recovery
 from odlearn.errors import FactorizationError
@@ -272,6 +273,59 @@ class TestProperties:
             np.testing.assert_allclose(single, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
         recovery_weights(rmap, rng.uniform(0, 1, size=(5, 1)))
         assert factored == [1]
+
+
+class TestTriangularSolves:
+    """Recovery solves are two triangular solves on the cached factor, which is
+    never scanned: many columns give the bits of cho_solve, the right-hand
+    sides are checked instead, and a failed solve is a FactorizationError."""
+
+    @staticmethod
+    def map_and_rows(preconditioned, seed=16):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0, 1, size=(30, 2))
+        L = rng.normal(size=(30, 30)) + 6 * np.eye(30) if preconditioned else None
+        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.4), MeasurementOperator(pts, L))
+        return rmap, rng.normal(size=(5, 30)), rng.uniform(0, 1, size=(11, 2))
+
+    @pytest.mark.parametrize("preconditioned", [False, True], ids=["identity", "preconditioned"])
+    def test_many_columns_are_bitwise_cho_solve(self, preconditioned):
+        rmap, U, q = self.map_and_rows(preconditioned)
+        w = lu_solve(rmap._preconditioner_lu, U.T) if preconditioned else U.T
+        assert np.array_equal(rmap.coefficients(U), cho_solve(rmap._factor, w))
+        W = cho_solve(rmap._factor, gram(rmap.kernel, q, rmap.measurement.points).T).T
+        W = lu_solve(rmap._preconditioner_lu, W.T, trans=1).T if preconditioned else W
+        assert np.array_equal(recovery_weights(rmap, q), W)
+
+    @pytest.mark.parametrize("preconditioned", [False, True], ids=["identity", "preconditioned"])
+    def test_non_finite_measurement_rejected_before_factorizing(self, preconditioned):
+        rmap, U, q = self.map_and_rows(preconditioned)
+        for bad in (np.nan, np.inf):
+            row = U[0].copy()
+            row[3] = bad
+            with pytest.raises(ValueError, match="^measurement vector must be finite$"):
+                recover(rmap, row, q)
+            with pytest.raises(ValueError, match="^measurement vector must be finite$"):
+                rmap.coefficients(np.vstack([U, row]))
+        assert "_factor" not in vars(rmap) and "_preconditioner_lu" not in vars(rmap)
+
+    def test_non_finite_on_grid_right_hand_side_rejected(self):
+        rmap, U, _ = self.map_and_rows(False)
+        R = U.T.copy()
+        R[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            on_grid_weights(rmap, R)
+
+    def test_singular_factor_raises_factorization_error(self):
+        rmap, U, q = self.map_and_rows(False)
+        c, lower = rmap._factor
+        c = c.copy()
+        c[7, 7] = 0.0
+        vars(rmap)["_factor"] = (c, lower)  # a zero pivot: LAPACK reports info = 8
+        with pytest.raises(FactorizationError, match="info=8"):
+            recover(rmap, U[0], q)
+        with pytest.raises(FactorizationError, match="info=8"):
+            recovery_weights(rmap, q)
 
 
 class TestValidation:
