@@ -45,6 +45,7 @@ from .data.container import (
     write_array,
     write_manifest,
 )
+from .errors import DatasetFormatError, OdlearnError
 from .kernels import ScalarKernel, as_points
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
 from .recovery import (
@@ -499,13 +500,13 @@ def load_model(directory) -> OperatorModel:
         s_kernel = ScalarKernel.from_config(manifest["s_kernel"])
         q_kernel = ScalarKernel.from_config(manifest["q_kernel"])
         k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
-        reg = regression.TrainedRegressor(
-            kernel=s_kernel,
-            inputs=_read_bin(directory, arrays, "train_features"),
-            gamma=manifest["gamma"],
-            coef=_read_bin(directory, arrays, "coefficients"),
-            chol=_read_bin(directory, arrays, "gram_factor"),
-        )
+        inputs, coef, chol = (_read_bin(directory, arrays, key)
+                              for key in ("train_features", "coefficients", "gram_factor"))
+        try:
+            reg = regression.TrainedRegressor(kernel=s_kernel, inputs=inputs, gamma=manifest["gamma"],
+                                              coef=coef, chol=chol)
+        except OdlearnError as exc:  # the factor check; shapes and gamma raise ValueError
+            raise DatasetFormatError(f"{directory / arrays['gram_factor']['file']}: {exc}") from exc
         return OperatorModel(
             input_recovery=RecoveryMap(q_kernel, MeasurementOperator(in_pts, L_in), manifest["input_nugget"]),
             input_pca=_pca_from_files(directory, manifest, "pca_input"),

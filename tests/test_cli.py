@@ -599,6 +599,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert "regressor's Gram factor is corrupt" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
+    def test_wrong_finite_gram_factor_fails_load(self, tmp_path, capsys, with_uq):
+        # finite, so no solve sees it: before the factor check, eval --with-uq reported std 0
+        data = tmp_path / "adv1"
+        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
+                    "--out", str(data)]) == 0
+        model = tmp_path / "model"
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
+            "gamma": 1e-6, "output_dir": str(model),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        entry = json.loads((model / "manifest.json").read_text())["arrays"]["gram_factor"]
+        arr = np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"])
+        arr[0, 0] = 1e300
+        arr.tofile(model / entry["file"])
+        assert run(["eval", str(model), str(data)] + (["--with-uq"] if with_uq else [])) == 1
+        err = capsys.readouterr().err
+        assert "gram_factor" in err and "Gram factor is corrupt" in err and "Traceback" not in err
+
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []
         for tag in ("one", "two"):

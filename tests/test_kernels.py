@@ -3,7 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from odlearn.kernels import MATERN_NUS, ScalarKernel, eval_kernel, gram, gram_diag
+from scipy.spatial.distance import cdist
+
+from odlearn.kernels import (
+    GRAM_IDENTITY_MIN_DIM,
+    GRAM_IDENTITY_MIN_WORK,
+    MATERN_NUS,
+    ScalarKernel,
+    distances,
+    eval_kernel,
+    gram,
+    gram_diag,
+    sqnorms,
+)
 
 
 def all_families():
@@ -94,6 +106,77 @@ class TestGram:
         X = rng.normal(size=(5, 2))
         for k in all_families():
             np.testing.assert_allclose(gram_diag(k, X), np.diag(gram(k, X)), rtol=1e-13)
+
+
+def long_double_distances(X, Y):
+    """|X_i - Y_j| from differences, squares and a root in extended precision."""
+    diff = X.astype(np.longdouble)[:, None, :] - Y.astype(np.longdouble)[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def feature_pairs(case: str, d: int = 92):
+    """Features X, Y (40 and 30 rows) holding the pairs the Gram identity
+    cancels on: rows of Y 0-4 repeat rows of X and X[20] repeats X[3]; rows
+    5-9 sit 1e-9 of their norm from rows of X; "offset" moves every point by a
+    common vector 100 times their spread."""
+    rng = np.random.default_rng(77)
+    X, Y = rng.normal(size=(40, d)), rng.normal(size=(30, d))
+    Y[:5], X[20] = X[:5], X[3]
+    step = rng.normal(size=(5, d))
+    step *= 1e-9 * np.linalg.norm(X[5:10], axis=1)[:, None] / np.linalg.norm(step, axis=1)[:, None]
+    Y[5:10] = X[5:10] + step
+    if case == "offset":
+        shift = 100.0 * rng.normal(size=d)
+        X, Y = X + shift, Y + shift
+    return X, Y
+
+
+class TestDistances:
+    @pytest.mark.parametrize("case", ["centred", "offset"])
+    def test_within_64_ulps_of_long_double(self, case):
+        X, Y = feature_pairs(case)
+        assert X.shape[1] >= GRAM_IDENTITY_MIN_DIM
+        for D, exact in ((distances(X, Y), long_double_distances(X, Y)),
+                         (distances(X), long_double_distances(X, X)),
+                         (distances(X, Y, sqnorms(Y)), long_double_distances(X, Y))):
+            zero = exact == 0
+            assert zero.sum() >= 5 and np.array_equal(D[zero], np.zeros(zero.sum()))
+            rel = np.abs(D.astype(np.longdouble) - exact)[~zero] / exact[~zero]
+            assert float(rel.max()) <= 64 * np.finfo(float).eps
+
+    def test_near_duplicates_are_not_rounded_to_their_norm(self):
+        X, Y = feature_pairs("centred")
+        near = np.diagonal(distances(X[5:10], Y[5:10]))
+        np.testing.assert_allclose(near, 1e-9 * np.linalg.norm(X[5:10], axis=1), rtol=1e-6)
+
+    @pytest.mark.parametrize("d", [1, 3, GRAM_IDENTITY_MIN_DIM - 1])
+    def test_below_the_floor_is_cdist(self, d):
+        X, Y = feature_pairs("offset", d)
+        assert np.array_equal(distances(X, Y), cdist(X, Y))
+        assert np.array_equal(distances(X), cdist(X, X))
+        assert np.array_equal(gram(ScalarKernel.matern(1.5, 2.0), X, Y),
+                              ScalarKernel.matern(1.5, 2.0).stationary_value(cdist(X, Y)))
+
+    def test_small_products_are_cdist(self):
+        # one darcy request: a 92-vector against 500 features, under GRAM_IDENTITY_MIN_WORK
+        rng = np.random.default_rng(78)
+        Y = rng.normal(size=(500, 92))
+        X = Y[:2] + 1e-3
+        assert X[:1].size * len(Y) < GRAM_IDENTITY_MIN_WORK <= X.size * len(Y)
+        assert np.array_equal(distances(X[:1], Y, sqnorms(Y)), cdist(X[:1], Y))
+        assert not np.array_equal(distances(X, Y), cdist(X, Y))
+
+    @pytest.mark.parametrize("case", ["centred", "offset"])
+    def test_one_argument_form_is_symmetric_with_zero_diagonal(self, case):
+        X, _ = feature_pairs(case)
+        D = distances(X)
+        assert np.array_equal(D, D.T) and np.array_equal(np.diagonal(D), np.zeros(len(X)))
+        G = gram(ScalarKernel.matern(2.5, 10.0), X)
+        assert np.array_equal(G, G.T) and np.array_equal(np.diagonal(G), np.ones(len(X)))
+
+    def test_floor_sits_between_burgers_and_darcy_features(self):
+        # burgers' PCA features have d = 3, darcy's d = 92 (and 285 preconditioned)
+        assert 3 < GRAM_IDENTITY_MIN_DIM <= 92
 
 
 class TestInvariants:

@@ -2,8 +2,9 @@
 module depends on nothing in odlearn, and the data layer only on errors and
 kernels, so that recovery, regression or the operator never enter it. Also read
 from the source: the regressor factorizes S + gamma*I at one call site, recovery
-solves against a map's cached factor at one call site, and the operator builds
-recovery weights only for off-grid UQ and keeps one module-level cache, its fold."""
+solves against a map's cached factor at one call site, the operator builds
+recovery weights only for off-grid UQ and keeps one module-level cache, its fold,
+and every stationary Gram gets its distances from ``kernels.distances``."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,15 @@ def test_operator_builds_weights_at_one_call_site_and_holds_one_global():
     tree = ast.parse((PACKAGE / "operator.py").read_text())
     assert len(calls_to(tree, "recovery_weights")) == 1  # off-grid UQ
     assert [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)] == [["_last_fold"]]
+
+
+def test_stationary_grams_get_their_distances_from_one_function():
+    reg = ast.parse((PACKAGE / "regression.py").read_text())
+    imported = {node.module for node in ast.walk(reg) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(reg) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(m and m.split(".")[:2] == ["scipy", "spatial"] for m in imported)
+    assert calls_to(reg, "cdist") == [] and len(calls_to(reg, "distances")) == 1  # the LML search
+    kernels = ast.parse((PACKAGE / "kernels.py").read_text())
+    fns = {f.name: f for f in ast.walk(kernels) if isinstance(f, ast.FunctionDef)}
+    assert len(calls_to(fns["gram"], "distances")) == 1 and calls_to(fns["gram"], "cdist") == []
+    assert len(calls_to(kernels, "cdist")) == len(calls_to(fns["distances"], "cdist")) == 1

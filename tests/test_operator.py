@@ -548,10 +548,10 @@ class TestInferenceCore:
         rows = []  # batch sizes of the kernel rows built against the training features
         real = regression.gram
 
-        def counted(kernel, X, Y=None):
+        def counted(kernel, X, Y=None, **kwargs):
             if Y is reg.inputs:
                 rows.append(len(X))
-            return real(kernel, X, Y)
+            return real(kernel, X, Y, **kwargs)
 
         monkeypatch.setattr(regression, "gram", counted)
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
@@ -717,8 +717,8 @@ class TestInferenceCore:
 
 class TestRecoverySolves:
     """Output recovery solves on the cached factors: the fold keeps the bits of a
-    cho_solve build, and a corrupt regressor factor still fails the UQ requests
-    that read it."""
+    cho_solve build, and a corrupt regressor factor is rejected when the
+    regressor is built, or else fails the UQ requests that read it."""
 
     @pytest.mark.parametrize("which", ["pca", "plain"])
     def test_fold_is_bitwise_a_cho_solve_build(self, uq_dataset_model, adv1_model, which):
@@ -739,12 +739,22 @@ class TestRecoverySolves:
             np.testing.assert_allclose(fold.a0, weights(out.mean), rtol=0, atol=1e-13 * np.abs(fold.a0).max())
 
     @pytest.mark.parametrize("entry,value", [((3, 3), np.nan), ((7, 2), np.nan), ((0, 0), np.inf),
-                                             ((7, 2), np.inf), ((7, 2), 1e300)],
-                             ids=["nan-diagonal", "nan-below", "inf-diagonal", "inf-below", "overflow"])
+                                             ((7, 2), np.inf), ((7, 2), 1e300), ((0, 0), 1e300)],
+                             ids=["nan-diagonal", "nan-below", "inf-diagonal", "inf-below", "overflow",
+                                  "finite-diagonal"])
     def test_corrupt_gram_factor_fails_uq(self, uq_dataset_model, entry, value):
-        ds, model = uq_dataset_model
+        # the squares of a factor row must sum to S(U_i, U_i) + gamma: no request gets a corrupt regressor
+        _, model = uq_dataset_model
         chol = model.regressor.chol.copy()
         chol[entry] = value
+        with pytest.raises(OdlearnError, match=r"regressor's Gram factor is corrupt: the squares in its row"):
+            replace(model.regressor, chol=chol)
+
+    def test_factor_that_passes_the_row_check_still_fails_uq(self, uq_dataset_model):
+        # row 1 keeps its squared norm but puts it all below a 1e-300 pivot: the solve overflows
+        ds, model = uq_dataset_model
+        chol = model.regressor.chol.copy()
+        chol[1, :2] = np.hypot(chol[1, 0], chol[1, 1]), 1e-300
         bad = replace(model, regressor=replace(model.regressor, chol=chol))
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
         for q in (ds.output_grid, offgrid(ds.output_grid)):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, solve_triangular
+from scipy.spatial.distance import cdist
 
 from odlearn import regression
 from odlearn.errors import FactorizationError
-from odlearn.kernels import ScalarKernel, gram
+from odlearn.kernels import GRAM_IDENTITY_MIN_DIM, ScalarKernel, gram, sqnorms
 from odlearn.regression import (
     TuningSpec,
     fit,
@@ -199,7 +200,7 @@ class TestPosteriorVariance:
         Q = rng.normal(size=(5, 3))
         calls = []
         real = regression.gram
-        monkeypatch.setattr(regression, "gram", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(regression, "gram", lambda *a, **k: calls.append(1) or real(*a, **k))
         mean, var = regression.posterior(model, Q)
         assert len(calls) == 1
         assert np.array_equal(mean, predict(model, Q)) and np.array_equal(var, posterior_variance(model, Q))
@@ -378,6 +379,36 @@ class TestTune:
             TuningSpec(grid=({"family": "gaussian", "lengthscale": True, "gamma": 1e-8},))
 
 
+class TestFeatureDistances:
+    def test_matern_half_on_duplicate_features_matches_cdist_oracle(self):
+        # Matern-1/2 has a kink at r = 0: a duplicate pair that the Gram identity
+        # left at sqrt(eps |x|^2) would move the kernel by ~1e-8
+        rng = np.random.default_rng(53)
+        U = rng.normal(size=(60, 92))
+        U[40:50] = U[:10]
+        V = rng.normal(size=(60, 5))
+        Q = np.concatenate([U[:5], U[:5] + 1e-9, rng.normal(size=(5, 92))])
+        assert U.shape[1] >= GRAM_IDENTITY_MIN_DIM
+        kernel, gamma = ScalarKernel.matern(nu=0.5, lengthscale=10.0), 0.1  # cond(A) ~ 170
+        A = kernel.stationary_value(cdist(U, U)) + gamma * np.eye(60)
+        expected = kernel.stationary_value(cdist(Q, U)) @ np.linalg.solve(A, V)
+        got = predict(fit(kernel, U, V, gamma), Q)
+        rms = np.sqrt(np.mean(expected ** 2))
+        assert np.abs(got - expected).max() <= 1e-13 * rms
+
+    def test_training_norms_are_computed_once_per_regressor(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        U = rng.normal(size=(30, 40))
+        model = fit(ScalarKernel.matern(nu=2.5, lengthscale=8.0), U, rng.normal(size=(30, 2)), gamma=1e-8)
+        seen = []
+        real = regression.gram
+        monkeypatch.setattr(regression, "gram", lambda *a, **k: seen.append(k["Y_sqnorms"]) or real(*a, **k))
+        for Q in (U[:3], U[5], rng.normal(size=(4, 40))):
+            regression.posterior(model, Q)
+        assert len(seen) == 3 and all(norms is model.input_sqnorms for norms in seen)
+        assert np.array_equal(model.input_sqnorms, sqnorms(U))
+
+
 class TestTuneLmlPath:
     """The LML search shares distances, Grams and a target factor across entries."""
 
@@ -436,7 +467,7 @@ class TestTuneLmlPath:
         assert best in grid[1:] and value == max(r["objective"] for r in report[1:])
 
     def test_distances_once_and_one_gram_per_kernel(self, monkeypatch):
-        calls = {"cdist": 0, "stationary_gram": 0, "gram": 0}
+        calls = {"distances": 0, "stationary_gram": 0, "gram": 0}
 
         def counted(name):
             real = getattr(regression, name)
@@ -456,7 +487,7 @@ class TestTuneLmlPath:
         grid = self.MIXED_GRID + ({"family": "gaussian", "lengthscale": 2.0, "gamma": 1e-1},)
         tune(TuningSpec(grid=grid, objective="lml"), U, V)
         # rq, gaussian 0.8, gaussian 2.0, matern 2.5, matern 0.5; one linear
-        assert calls == {"cdist": 1, "stationary_gram": 5, "gram": 1}
+        assert calls == {"distances": 1, "stationary_gram": 5, "gram": 1}
 
 
 class TestProperties:
