@@ -18,11 +18,26 @@ helpers: ``write_array``/``read_array`` for the binaries and
 ``write_manifest``/``read_manifest`` for the manifest. Every load failure is a
 DatasetFormatError naming the file and, where there is one, the manifest key.
 A binary named by a manifest must be a bare file name inside its directory.
+
+Binaries are mapped read-only, not copied: a loaded array shares the page
+cache with its file and is not writeable; grids read from a manifest are made
+read-only too. Writes never change a file in place: each file is written to a
+uniquely named temporary sibling and moved over its target with
+``os.replace``, one file at a time, so a live mapping keeps the old file's
+bytes and a reader never sees a torn file; a load racing a save of the same
+directory may still see old and new files together. On Python < 3.13 each
+mapped file holds one duplicated file descriptor while an array on it is
+alive. A third party rewriting a mapped file in place, rather than replacing
+it, is outside this contract: the arrays change with it, and a read past a
+truncated end raises SIGBUS.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,11 +119,26 @@ def manifest_count(value) -> int:
     return value
 
 
+def _replace(path: Path, write) -> None:
+    """Create ``path`` anew: ``write(fh)`` fills a uniquely named temporary
+    sibling, which then replaces ``path`` in one rename. On any exception the
+    temporary is removed and ``path`` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_array(directory: Path, name: str, arr: np.ndarray) -> dict:
     """Write ``arr`` to ``directory/name`` as raw little-endian float64, C order,
-    no header; returns its manifest entry ``{"file", "shape"}``."""
+    no header, replacing any earlier file; returns its manifest entry
+    ``{"file", "shape"}``."""
     data = np.ascontiguousarray(arr, dtype="<f8")
-    data.tofile(directory / name)
+    _replace(directory / name, data.tofile)
     return {"file": name, "shape": list(data.shape)}
 
 
@@ -124,20 +154,26 @@ def manifest_file(directory: Path, name) -> Path:
 
 
 def read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a file written by ``write_array``. A missing file or a byte count
-    that does not match ``shape`` is a DatasetFormatError naming the file."""
+    """Map a file written by ``write_array`` as a read-only array of ``shape``.
+    A missing file or a byte count that does not match ``shape`` is a
+    DatasetFormatError naming the file. A shape with a zero in it gives an
+    empty array, since an empty file cannot be mapped."""
     if not path.is_file():
         raise DatasetFormatError(f"missing {path}")
-    expected, found = 8 * int(np.prod(shape)), path.stat().st_size
-    if found != expected:
-        raise DatasetFormatError(
-            f"{path}: expected {expected} bytes for float64 shape {shape}, found {found}"
-        )
-    return np.fromfile(path, dtype="<f8").reshape(shape)
+    expected = 8 * int(np.prod(shape))
+    with path.open("rb") as fh:
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise DatasetFormatError(
+                f"{path}: expected {expected} bytes for float64 shape {shape}, found {found}"
+            )
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if expected else b""
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
 def write_manifest(directory: Path, manifest: dict) -> None:
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _replace(directory / "manifest.json", lambda fh: fh.write(text.encode()))
 
 
 def read_manifest(directory: Path, version: int, kind: str) -> dict:
@@ -169,7 +205,9 @@ def _grid_from_json(entry: dict) -> np.ndarray:
     grid = np.asarray(entry["points"], dtype=float)
     if list(grid.shape) != list(entry["shape"]):
         raise ValueError(f"grid shape {list(grid.shape)} does not match declared {entry['shape']}")
-    return as_points(grid, "points")
+    grid = as_points(grid, "points")
+    grid.flags.writeable = False  # like the mapped binaries beside it
+    return grid
 
 
 def save_dataset(ds: Dataset, directory) -> dict:

@@ -90,6 +90,16 @@ class TrainedRegressor:
         """Squared norms of the training features, for the kernel rows of every query."""
         return sqnorms(self.inputs)
 
+    def with_coef(self, coef: np.ndarray) -> TrainedRegressor:
+        """This regressor with coefficients ``coef`` (N, m') for the same features,
+        gamma and factor. The factor, already checked, is not checked again,
+        and the features' squared norms are shared."""
+        if coef.ndim != 2 or coef.shape[0] != self.n_train:
+            raise ValueError(f"coef must be ({self.n_train}, m), got {coef.shape}")
+        other = object.__new__(TrainedRegressor)
+        other.__dict__.update(vars(self), coef=coef, input_sqnorms=self.input_sqnorms)
+        return other
+
     @property
     def n_train(self) -> int:
         return self.inputs.shape[0]

@@ -7,6 +7,7 @@ import pytest
 
 from odlearn import cli, operator, regression
 from odlearn.data import load_dataset
+from odlearn.data.container import write_array
 from odlearn.errors import OdlearnError
 from odlearn.kernels import ScalarKernel
 
@@ -618,6 +619,38 @@ class TestEval:
         assert run(["eval", str(model), str(data)] + (["--with-uq"] if with_uq else [])) == 1
         err = capsys.readouterr().err
         assert "gram_factor" in err and "Gram factor is corrupt" in err and "Traceback" not in err
+
+    @pytest.fixture()
+    def trained_chol_pca(self, adv1_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir),
+            "kernel": {"family": "matern", "nu": 2.5, "lengthscale": 5.0},
+            "gamma": 1e-8,
+            "preconditioner": "cholesky",
+            "pca": {"enabled": True, "input_fraction": 0.99, "output_fraction": 0.99},
+            "output_dir": str(tmp_path / "model"),
+        })
+        assert run(["train", "--config", cfg]) == 0
+        return tmp_path / "model"
+
+    def test_eval_serves_a_mapped_model(self, trained_chol_pca, adv1_dir, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(["eval", str(trained_chol_pca), str(adv1_dir), "--with-uq", "--flops",
+                    "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert np.isfinite(data["mean_relative_l2"]) and data["uq"]["max_std"] > 0
+        assert data["flops"]["per_query_flops"] > 0
+
+    @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
+    @pytest.mark.parametrize("name", ["coefficients.bin", "l_input.bin", "pca_input.bin"])
+    def test_non_finite_model_array_fails_eval(self, trained_chol_pca, adv1_dir, capsys, name, with_uq):
+        path = trained_chol_pca / name
+        arr = np.fromfile(path, dtype="<f8")
+        arr[3] = np.nan
+        write_array(trained_chol_pca, name, arr)
+        assert run(["eval", str(trained_chol_pca), str(adv1_dir)] + (["--with-uq"] if with_uq else [])) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: non-finite value nan at flat index 3" in err and "Traceback" not in err
 
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []

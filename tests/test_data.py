@@ -306,6 +306,46 @@ class TestContainer:
         for name in ("train_inputs.bin", "test_outputs.bin", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        save_dataset(gen_advection1(5, 3, grid_size=16, seed=1), tmp_path / "d")
+        back = load_dataset(tmp_path / "d")
+        for attr in ("input_grid", "output_grid", "train_inputs", "train_outputs", "test_inputs", "test_outputs"):
+            assert not getattr(back, attr).flags.writeable, attr
+
+    def test_zero_row_split_round_trips(self, tmp_path):
+        ds = gen_advection1(4, 0, grid_size=16, seed=1)
+        save_dataset(ds, tmp_path / "d")
+        assert (tmp_path / "d" / "test_inputs.bin").stat().st_size == 0
+        back = load_dataset(tmp_path / "d")
+        assert back.test_inputs.shape == (0, 16) and back.test_outputs.shape == (0, 16)
+        assert not back.test_inputs.flags.writeable
+        assert np.array_equal(back.train_inputs, ds.train_inputs)
+
+    def test_save_replaces_every_file(self, tmp_path):
+        # a new inode per file: a mapping of the old file keeps the old bytes
+        ds = gen_advection1(5, 3, grid_size=16, seed=1)
+        save_dataset(ds, tmp_path / "d")
+        inodes = {p.name: p.stat().st_ino for p in (tmp_path / "d").iterdir()}
+        save_dataset(gen_advection1(5, 3, grid_size=16, seed=2), tmp_path / "d")
+        after = {p.name: p.stat().st_ino for p in (tmp_path / "d").iterdir()}
+        assert after.keys() == inodes.keys() and not any(after[n] == inodes[n] for n in after)
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        class Torn(np.ndarray):
+            def tofile(self, fh):
+                fh.write(self.tobytes()[: self.nbytes // 2])
+                raise OSError(28, "No space left on device")
+
+        save_dataset(gen_advection1(5, 3, grid_size=16, seed=1), tmp_path / "d")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+        other = gen_advection1(5, 3, grid_size=16, seed=2)
+        real = np.ascontiguousarray
+        monkeypatch.setattr(np, "ascontiguousarray", lambda a, dtype=None: real(a, dtype=dtype).view(Torn))
+        with pytest.raises(OSError, match="No space left"):
+            save_dataset(other, tmp_path / "d")
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == before
+
     def test_truncated_binary_reports_byte_counts(self, tmp_path):
         ds = gen_advection1(5, 3, grid_size=16, seed=1)
         save_dataset(ds, tmp_path / "d")

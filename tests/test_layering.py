@@ -4,7 +4,8 @@ kernels, so that recovery, regression or the operator never enter it. Also read
 from the source: the regressor factorizes S + gamma*I at one call site, recovery
 solves against a map's cached factor at one call site, the operator builds
 recovery weights only for off-grid UQ and keeps one module-level cache, its fold,
-and every stationary Gram gets its distances from ``kernels.distances``."""
+every stationary Gram gets its distances from ``kernels.distances``, and binaries
+have one reader and one writer, in the data container."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,27 @@ def test_stationary_grams_get_their_distances_from_one_function():
     fns = {f.name: f for f in ast.walk(kernels) if isinstance(f, ast.FunctionDef)}
     assert len(calls_to(fns["gram"], "distances")) == 1 and calls_to(fns["gram"], "cdist") == []
     assert len(calls_to(kernels, "cdist")) == len(calls_to(fns["distances"], "cdist")) == 1
+
+
+def binary_io(tree: ast.AST) -> set[str]:
+    """The ways the file reads or writes a binary: ``fromfile``, ``tofile``, ``mmap``
+    (attribute or import) and ``os.replace``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("fromfile", "tofile", "mmap"):
+            found.add(node.attr)
+        elif isinstance(node, ast.Attribute) and node.attr == "replace" and getattr(node.value, "id", None) == "os":
+            found.add("os.replace")
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name == "mmap")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "mmap", "numpy"):
+            found.update(f"{node.module}.{a.name}" for a in node.names if a.name in ("replace", "mmap", "fromfile"))
+    return found
+
+
+def test_binaries_have_one_reader_and_one_writer():
+    uses = {path.relative_to(PACKAGE).as_posix(): binary_io(ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: found for path, found in uses.items() if found} == {
+        "data/container.py": {"mmap", "tofile", "os.replace"},
+    }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from odlearn import cli, operator
-from odlearn.data import Dataset, gen_advection1
+from odlearn.data import Dataset, gen_advection1, load_dataset, save_dataset
 from odlearn.data.container import write_array
 from odlearn.errors import DatasetFormatError, OdlearnError
 from odlearn.kernels import ScalarKernel, gram
@@ -487,6 +488,81 @@ def uq_dataset_model(request):
 def offgrid(grid):
     """As many query points as the grid has, none of them on it."""
     return grid + 0.25 * (grid[1] - grid[0])
+
+
+def held_arrays(obj, path="model") -> dict:
+    """Every array in the dataclass fields of ``obj``, nested, by attribute path."""
+    if isinstance(obj, np.ndarray):
+        return {path: obj}
+    if not dataclasses.is_dataclass(obj):
+        return {}
+    found = {}
+    for f in dataclasses.fields(obj):
+        found.update(held_arrays(getattr(obj, f.name), f"{path}.{f.name}"))
+    return found
+
+
+class TestMappedModels:
+    """A loaded model's arrays map its files read-only; saves replace files."""
+
+    def test_every_serving_path_works_on_read_only_arrays(self, tmp_path, uq_dataset_model):
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        arrays = held_arrays(loaded)
+        assert len(arrays) >= 8 and [k for k, a in arrays.items() if a.flags.writeable] == []
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        for q in (ds.output_grid, offgrid(ds.output_grid)):
+            assert np.array_equal(apply_batch(loaded, ds.test_inputs, q), apply_batch(model, ds.test_inputs, q))
+            assert np.array_equal(apply(loaded, u, q).values, apply(model, u, q).values)
+            for got, want in zip(apply_with_uq(loaded, u, q), apply_with_uq(model, u, q)):
+                assert np.array_equal(got.values, want.values)
+        assert error_bound(loaded, u, 2.0) == error_bound(model, u, 2.0)
+        fine = np.linspace(0.0, 1.0, 39)[:, None]
+        foreign = RecoveryMap(loaded.input_recovery.kernel, MeasurementOperator(fine))
+        u_fine = recover(loaded.input_recovery, measure(loaded.input_measurement, u), fine)
+        assert np.array_equal(apply_mesh_invariant(loaded, u_fine, foreign, ds.output_grid).values,
+                              apply_mesh_invariant(model, u_fine, foreign, ds.output_grid).values)
+
+    def test_saving_over_a_loaded_model_and_dataset_leaves_them_unchanged(self, tmp_path, uq_dataset_model):
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        save_dataset(ds, tmp_path / "d")
+        loaded, data = load_model(tmp_path / "m"), load_dataset(tmp_path / "d")
+        q = offgrid(ds.output_grid)  # off the grid: nothing cached from the first call serves the second
+        expected = apply_batch(loaded, ds.test_inputs, q)
+        model_copy = {k: a.copy() for k, a in held_arrays(loaded).items()}
+        data_copy = {k: a.copy() for k, a in held_arrays(data, "dataset").items()}
+        # another model and dataset with files of the same sizes
+        other = fit_operator(
+            ds.input_grid, ds.output_grid, ds.train_inputs, 2.0 * ds.train_outputs, model.regressor.kernel,
+            gamma=1e-5, preconditioner=model.preconditioner, pca_input_fraction=0.999, pca_output_fraction=0.999,
+        )
+        assert other.output_pca.k == model.output_pca.k
+        save_model(other, tmp_path / "m")
+        save_dataset(Dataset("other", ds.input_grid, ds.output_grid, -ds.train_inputs, ds.train_outputs,
+                             -ds.test_inputs, ds.test_outputs), tmp_path / "d")
+        assert np.array_equal(load_model(tmp_path / "m").regressor.coef, other.regressor.coef)
+        assert np.array_equal(load_dataset(tmp_path / "d").test_inputs, -ds.test_inputs)
+        for k, a in held_arrays(loaded).items():
+            assert np.array_equal(a, model_copy[k]), k
+        for k, a in held_arrays(data, "dataset").items():
+            assert np.array_equal(a, data_copy[k]), k
+        assert np.array_equal(apply_batch(loaded, ds.test_inputs, q), expected)
+
+    def test_factor_checked_once_per_loaded_model(self, tmp_path, monkeypatch, uq_dataset_model):
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        checks = []
+        real = regression.TrainedRegressor.__post_init__
+        monkeypatch.setattr(regression.TrainedRegressor, "__post_init__", lambda self: checks.append(1) or real(self))
+        loaded = load_model(tmp_path / "m")
+        for x in ds.test_inputs[:3]:
+            apply(loaded, FunctionSamples(ds.input_grid, x), ds.output_grid)
+        assert len(checks) == 1
+        grid_reg = loaded._grid_regressor
+        assert grid_reg.input_sqnorms is loaded.regressor.input_sqnorms
+        assert grid_reg.chol is loaded.regressor.chol and grid_reg.coef is loaded._fold.A
 
 
 class TestInferenceCore:
