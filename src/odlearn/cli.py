@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import metrics, operator, regression
 from .data import GENERATORS, Dataset, load_dataset, manifest_sha256, save_dataset
-from .data.container import manifest_count, manifest_file
+from .data.container import manifest_count, manifest_file, write_text
 from .errors import OdlearnError, UsageError
 from .kernels import ScalarKernel
 from .recovery import recovery_weights  # noqa: F401 - traced by bench/spans.py
@@ -337,10 +338,11 @@ def evaluate_model(
 
 
 def _write_csv(path: Path, fields: list, rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    write_text(path, text.getvalue())
 
 
 def _csv_row(model: operator.OperatorModel, dataset_label: str, report: dict) -> dict:
@@ -386,7 +388,7 @@ def train_and_save(train: Callable, source: Path | dict, out: Path) -> tuple[ope
     model, resolved = train(dataset)
     resolved["dataset_source"] = label
     operator.save_model(model, out)
-    (out / "resolved_config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
+    write_text(out / "resolved_config.json", json.dumps(resolved, indent=2, sort_keys=True))
     return model, dataset, resolved
 
 
@@ -428,7 +430,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         report["resolved_config"] = json.loads(resolved_path.read_text())
     report_path = Path(ns.report) if ns.report else Path(ns.model_dir) / f"eval_{dataset.name}_{ns.split}.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True))
+    write_text(report_path, json.dumps(report, indent=2, sort_keys=True))
     row = _csv_row(model, dataset.name, report)
     _write_csv(report_path.with_suffix(".csv"), list(row), [row])
     print(f"mean relative L2 ({ns.split}, {report['quadrature']}): {report['mean_relative_l2']:.6e}")

@@ -25,11 +25,12 @@ read-only too. Writes never change a file in place: each file is written to a
 uniquely named temporary sibling and moved over its target with
 ``os.replace``, one file at a time, so a live mapping keeps the old file's
 bytes and a reader never sees a torn file; a load racing a save of the same
-directory may still see old and new files together. On Python < 3.13 each
-mapped file holds one duplicated file descriptor while an array on it is
-alive. A third party rewriting a mapped file in place, rather than replacing
-it, is outside this contract: the arrays change with it, and a read past a
-truncated end raises SIGBUS.
+directory may still see old and new files together. ``write_text`` writes the
+manifests and the CLI's configs, reports and CSVs the same way. On Python <
+3.13 each mapped file holds one duplicated file descriptor while an array on
+it is alive. A third party rewriting a mapped file in place, rather than
+replacing it, is outside this contract: the arrays change with it, and a read
+past a truncated end raises SIGBUS.
 """
 
 from __future__ import annotations
@@ -171,9 +172,13 @@ def read_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
+def write_text(path: Path, text: str) -> None:
+    """Replace ``path`` by a file holding ``text`` in UTF-8, as ``_replace`` does."""
+    _replace(path, lambda fh: fh.write(text.encode()))
+
+
 def write_manifest(directory: Path, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True)
-    _replace(directory / "manifest.json", lambda fh: fh.write(text.encode()))
+    write_text(directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def read_manifest(directory: Path, version: int, kind: str) -> dict:

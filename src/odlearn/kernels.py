@@ -224,10 +224,11 @@ def gram(kernel: ScalarKernel, X, Y=None, Y_sqnorms=None) -> np.ndarray:
 
     ``Y=None`` means ``Y = X``; the result is then symmetric positive
     semidefinite up to roundoff. ``Y_sqnorms``, the squared row norms of a
-    ``Y`` queried again and again, is passed on to ``distances``.
+    ``Y`` queried again and again, is passed on to ``distances``; a ``Y`` that
+    comes with them must already be points (``as_points``) and is not rescanned.
     """
     X = as_points(X, "X")
-    Y_pts = X if Y is None else as_points(Y, "Y")
+    Y_pts = X if Y is None else Y if Y_sqnorms is not None else as_points(Y, "Y")
     if X.shape[1] != Y_pts.shape[1]:
         raise ValueError(f"dimension mismatch: X is {X.shape[1]}-d, Y is {Y_pts.shape[1]}-d")
     if kernel.family == "linear":

@@ -16,9 +16,11 @@ Every stage around the regressor's kernel row is linear, so serving folds them
 into matrices built once per model chain (``_Fold``): the features are X @ M -
 offset, and the values on the model's own output grid are the kernel row times
 A plus a0, the paper's expansion G(u)(y) = sum_i S(phi(u), U_i) a_i(y) read off
-at the grid. Models are immutable after assembly, apart from cached factors and
-that fold, which a reloaded model with an equal chain shares; all apply-style
-operations are pure.
+at the grid, through the model's one regressor with A as its coefficients. Any
+other query set recovers the predicted measurements there, so an off-grid UQ
+mean is bitwise ``apply``; only its std builds recovery weights. Models are
+immutable after assembly, apart from cached factors and that fold, which a
+reloaded model with an equal chain shares; all apply-style operations are pure.
 The grid kernels use the default nugget, and the preconditioner type a model
 reports is read off its measurement operators.
 A saved model uses the dataset container's layout and loader
@@ -113,12 +115,6 @@ class OperatorModel:
             last = _last_fold = _build_fold(self, key)
         return last
 
-    @cached_property
-    def _grid_regressor(self) -> regression.TrainedRegressor:
-        """The regressor with coefficients A: its outputs are, up to a0, the values
-        on the model's own output grid."""
-        return self.regressor.with_coef(self._fold.A)
-
 
 @dataclass(frozen=True)
 class _Fold:
@@ -166,12 +162,11 @@ def _build_fold(model: OperatorModel, key: tuple) -> _Fold:
     return _Fold(key, M, offset, A, a0, norms)
 
 
-def _weight_rows(model: OperatorModel, query_points) -> tuple[np.ndarray, np.ndarray]:
-    """Recovery weights W at the query points, and the row norms of the weights
-    acting on regressor outputs (W @ output PCA basis, or W itself)."""
+def _weight_norms(model: OperatorModel, query_points) -> np.ndarray:
+    """The row norms of the recovery weights W at the query points acting on
+    regressor outputs: of W @ output PCA basis, or of W itself."""
     W = recovery_weights(model.output_recovery, query_points)
-    B = W if model.output_pca is None else W @ model.output_pca.basis
-    return W, np.linalg.norm(B, axis=1)
+    return np.linalg.norm(W if model.output_pca is None else W @ model.output_pca.basis, axis=1)
 
 
 def _features(model: OperatorModel, X: np.ndarray) -> np.ndarray:
@@ -188,8 +183,8 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     mean and the variance off one kernel row per input row. On the model's own
     output grid the values are that kernel row times the folded A, plus a0,
     and the std factors are the fold's norms; no m x m weight matrix is read.
-    Other query sets pay one recovery solve per row, or, when std is asked,
-    build their weights once for both mean and std.
+    Other query sets pay one recovery solve per row, and, when std is asked,
+    build their weights for the std factors alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = model.input_measurement.size
@@ -206,18 +201,15 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     on_grid = qp.shape == grid.shape and np.array_equal(qp, grid)
     if not on_grid:
         qp = as_query_points(rmap, qp)  # before the fold and any solve, so a rejected set builds nothing
-    U = _features(model, X)
-    reg = model._grid_regressor if on_grid else model.regressor
-    out, var = regression.posterior(reg, U) if std else (regression.predict(reg, U), None)
+    U, fold, reg = _features(model, X), model._fold, model.regressor
+    coef = fold.A if on_grid else None
+    out, var = regression.posterior(reg, U, coef) if std else (regression.predict(reg, U, coef), None)
     if on_grid:
-        fold = model._fold
         mean, norms = (out if fold.a0 is None else out + fold.a0), fold.norms
     else:
         V = out if model.output_pca is None else reconstruct(model.output_pca, out)
-        if not std:
-            return evaluate(rmap, rmap.coefficients(V), qp).T, None
-        W, norms = _weight_rows(model, qp)
-        mean = V @ W.T
+        mean = evaluate(rmap, rmap.coefficients(V), qp).T
+        norms = _weight_norms(model, qp) if std else None
     if not std:
         return mean, None
     return mean, np.sqrt(np.clip(var, 0.0, None))[:, None] * norms
@@ -505,10 +497,10 @@ def save_model(model: OperatorModel, directory) -> None:
 def load_model(directory) -> OperatorModel:
     """Load a model directory written by save_model; older models' training targets are not read.
 
-    The binaries are mapped read-only. The regressor's factor check comes first,
-    then every other array is checked finite (about 1 ms on the 20 MB darcy
-    model with a Cholesky preconditioner, which also faults in its pages); a
-    failure names the file."""
+    The binaries are mapped read-only. The training features are checked finite
+    first, then the regressor's factor, then every other array is checked
+    finite (about 1 ms on the 20 MB darcy model with a Cholesky preconditioner,
+    which also faults in its pages); a failure names the file."""
     directory = Path(directory)
     manifest = read_manifest(directory, MODEL_FORMAT_VERSION, "model")
     with manifest_keys(directory / "manifest.json"):
@@ -522,13 +514,14 @@ def load_model(directory) -> OperatorModel:
         k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
         inputs, coef, chol = (_read_bin(directory, arrays, key)
                               for key in ("train_features", "coefficients", "gram_factor"))
+        _finite(directory / arrays["train_features"]["file"], inputs)  # before the regressor rejects it unnamed
         try:
             reg = regression.TrainedRegressor(kernel=s_kernel, inputs=inputs, gamma=manifest["gamma"],
                                               coef=coef, chol=chol)
         except OdlearnError as exc:  # the factor check; shapes and gamma raise ValueError
             raise DatasetFormatError(f"{directory / arrays['gram_factor']['file']}: {exc}") from exc
         # the points are checked finite as points, by MeasurementOperator
-        for key, a in (("train_features", inputs), ("coefficients", coef), ("l_input", L_in), ("l_output", L_out)):
+        for key, a in (("coefficients", coef), ("l_input", L_in), ("l_output", L_out)):
             if a is not None:
                 _finite(directory / arrays[key]["file"], a)
         return OperatorModel(

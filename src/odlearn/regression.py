@@ -6,12 +6,14 @@ Cholesky factorization of S(U, U) + gamma*I serves all coefficient columns;
 this is the dominant cost saver of the whole pipeline. A fitted regressor keeps
 the lower factor L of that matrix next to the coefficients, so the
 Gaussian-process posterior variance at a query is one triangular solve against
-L: s(q, q) - |L^-1 s(U, q)|^2. ``posterior`` reads the mean s(q, U) coef and
-that variance off one kernel row per query. Every factorization of S + gamma*I,
-in ``fit`` and in the evidence, is one step that advises a larger gamma on failure.
-A regressor is checked when it is built: the squares in each row of L must sum
-to S(U_i, U_i) + gamma to 1e-10 relative, so a factor that does not belong to
-the features and gamma beside it (a corrupt saved model) is an OdlearnError.
+L: s(q, q) - |L^-1 s(U, q)|^2. ``posterior`` reads the mean s(q, U) coef, or
+s(q, U) times other (N, m') coefficients, and that variance off one kernel row
+per query. Every factorization of S + gamma*I, in ``fit`` and in the evidence,
+is one step that advises a larger gamma on failure. A regressor is checked once,
+when it is built: its features must be finite, and the squares in each row of L
+must sum to S(U_i, U_i) + gamma to 1e-10 relative, so a factor that does not
+belong to the features and gamma beside it (a corrupt saved model) is an
+OdlearnError.
 
 The Gram and every kernel row get their distances from ``kernels.distances``:
 ``cdist`` below ``kernels.GRAM_IDENTITY_MIN_DIM`` feature dimensions or
@@ -74,6 +76,7 @@ class TrainedRegressor:
                              f"{self.inputs.shape}, {self.coef.shape} and {self.chol.shape}")
         if not (isinstance(self.gamma, float) and np.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be a finite float >= 0, got {self.gamma!r}")
+        as_points(self.inputs, "inputs")  # once: kernel rows pass them to gram with their norms, unscanned
         # row i of L L^T = S + gamma I on the diagonal: a Cholesky factor meets it to ~N eps.
         # einsum needs no N x N temporary: 0.14 ms at N = 500, against 0.33 for square-and-sum
         expected = gram_diag(self.kernel, self.inputs) + self.gamma
@@ -89,16 +92,6 @@ class TrainedRegressor:
     def input_sqnorms(self) -> np.ndarray:
         """Squared norms of the training features, for the kernel rows of every query."""
         return sqnorms(self.inputs)
-
-    def with_coef(self, coef: np.ndarray) -> TrainedRegressor:
-        """This regressor with coefficients ``coef`` (N, m') for the same features,
-        gamma and factor. The factor, already checked, is not checked again,
-        and the features' squared norms are shared."""
-        if coef.ndim != 2 or coef.shape[0] != self.n_train:
-            raise ValueError(f"coef must be ({self.n_train}, m), got {coef.shape}")
-        other = object.__new__(TrainedRegressor)
-        other.__dict__.update(vars(self), coef=coef, input_sqnorms=self.input_sqnorms)
-        return other
 
     @property
     def n_train(self) -> int:
@@ -182,11 +175,12 @@ def _variance(model: TrainedRegressor, U: np.ndarray, K: np.ndarray) -> np.ndarr
     return var
 
 
-def predict(model: TrainedRegressor, U) -> np.ndarray:
-    """Predict S(U, inputs) @ coef; a single n-vector gives an m-vector, an
-    (B, n) batch gives (B, m)."""
+def predict(model: TrainedRegressor, U, coef=None) -> np.ndarray:
+    """Predict S(U, inputs) @ coef; a single n-vector gives an m'-vector, an
+    (B, n) batch gives (B, m'). ``coef`` is any (N, m') matrix on the training
+    features, by default the fitted ``model.coef``."""
     _, K, single = _queries(model, U)
-    out = K @ model.coef
+    out = K @ (model.coef if coef is None else coef)
     return out[0] if single else out
 
 
@@ -202,10 +196,11 @@ def posterior_variance(model: TrainedRegressor, U):
     return float(var[0]) if single else var
 
 
-def posterior(model: TrainedRegressor, U):
-    """``predict`` and ``posterior_variance`` at once, from one kernel row per query."""
+def posterior(model: TrainedRegressor, U, coef=None):
+    """``predict`` with ``coef`` and ``posterior_variance`` at once, from one
+    kernel row per query."""
     U, K, single = _queries(model, U)
-    mean, var = K @ model.coef, _variance(model, U, K)
+    mean, var = K @ (model.coef if coef is None else coef), _variance(model, U, K)
     return (mean[0], float(var[0])) if single else (mean, var)
 
 

@@ -1,12 +1,15 @@
+import builtins
 import csv
+import errno
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
 
 from odlearn import cli, operator, regression
-from odlearn.data import load_dataset
+from odlearn.data import container, load_dataset
 from odlearn.data.container import write_array
 from odlearn.errors import OdlearnError
 from odlearn.kernels import ScalarKernel
@@ -642,7 +645,7 @@ class TestEval:
         assert data["flops"]["per_query_flops"] > 0
 
     @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
-    @pytest.mark.parametrize("name", ["coefficients.bin", "l_input.bin", "pca_input.bin"])
+    @pytest.mark.parametrize("name", ["train_features.bin", "coefficients.bin", "l_input.bin", "pca_input.bin"])
     def test_non_finite_model_array_fails_eval(self, trained_chol_pca, adv1_dir, capsys, name, with_uq):
         path = trained_chol_pca / name
         arr = np.fromfile(path, dtype="<f8")
@@ -668,6 +671,70 @@ class TestEval:
             reports.append(json.loads(rp.read_text()))
         assert reports[0]["mean_relative_l2"] == reports[1]["mean_relative_l2"]
         assert reports[0]["per_sample_relative_l2"] == reports[1]["per_sample_relative_l2"]
+
+
+class TestAtomicWrites:
+    """The configs, reports and CSVs the CLI writes replace their files, never rewrite them."""
+
+    @pytest.fixture()
+    def commands(self, adv1_dir, tmp_path):
+        """train, eval and sweep argv, and the four files they write."""
+        model, report = tmp_path / "model", tmp_path / "r.json"
+        cfg = write_config(tmp_path / "cfg.json", {
+            "dataset": str(adv1_dir), "kernel": {"family": "linear"}, "gamma": 1e-12, "output_dir": str(model),
+        })
+        sweep = write_config(tmp_path / "sweep.json", {
+            "dataset": str(adv1_dir), "output_dir": str(tmp_path / "sweep"),
+            "variants": [{"label": "linear", "kernel": {"family": "linear"}, "gamma": 1e-12}],
+        })
+        argvs = [["train", "--config", cfg], ["eval", str(model), str(adv1_dir), "--report", str(report)],
+                 ["sweep", "--config", sweep]]
+        files = [model / "resolved_config.json", report, report.with_suffix(".csv"), tmp_path / "sweep" / "sweep.csv"]
+        for argv in argvs:
+            assert run(argv) == 0
+        return argvs, files
+
+    def test_each_write_gives_its_file_a_new_inode(self, commands):
+        argvs, files = commands
+        held = [f.open("rb") for f in files]  # alive, so no old inode is reused
+        try:
+            old = [(os.fstat(fh.fileno()).st_ino, fh.read()) for fh in held]
+            for argv in argvs:
+                assert run(argv) == 0
+            for f, fh, (inode, data) in zip(files, held, old):
+                assert f.stat().st_ino != inode, f.name
+                fh.seek(0)
+                assert fh.read() == data, f.name
+        finally:
+            for fh in held:
+                fh.close()
+        assert [p for f in files for p in f.parent.glob(".*.tmp")] == []
+
+    def test_write_failing_halfway_leaves_the_old_report(self, commands, monkeypatch, capsys):
+        argvs, files = commands
+        report, table = files[1:3]
+        old = {f: f.read_bytes() for f in (report, table)}
+        names = sorted(p.name for p in report.parent.iterdir())
+
+        class HalfFull:  # the disk fills halfway through every write
+            def __init__(self, path, mode):
+                self.fh = builtins.open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(container, "open", HalfFull, raising=False)
+        assert run(argvs[1] + ["--with-uq"]) == 1  # a longer report than the old one
+        assert "No space left on device" in capsys.readouterr().err
+        assert {f: f.read_bytes() for f in (report, table)} == old
+        assert sorted(p.name for p in report.parent.iterdir()) == names
 
 
 class TestSweep:

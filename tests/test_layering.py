@@ -4,8 +4,9 @@ kernels, so that recovery, regression or the operator never enter it. Also read
 from the source: the regressor factorizes S + gamma*I at one call site, recovery
 solves against a map's cached factor at one call site, the operator builds
 recovery weights only for off-grid UQ and keeps one module-level cache, its fold,
-every stationary Gram gets its distances from ``kernels.distances``, and binaries
-have one reader and one writer, in the data container."""
+every stationary Gram gets its distances from ``kernels.distances``, binaries
+have one reader and one writer, in the data container, and no object is built
+around its constructor's checks."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,16 @@ def test_binaries_have_one_reader_and_one_writer():
     assert {path: found for path, found in uses.items() if found} == {
         "data/container.py": {"mmap", "tofile", "os.replace"},
     }
+
+
+def test_no_object_skips_its_constructor_checks():
+    # a TrainedRegressor is made only through __post_init__'s factor check: nothing
+    # calls object.__new__ or touches an instance's __dict__
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            new = (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"
+                   and getattr(node.func.value, "id", None) == "object")
+            if new or (isinstance(node, ast.Attribute) and node.attr == "__dict__"):
+                found.append(f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno}")
+    assert found == []

@@ -560,9 +560,6 @@ class TestMappedModels:
         for x in ds.test_inputs[:3]:
             apply(loaded, FunctionSamples(ds.input_grid, x), ds.output_grid)
         assert len(checks) == 1
-        grid_reg = loaded._grid_regressor
-        assert grid_reg.input_sqnorms is loaded.regressor.input_sqnorms
-        assert grid_reg.chol is loaded.regressor.chol and grid_reg.coef is loaded._fold.A
 
 
 class TestInferenceCore:
@@ -639,14 +636,13 @@ class TestInferenceCore:
             mean, std = operator._predict(model, ds.test_inputs, q, std=True)
             assert rows == [len(ds.test_inputs)]
             # bitwise what predict and the clipped posterior_variance give: on the own
-            # grid through the folded A and a0, elsewhere through the weights W
+            # grid through the folded A and a0, elsewhere the mean of apply_batch
             U = operator._features(model, ds.test_inputs)
             if q is ds.output_grid:
                 fold = model._fold
-                expected, norms = regression.predict(model._grid_regressor, U) + fold.a0, fold.norms
+                expected, norms = regression.predict(reg, U, fold.A) + fold.a0, fold.norms
             else:
-                W, norms = operator._weight_rows(model, q)
-                expected = reconstruct(model.output_pca, regression.predict(reg, U)) @ W.T
+                expected, norms = apply_batch(model, ds.test_inputs, q), operator._weight_norms(model, q)
             assert np.array_equal(mean, expected)
             assert np.array_equal(std, np.sqrt(np.clip(regression.posterior_variance(reg, U), 0.0, None))[:, None] * norms)
 
@@ -729,19 +725,35 @@ class TestInferenceCore:
         assert "_factor" not in vars(loaded.output_recovery)
         assert "_preconditioner_lu" not in vars(loaded.output_recovery)
 
-    def test_offgrid_uq_builds_one_cross_gram_and_its_mean_is_apply(self, uq_dataset_model, monkeypatch):
+    def test_offgrid_uq_builds_weights_once_mean_is_apply(self, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
         q = offgrid(ds.output_grid)
-        batch = apply_batch(model, ds.test_inputs, q)
-        scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))  # RMS row norm
         applied = [apply(model, FunctionSamples(ds.input_grid, x), q).values for x in ds.test_inputs]
-        real = operator.evaluate
-        blocked = []  # the coefficient form's blocked cross Gram
-        monkeypatch.setattr(operator, "evaluate", lambda *a: blocked.append(1) or real(*a))
+        real = operator.recovery_weights
+        weights = []
+        monkeypatch.setattr(operator, "recovery_weights", lambda *a: weights.append(1) or real(*a))
         for x, expected in zip(ds.test_inputs, applied):
             mean, _ = apply_with_uq(model, FunctionSamples(ds.input_grid, x), q)
-            assert np.linalg.norm(mean.values - expected) <= 1e-12 * scale
-        assert blocked == []
+            assert np.array_equal(mean.values, expected)
+        assert len(weights) == len(ds.test_inputs)  # one W per UQ request, for its std
+
+    @pytest.mark.parametrize("queries", ["grid", "lattice", "dense"])
+    def test_uq_mean_is_apply_bitwise(self, uq_dataset_model, monkeypatch, queries):
+        # at threshold 0 the off-grid lattice, of the grid's step, convolves; the
+        # 301-point set is no such lattice and takes the dense path
+        from odlearn import recovery
+
+        monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", 0)
+        ds, model = uq_dataset_model
+        g = ds.output_grid
+        q = {"grid": g, "lattice": offgrid(g), "dense": np.linspace(0.0, 1.0, 301)[:, None]}[queries]
+        if queries != "grid":
+            assert (recovery._lattice_pair(model.output_recovery, q) is None) == (queries == "dense")
+        for x in ds.test_inputs:
+            u = FunctionSamples(ds.input_grid, x)
+            assert np.array_equal(apply_with_uq(model, u, q)[0].values, apply(model, u, q).values)
+        mean, std = operator._predict(model, ds.test_inputs, q, std=True)
+        assert np.array_equal(mean, apply_batch(model, ds.test_inputs, q)) and std.shape == mean.shape
 
     def test_apply_equals_recover_on_and_off_grid(self, uq_dataset_model):
         ds, model = uq_dataset_model

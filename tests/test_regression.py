@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import cho_factor, solve_triangular
 from scipy.spatial.distance import cdist
 
-from odlearn import regression
+from odlearn import kernels, regression
 from odlearn.errors import FactorizationError
 from odlearn.kernels import GRAM_IDENTITY_MIN_DIM, ScalarKernel, gram, sqnorms
 from odlearn.regression import (
@@ -140,6 +140,33 @@ class TestPredict:
         model = fit(ScalarKernel.gaussian(1.0), [[0.0, 1.0]], [[1.0]], gamma=0.0)
         with pytest.raises(ValueError, match="dimension"):
             predict(model, [1.0, 2.0, 3.0])
+
+    def test_other_coefficients_share_the_kernel_row(self):
+        rng = np.random.default_rng(30)
+        U = rng.normal(size=(7, 3))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=1.2)
+        model = fit(kernel, U, rng.normal(size=(7, 2)), gamma=1e-6)
+        C, Q = rng.normal(size=(7, 5)), rng.normal(size=(4, 3))
+        assert np.array_equal(predict(model, Q, C), gram(kernel, Q, U) @ C)
+        assert np.array_equal(predict(model, Q, model.coef), predict(model, Q))
+        np.testing.assert_allclose(predict(model, Q[1], C), predict(model, Q, C)[1], rtol=1e-14)
+        mean, var = regression.posterior(model, Q, C)
+        assert np.array_equal(mean, predict(model, Q, C)) and np.array_equal(var, posterior_variance(model, Q))
+
+    def test_features_are_checked_once_at_construction(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        U = rng.normal(size=(6, 2))
+        kernel = ScalarKernel.matern(nu=1.5, lengthscale=1.0)
+        model = fit(kernel, U, rng.normal(size=(6, 1)), gamma=1e-6)
+        bad = U.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^inputs contains non-finite coordinates$"):
+            regression.TrainedRegressor(kernel=kernel, inputs=bad, gamma=model.gamma, coef=model.coef, chol=model.chol)
+        scanned = []
+        real = kernels.as_points
+        monkeypatch.setattr(kernels, "as_points", lambda X, name: scanned.append(name) or real(X, name))
+        predict(model, rng.normal(size=(3, 2)))
+        assert scanned == ["X"]  # the queries; the training features come with their norms
 
 
 class TestPosteriorVariance:
