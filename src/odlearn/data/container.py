@@ -30,7 +30,9 @@ manifests and the CLI's configs, reports and CSVs the same way. On Python <
 3.13 each mapped file holds one duplicated file descriptor while an array on
 it is alive. A third party rewriting a mapped file in place, rather than
 replacing it, is outside this contract: the arrays change with it, and a read
-past a truncated end raises SIGBUS.
+past a truncated end raises SIGBUS. ``operator.load_model`` relies on it too:
+a load whose bytes equal the last load's returns that model unchecked, which
+is sound only because a file that passed the checks never changes in place.
 """
 
 from __future__ import annotations

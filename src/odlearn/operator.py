@@ -13,23 +13,26 @@ reading of the regressor yields pointwise predictive standard deviations
 (``error_bound``).
 
 Every stage around the regressor's kernel row is linear, so serving folds them
-into matrices built once per model chain (``_Fold``): the features are X @ M -
-offset, and the values on the model's own output grid are the kernel row times
-A plus a0, the paper's expansion G(u)(y) = sum_i S(phi(u), U_i) a_i(y) read off
-at the grid, through the model's one regressor with A as its coefficients. Any
-other query set recovers the predicted measurements there, so an off-grid UQ
-mean is bitwise ``apply``; only its std builds recovery weights. Models are
-immutable after assembly, apart from cached factors and that fold, which a
-reloaded model with an equal chain shares; all apply-style operations are pure.
-The grid kernels use the default nugget, and the preconditioner type a model
-reports is read off its measurement operators.
+into matrices, each a cached property of the model built by the first request
+that reads it: the features are X @ M - offset (``_feature_map``), and the
+values on the model's own output grid are the kernel row times A plus a0
+(``_grid_mean``), the paper's expansion G(u)(y) = sum_i S(phi(u), U_i) a_i(y)
+read off at the grid, through the model's one regressor with A as its
+coefficients; the std there is sqrt(s) times ``_grid_norms``. Any other query
+set recovers the predicted measurements there, so an off-grid UQ mean is
+bitwise ``apply``; only its std builds recovery weights. Models are immutable
+after assembly, apart from those cached parts and factors; all apply-style
+operations are pure. The grid kernels use the default nugget, and the
+preconditioner type a model reports is read off its measurement operators.
 A saved model uses the dataset container's layout and loader
 (``data/container.py``): a JSON manifest plus raw little-endian float64
 binaries, mapped read-only at load and replaced file by file, never rewritten
 in place, at save. So every array of a loaded model is read-only and shares
 the page cache with its file; a model stays as it was loaded when its directory
 is saved over. ``load_model`` checks the regressor's factor and then that every
-other array is finite, and names the file that fails.
+other array is finite, and names the file that fails. A load of the same bytes
+as the last successful one returns that load's model, parts built, unchecked;
+the one module global, ``_last_load``, holds it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import regression
 from .data.container import (
@@ -52,7 +54,7 @@ from .data.container import (
     write_manifest,
 )
 from .errors import DatasetFormatError, OdlearnError
-from .kernels import ScalarKernel, as_points
+from .kernels import ScalarKernel, as_points, distances
 from .preprocess import PcaProjector, pca_fit, project, reconstruct
 from .recovery import (
     FunctionSamples,
@@ -69,7 +71,7 @@ from .recovery import (
 )
 
 MODEL_FORMAT_VERSION = 1
-_last_fold = None  # the _Fold most recently built, shared by models with an equal chain
+_last_load = None  # (repr of the manifest, mapped binaries, model) of the last successful load_model
 
 
 @dataclass(frozen=True)
@@ -105,61 +107,37 @@ class OperatorModel:
         return "none" if all(op.preconditioner is None for op in ops) else "cholesky"
 
     @cached_property
-    def _fold(self) -> _Fold:
-        """The folded serving matrices, built on first use, or shared with the last
-        model to build them if everything they are built from is equal."""
-        global _last_fold
-        key = _fold_key(self)
-        last = _last_fold  # np.array_equal also compares kernels, nuggets and None
-        if last is None or not all(map(np.array_equal, last.key, key)):
-            last = _last_fold = _build_fold(self, key)
-        return last
+    def _feature_map(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(M, offset), the features being X @ M - offset: M is L^T B with a
+        preconditioner L and input PCA basis B, B or L^T with one of them, and
+        None (the identity) with neither; offset is mu B, None without input PCA."""
+        L, pca = self.input_measurement.preconditioner, self.input_pca
+        if pca is None:
+            return (None if L is None else L.T), None
+        return (pca.basis if L is None else L.T @ pca.basis), pca.mean @ pca.basis
 
+    @cached_property
+    def _grid_mean(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(A, a0), the values on the model's own output grid being
+        S(U, inputs) @ A + a0, a0 None without output PCA. With W the recovery
+        weights on the output grid and P the map from regressor outputs to output
+        measurements (coef, or coef B^T with output PCA), A = (W P^T)^T, in the
+        exact form of ``on_grid_weights``. Solving against P^T is the more
+        accurate of the two ways: on the darcy benchmark model the outputs err by
+        3.6e-12 of their RMS, as the staged ones do, against 6.0e-12 with W
+        formed first and multiplied."""
+        rmap, out, coef = self.output_recovery, self.output_pca, self.regressor.coef
+        P_T = coef.T if out is None else out.basis @ coef.T
+        A = np.ascontiguousarray(on_grid_weights(rmap, P_T).T)
+        return A, (None if out is None else on_grid_weights(rmap, out.mean))
 
-@dataclass(frozen=True)
-class _Fold:
-    """The linear stages of serving as matrices. Features are X @ M - offset: M is
-    L^T B with a preconditioner L and input PCA basis B, B or L^T with one of
-    them, and None (the identity) with neither; offset is mu B, None without
-    input PCA. On the model's own output grid the values are S(U, inputs) @ A +
-    a0, a0 None without output PCA, and the std is sqrt(s) times ``norms``."""
-
-    key: tuple
-    M: np.ndarray | None
-    offset: np.ndarray | None
-    A: np.ndarray              # (N, n_out)
-    a0: np.ndarray | None      # (n_out,)
-    norms: np.ndarray          # (n_out,) row norms of W, or of W @ output PCA basis
-
-
-def _fold_key(model: OperatorModel) -> tuple:
-    """Everything the folded matrices are built from."""
-    pin, pout, r = model.input_pca, model.output_pca, model.output_recovery
-    return (model.input_measurement.preconditioner, pin and pin.mean, pin and pin.basis,
-            model.regressor.coef, r.kernel, r.nugget, r.measurement.points, r.measurement.preconditioner,
-            pout and pout.mean, pout and pout.basis)
-
-
-def _build_fold(model: OperatorModel, key: tuple) -> _Fold:
-    """The matrices of ``_Fold``. With W the recovery weights on the output grid
-    and P the map from regressor outputs to output measurements (coef, or
-    coef B^T with output PCA), A = (W P^T)^T, in the exact form of
-    ``on_grid_weights``. Solving against P^T is the more accurate of the two
-    ways: on the darcy benchmark model the outputs err by 3.6e-12 of their RMS,
-    as the staged ones do, against 6.0e-12 with W formed first and multiplied."""
-    L, pca = model.input_measurement.preconditioner, model.input_pca
-    if pca is None:
-        M, offset = (None if L is None else L.T), None
-    else:
-        M = pca.basis if L is None else L.T @ pca.basis
-        offset = pca.mean @ pca.basis
-    rmap, out, coef = model.output_recovery, model.output_pca, model.regressor.coef
-    P_T = coef.T if out is None else out.basis @ coef.T
-    A = np.ascontiguousarray(on_grid_weights(rmap, P_T).T)
-    a0 = None if out is None else on_grid_weights(rmap, out.mean)
-    directions = np.eye(rmap.size) if out is None else out.basis
-    norms = np.linalg.norm(on_grid_weights(rmap, directions), axis=1)
-    return _Fold(key, M, offset, A, a0, norms)
+    @cached_property
+    def _grid_norms(self) -> np.ndarray:
+        """(n_out,) row norms of W, or of W @ output PCA basis: on the model's own
+        output grid the std is sqrt(s) times these."""
+        rmap, out = self.output_recovery, self.output_pca
+        directions = np.eye(rmap.size) if out is None else out.basis
+        return np.linalg.norm(on_grid_weights(rmap, directions), axis=1)
 
 
 def _weight_norms(model: OperatorModel, query_points) -> np.ndarray:
@@ -171,9 +149,9 @@ def _weight_norms(model: OperatorModel, query_points) -> np.ndarray:
 
 def _features(model: OperatorModel, X: np.ndarray) -> np.ndarray:
     """The feature map on rows of input values, folded: preconditioner, then input PCA."""
-    fold = model._fold
-    U = X if fold.M is None else X @ fold.M
-    return U if fold.offset is None else U - fold.offset
+    M, offset = model._feature_map
+    U = X if M is None else X @ M
+    return U if offset is None else U - offset
 
 
 def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
@@ -182,9 +160,9 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     The features are the folded X @ M - offset, and the regressor reads the
     mean and the variance off one kernel row per input row. On the model's own
     output grid the values are that kernel row times the folded A, plus a0,
-    and the std factors are the fold's norms; no m x m weight matrix is read.
-    Other query sets pay one recovery solve per row, and, when std is asked,
-    build their weights for the std factors alone.
+    and the std factors are the grid norms, built only when a std is asked; no
+    m x m weight matrix is read. Other query sets pay one recovery solve per
+    row, and, when std is asked, build their weights for the std factors alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = model.input_measurement.size
@@ -200,12 +178,12 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     grid = rmap.measurement.points
     on_grid = qp.shape == grid.shape and np.array_equal(qp, grid)
     if not on_grid:
-        qp = as_query_points(rmap, qp)  # before the fold and any solve, so a rejected set builds nothing
-    U, fold, reg = _features(model, X), model._fold, model.regressor
-    coef = fold.A if on_grid else None
-    out, var = regression.posterior(reg, U, coef) if std else (regression.predict(reg, U, coef), None)
+        qp = as_query_points(rmap, qp)  # before any build or solve, so a rejected set builds nothing
+    U, reg = _features(model, X), model.regressor
+    A, a0 = model._grid_mean if on_grid else (None, None)
+    out, var = regression.posterior(reg, U, A) if std else (regression.predict(reg, U, A), None)
     if on_grid:
-        mean, norms = (out if fold.a0 is None else out + fold.a0), fold.norms
+        mean, norms = (out if a0 is None else out + a0), (model._grid_norms if std else None)
     else:
         V = out if model.output_pca is None else reconstruct(model.output_pca, out)
         mean = evaluate(rmap, rmap.coefficients(V), qp).T
@@ -275,8 +253,8 @@ def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float
     the measured input; the bound covers any target operator whose
     vector-valued RKHS norm is at most ``rkhs_norm_bound``.
     """
-    if not rkhs_norm_bound >= 0:
-        raise ValueError(f"rkhs_norm_bound must be a number >= 0, got {rkhs_norm_bound!r}")
+    if not (rkhs_norm_bound >= 0 and np.isfinite(rkhs_norm_bound)):
+        raise ValueError(f"rkhs_norm_bound must be a finite number >= 0, got {rkhs_norm_bound!r}")
     s = regression.posterior_variance(model.regressor, _features(model, _row(model, u)))[0]
     return float(np.sqrt(model.regressor.output_dim * max(s, 0.0)) * rkhs_norm_bound)
 
@@ -297,7 +275,7 @@ def mesh_lengthscale(points) -> float:
     pts = as_points(points, "points")
     if pts.shape[0] < 2:
         return 1.0
-    d = cdist(pts, pts)
+    d = distances(pts)
     d[np.diag_indices(pts.shape[0])] = np.inf
     spacing = float(np.median(d.min(axis=1)))
     return 2.0 * spacing if spacing > 0 else 1.0
@@ -352,7 +330,7 @@ def prepare_features(
     equal_grids = np.array_equal(input_grid, output_grid)
     default_q = q_kernel is None
     q_kernel = default_grid_kernel(input_grid) if default_q else q_kernel
-    if k_kernel is None:  # equal grids have equal default kernels: one cdist serves both
+    if k_kernel is None:  # equal grids have equal default kernels: one lengthscale serves both
         k_kernel = q_kernel if default_q and equal_grids else default_grid_kernel(output_grid)
 
     if preconditioner == "cholesky":
@@ -417,11 +395,23 @@ def fit_operator(
 # ---------------------------------------------------------------------------
 
 
-def _read_bin(directory: Path, arrays: dict, key: str) -> np.ndarray:
-    with manifest_keys(directory / "manifest.json", f"arrays.{key}"):
-        path = manifest_file(directory, arrays[key]["file"])
-        shape = tuple(manifest_count(n) for n in arrays[key]["shape"])
-    return read_array(path, shape)
+def _read_binaries(directory: Path, manifest: dict) -> dict[str, np.ndarray]:
+    """Every binary a model reads, mapped, by manifest key: the ``arrays`` entries
+    (the preconditioners when present; older models' training targets are not
+    read), then the PCA sidecars, each read whole."""
+    path, arrays, found = directory / "manifest.json", manifest["arrays"], {}
+    for key in ("input_points", "output_points", "l_input", "l_output", "train_features", "coefficients",
+                "gram_factor"):
+        if key in arrays or not key.startswith("l_"):  # the preconditioners are optional
+            with manifest_keys(path, f"arrays.{key}"):
+                shape = tuple(manifest_count(n) for n in arrays[key]["shape"])
+                found[key] = read_array(manifest_file(directory, arrays[key]["file"]), shape)
+    for key in ("pca_input", "pca_output"):
+        if manifest.get(key) is not None:
+            with manifest_keys(path, key):
+                d, k = manifest_count(manifest[key]["dim"]), manifest_count(manifest[key]["k"])
+                found[key] = read_array(manifest_file(directory, manifest[key]["file"]), (d + d * k,))
+    return found
 
 
 def _finite(path: Path, a: np.ndarray) -> np.ndarray:
@@ -447,19 +437,18 @@ def _pca_to_files(directory: Path, name: str, p: PcaProjector | None) -> dict | 
     }
 
 
-def _pca_from_files(directory: Path, manifest: dict, key: str) -> PcaProjector | None:
-    entry = manifest.get(key)
-    if entry is None:
+def _pca_from_files(directory: Path, manifest: dict, key: str, blob: np.ndarray | None) -> PcaProjector | None:
+    if blob is None:
         return None
+    entry = manifest[key]
     with manifest_keys(directory / "manifest.json", key):
-        d, k = manifest_count(entry["dim"]), manifest_count(entry["k"])
-        path = manifest_file(directory, entry["file"])
-        blob = _finite(path, read_array(path, (d + d * k,)))
+        d = entry["dim"]
+        _finite(directory / entry["file"], blob)
         singular_values = np.array(entry["singular_values"], dtype=float)
         singular_values.flags.writeable = False  # like the mapped mean and basis
         return PcaProjector(
             mean=blob[:d],
-            basis=blob[d:].reshape(d, k),
+            basis=blob[d:].reshape(d, entry["k"]),
             singular_values=singular_values,
             retained_fraction=float(entry["retained_fraction"]),
             achieved_fraction=float(entry["achieved_fraction"]),
@@ -497,39 +486,44 @@ def save_model(model: OperatorModel, directory) -> None:
 def load_model(directory) -> OperatorModel:
     """Load a model directory written by save_model; older models' training targets are not read.
 
-    The binaries are mapped read-only. The training features are checked finite
-    first, then the regressor's factor, then every other array is checked
-    finite (about 1 ms on the 20 MB darcy model with a Cholesky preconditioner,
-    which also faults in its pages); a failure names the file."""
+    The binaries are mapped read-only. A load whose manifest (compared by
+    ``repr``, so that 1, 1.0 and true differ) and arrays equal those of the last
+    successful load returns that load's model, with the parts and factors it
+    has built, and checks nothing: its bytes equal bytes that passed the checks,
+    and files are replaced, never rewritten in place (``data/container.py``),
+    so a mapped array never changes under its model. Any other load checks the
+    training features finite first, then the regressor's factor, then every
+    other array finite (about 1 ms on the 20 MB darcy model with a Cholesky
+    preconditioner, which also faults in its pages); a failure names the file."""
+    global _last_load
     directory = Path(directory)
     manifest = read_manifest(directory, MODEL_FORMAT_VERSION, "model")
     with manifest_keys(directory / "manifest.json"):
+        mapped, text, last = _read_binaries(directory, manifest), repr(manifest), _last_load
+        # an equal manifest names the same files and shapes; NaN equals nothing
+        if last is not None and last[0] == text and all(np.array_equal(a, last[1][k]) for k, a in mapped.items()):
+            return last[2]
         arrays = manifest["arrays"]
-        in_pts = _read_bin(directory, arrays, "input_points")
-        out_pts = _read_bin(directory, arrays, "output_points")
-        L_in = _read_bin(directory, arrays, "l_input") if "l_input" in arrays else None
-        L_out = _read_bin(directory, arrays, "l_output") if "l_output" in arrays else None
-        s_kernel = ScalarKernel.from_config(manifest["s_kernel"])
-        q_kernel = ScalarKernel.from_config(manifest["q_kernel"])
-        k_kernel = ScalarKernel.from_config(manifest["k_kernel"])
-        inputs, coef, chol = (_read_bin(directory, arrays, key)
-                              for key in ("train_features", "coefficients", "gram_factor"))
-        _finite(directory / arrays["train_features"]["file"], inputs)  # before the regressor rejects it unnamed
+        s_kernel, q_kernel, k_kernel = (ScalarKernel.from_config(manifest[f"{k}_kernel"]) for k in "sqk")
+        # the features before the regressor rejects them unnamed
+        inputs = _finite(directory / arrays["train_features"]["file"], mapped["train_features"])
         try:
             reg = regression.TrainedRegressor(kernel=s_kernel, inputs=inputs, gamma=manifest["gamma"],
-                                              coef=coef, chol=chol)
+                                              coef=mapped["coefficients"], chol=mapped["gram_factor"])
         except OdlearnError as exc:  # the factor check; shapes and gamma raise ValueError
             raise DatasetFormatError(f"{directory / arrays['gram_factor']['file']}: {exc}") from exc
         # the points are checked finite as points, by MeasurementOperator
-        for key, a in (("coefficients", coef), ("l_input", L_in), ("l_output", L_out)):
-            if a is not None:
-                _finite(directory / arrays[key]["file"], a)
-        return OperatorModel(
-            input_recovery=RecoveryMap(q_kernel, MeasurementOperator(in_pts, L_in), manifest["input_nugget"]),
-            input_pca=_pca_from_files(directory, manifest, "pca_input"),
+        for k in ("coefficients", "l_input", "l_output"):
+            if k in mapped:
+                _finite(directory / arrays[k]["file"], mapped[k])
+        model = OperatorModel(
+            input_recovery=RecoveryMap(q_kernel, MeasurementOperator(mapped["input_points"], mapped.get("l_input")),
+                                       manifest["input_nugget"]),
+            input_pca=_pca_from_files(directory, manifest, "pca_input", mapped.get("pca_input")),
             regressor=reg,
-            output_pca=_pca_from_files(directory, manifest, "pca_output"),
-            output_recovery=RecoveryMap(
-                k_kernel, MeasurementOperator(out_pts, L_out), manifest["output_nugget"]
-            ),
+            output_pca=_pca_from_files(directory, manifest, "pca_output", mapped.get("pca_output")),
+            output_recovery=RecoveryMap(k_kernel, MeasurementOperator(mapped["output_points"], mapped.get("l_output")),
+                                        manifest["output_nugget"]),
         )
+    _last_load = (text, mapped, model)
+    return model

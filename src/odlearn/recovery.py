@@ -41,10 +41,9 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, lu_factor, lu_solve
 from scipy.linalg.lapack import dtrtrs
-from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
-from .kernels import ScalarKernel, as_points, gram, gram_diag, stationary_gram
+from .kernels import ScalarKernel, as_points, distances, gram, gram_diag, stationary_gram
 
 NUGGET_FACTOR = 1e-10  # default nugget = 1e-10 * mean(diag Gram)
 # Lattice detection tolerance, relative to the point set's extent: 128 ulps. Grids
@@ -368,4 +367,4 @@ def fill_distance(sample, domain_probe) -> float:
     P = as_points(domain_probe, "domain_probe")
     if S.shape[1] != P.shape[1]:
         raise ValueError("sample and probe dimensions differ")
-    return float(cdist(P, S).min(axis=1).max())
+    return float(distances(P, S).min(axis=1).max())

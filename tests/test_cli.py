@@ -386,17 +386,19 @@ class TestEval:
         assert row["dataset"] == "advection1"
 
     def test_eval_then_serving_builds_the_fold_once(self, trained, adv1_dir, monkeypatch):
-        builds = []
-        real = operator._build_fold
-        monkeypatch.setattr(operator, "_build_fold", lambda *a: builds.append(1) or real(*a))
-        monkeypatch.setattr(operator, "_last_fold", None)
+        # serving loads the bytes eval loaded, so it gets eval's model, grid parts built
+        solves = []
+        real = operator.on_grid_weights
+        monkeypatch.setattr(operator, "on_grid_weights", lambda *a: solves.append(1) or real(*a))
         assert run(["eval", str(trained), str(adv1_dir), "--with-uq"]) == 0
+        built = len(solves)
         model, ds = operator.load_model(trained), load_dataset(adv1_dir)
+        assert {"_grid_mean", "_grid_norms"} <= vars(model).keys()
         u = operator.FunctionSamples(ds.input_grid, ds.test_inputs[0])
         operator.apply_batch(model, ds.test_inputs, ds.output_grid)
         operator.apply(model, u, ds.output_grid)
         operator.apply_with_uq(model, u, ds.output_grid)
-        assert len(builds) == 1
+        assert built > 0 and len(solves) == built
 
     def test_with_uq_small_on_training_inputs(self, tmp_path):
         # gamma = 0 keeps the conditional variance at the training inputs at

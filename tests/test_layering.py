@@ -3,10 +3,11 @@ module depends on nothing in odlearn, and the data layer only on errors and
 kernels, so that recovery, regression or the operator never enter it. Also read
 from the source: the regressor factorizes S + gamma*I at one call site, recovery
 solves against a map's cached factor at one call site, the operator builds
-recovery weights only for off-grid UQ and keeps one module-level cache, its fold,
-every stationary Gram gets its distances from ``kernels.distances``, binaries
-have one reader and one writer, in the data container, and no object is built
-around its constructor's checks."""
+recovery weights only for off-grid UQ and keeps one module-level cache, the last
+load, which only ``load_model`` sets; only the kernels module imports
+``scipy.spatial``, so every stationary Gram gets its distances from
+``kernels.distances``; binaries have one reader and one writer, in the data
+container, and no object is built around its constructor's checks."""
 
 import ast
 from pathlib import Path
@@ -80,14 +81,22 @@ def test_recovery_solves_against_its_factor_at_one_call_site():
 def test_operator_builds_weights_at_one_call_site_and_holds_one_global():
     tree = ast.parse((PACKAGE / "operator.py").read_text())
     assert len(calls_to(tree, "recovery_weights")) == 1  # off-grid UQ
-    assert [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)] == [["_last_fold"]]
+    assert [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)] == [["_last_load"]]
+    assigners = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for node in ast.walk(f)
+                 if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_last_load" for t in node.targets)]
+    assert assigners == ["load_model"]
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    found = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    return found | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
 
 
 def test_stationary_grams_get_their_distances_from_one_function():
+    spatial = [path.relative_to(PACKAGE).as_posix() for path in sorted(PACKAGE.rglob("*.py"))
+               if any(m.split(".")[:2] == ["scipy", "spatial"] for m in imported_modules(ast.parse(path.read_text())))]
+    assert spatial == ["kernels.py"]
     reg = ast.parse((PACKAGE / "regression.py").read_text())
-    imported = {node.module for node in ast.walk(reg) if isinstance(node, ast.ImportFrom)}
-    imported |= {alias.name for node in ast.walk(reg) if isinstance(node, ast.Import) for alias in node.names}
-    assert not any(m and m.split(".")[:2] == ["scipy", "spatial"] for m in imported)
     assert calls_to(reg, "cdist") == [] and len(calls_to(reg, "distances")) == 1  # the LML search
     kernels = ast.parse((PACKAGE / "kernels.py").read_text())
     fns = {f.name: f for f in ast.walk(kernels) if isinstance(f, ast.FunctionDef)}

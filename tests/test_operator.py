@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -259,8 +260,14 @@ class TestErrorBound:
 
     def test_nan_bound_rejected(self, adv1_model):
         ds, model = adv1_model
-        with pytest.raises(ValueError, match="^rkhs_norm_bound must be a number >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^rkhs_norm_bound must be a finite number >= 0, got nan$"):
             error_bound(model, FunctionSamples(ds.input_grid, ds.test_inputs[0]), float("nan"))
+
+    def test_inf_bound_rejected(self, adv1_model):
+        # an infinite bound gave NaN at a training input, where s clamps to 0
+        ds, model = adv1_model
+        with pytest.raises(ValueError, match="^rkhs_norm_bound must be a finite number >= 0, got inf$"):
+            error_bound(model, FunctionSamples(ds.input_grid, ds.test_inputs[0]), float("inf"))
 
     def test_bound_dominates_synthetic_truth(self):
         # operator whose measurement-space map lives in the RKHS with known norm
@@ -485,6 +492,9 @@ def uq_dataset_model(request):
     return ds, model
 
 
+GRID_PARTS = {"_grid_mean", "_grid_norms"}  # the cached properties of a model's own output grid
+
+
 def offgrid(grid):
     """As many query points as the grid has, none of them on it."""
     return grid + 0.25 * (grid[1] - grid[0])
@@ -562,6 +572,65 @@ class TestMappedModels:
         assert len(checks) == 1
 
 
+class TestLoadMemo:
+    """A load of the bytes the last load read returns that load's model; any
+    other load builds and checks a model of its own."""
+
+    def test_two_loads_of_one_directory_return_one_model(self, tmp_path, uq_dataset_model):
+        save_model(uq_dataset_model[1], tmp_path / "m")
+        assert load_model(tmp_path / "m") is load_model(tmp_path / "m")
+
+    def test_load_after_saving_a_refit_returns_the_refit(self, tmp_path, monkeypatch, uq_dataset_model):
+        ds, model = uq_dataset_model
+        g, u = ds.output_grid, FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        save_model(model, tmp_path / "m")
+        first = load_model(tmp_path / "m")
+        apply_with_uq(first, u, g)  # its grid parts are built
+        refit = fit_operator(
+            g, g, ds.train_inputs, ds.train_outputs, model.regressor.kernel, gamma=1e-3,
+            preconditioner=model.preconditioner, pca_input_fraction=0.999, pca_output_fraction=0.999,
+        )
+        save_model(refit, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        monkeypatch.setattr(operator, "_last_load", None)
+        fresh = load_model(tmp_path / "m")
+        assert loaded is not first and fresh is not loaded
+
+        def outputs(m):
+            mean, std = apply_with_uq(m, u, g)
+            q = offgrid(g)
+            return (apply_batch(m, ds.test_inputs, g), apply_batch(m, ds.test_inputs, q), mean.values, std.values,
+                    apply_with_uq(m, u, q)[1].values, np.array(error_bound(m, u, 1.0)))
+
+        got = outputs(loaded)
+        assert all(map(np.array_equal, got, outputs(fresh)))
+        assert not np.array_equal(got[0], outputs(first)[0])
+
+    def test_manifest_equal_only_as_python_values_is_checked(self, tmp_path, uq_dataset_model):
+        # true == 1.0 in Python, but a kernel's output_scale must not be a bool
+        save_model(uq_dataset_model[1], tmp_path / "m")
+        load_model(tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["s_kernel"]["output_scale"] == 1.0
+        manifest["s_kernel"]["output_scale"] = True
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match="kernel output_scale must be a number, got True"):
+            load_model(tmp_path / "m")
+
+    def test_replacing_a_loaded_file_by_a_non_finite_one_fails_the_next_load(self, tmp_path, uq_dataset_model):
+        save_model(uq_dataset_model[1], tmp_path / "m")
+        load_model(tmp_path / "m")
+        path = tmp_path / "m" / "coefficients.bin"
+        coef = np.fromfile(path, dtype="<f8")
+        coef[3] = np.nan
+        tmp = path.with_name(".coefficients.bin.tmp")
+        coef.tofile(tmp)
+        os.replace(tmp, path)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: non-finite value nan at flat index 3$"):
+            load_model(tmp_path / "m")
+
+
 class TestInferenceCore:
     @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])
     def test_fit_and_load_factorize_no_recovery_map(self, tmp_path, monkeypatch, preconditioner):
@@ -636,11 +705,11 @@ class TestInferenceCore:
             mean, std = operator._predict(model, ds.test_inputs, q, std=True)
             assert rows == [len(ds.test_inputs)]
             # bitwise what predict and the clipped posterior_variance give: on the own
-            # grid through the folded A and a0, elsewhere the mean of apply_batch
+            # grid through the grid mean's A and a0, elsewhere the mean of apply_batch
             U = operator._features(model, ds.test_inputs)
             if q is ds.output_grid:
-                fold = model._fold
-                expected, norms = regression.predict(reg, U, fold.A) + fold.a0, fold.norms
+                A, a0 = model._grid_mean
+                expected, norms = regression.predict(reg, U, A) + a0, model._grid_norms
             else:
                 expected, norms = apply_batch(model, ds.test_inputs, q), operator._weight_norms(model, q)
             assert np.array_equal(mean, expected)
@@ -649,13 +718,12 @@ class TestInferenceCore:
     def test_on_grid_weights_built_once_per_model(self, tmp_path, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
         save_model(model, tmp_path / "m")
-        builds, weights = [], []
-        real_build, real_weights = operator._build_fold, operator.recovery_weights
-        monkeypatch.setattr(operator, "_build_fold", lambda *a: builds.append(1) or real_build(*a))
+        solves, weights = [], []  # on-grid recovery solves, and off-grid weight matrices
+        real_solves, real_weights = operator.on_grid_weights, operator.recovery_weights
+        monkeypatch.setattr(operator, "on_grid_weights", lambda *a: solves.append(1) or real_solves(*a))
         monkeypatch.setattr(operator, "recovery_weights", lambda *a: weights.append(1) or real_weights(*a))
-        monkeypatch.setattr(operator, "_last_fold", None)  # nothing to reuse
         loaded = load_model(tmp_path / "m")
-        assert builds == [] and "_fold" not in vars(loaded)
+        assert solves == [] and not GRID_PARTS & vars(loaded).keys()
         g = ds.output_grid
         for x in ds.test_inputs[:3]:
             u = FunctionSamples(ds.input_grid, x)
@@ -663,49 +731,59 @@ class TestInferenceCore:
             apply_with_uq(loaded, u, g)
             apply_batch(loaded, ds.test_inputs, g)
             error_bound(loaded, u, 1.0)
-        assert len(builds) == 1 and weights == []  # on-grid serving builds no weight matrix
+        assert len(solves) == 3 and weights == []  # A, a0 and the norms once; no weight matrix
         apply(loaded, FunctionSamples(ds.input_grid, ds.test_inputs[0]), offgrid(g))
-        assert len(builds) == 1
+        assert len(solves) == 3
+
+    @pytest.mark.parametrize("first, built", [
+        ("error_bound", set()), ("off_grid_apply", set()), ("on_grid_apply", {"_grid_mean"}),
+        ("on_grid_uq", GRID_PARTS),
+    ])
+    def test_first_request_builds_only_the_parts_it_reads(self, tmp_path, uq_dataset_model, first, built):
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        u, g = FunctionSamples(ds.input_grid, ds.test_inputs[0]), ds.output_grid
+        {"error_bound": lambda: error_bound(loaded, u, 1.0), "off_grid_apply": lambda: apply(loaded, u, offgrid(g)),
+         "on_grid_apply": lambda: apply(loaded, u, g), "on_grid_uq": lambda: apply_with_uq(loaded, u, g)}[first]()
+        assert GRID_PARTS & vars(loaded).keys() == built
+        assert ("_factor" in vars(loaded.output_recovery)) == (first != "error_bound")
 
     def test_reloaded_model_reuses_weights_changed_chain_does_not(self, tmp_path, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
         save_model(model, tmp_path / "m")
-        builds = []
-        real = operator._build_fold
-        monkeypatch.setattr(operator, "_build_fold", lambda *a: builds.append(1) or real(*a))
-        monkeypatch.setattr(operator, "_last_fold", None)
+        solves = []
+        real = operator.on_grid_weights
+        monkeypatch.setattr(operator, "on_grid_weights", lambda *a: solves.append(1) or real(*a))
         g = ds.output_grid
-        first = apply_batch(load_model(tmp_path / "m"), ds.test_inputs, g)
+        loaded = load_model(tmp_path / "m")
+        first = apply_batch(loaded, ds.test_inputs, g)
         again = load_model(tmp_path / "m")
-        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(builds) == 1
+        assert again is loaded
+        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(solves) == 2  # A and a0
         r = again.output_recovery
         other = replace(again, output_recovery=RecoveryMap(r.kernel, r.measurement, 2.0 * r.nugget))
-        assert "_fold" not in vars(other)
+        assert not GRID_PARTS & vars(other).keys()
         apply_batch(other, ds.test_inputs, g)
-        assert len(builds) == 2
-        assert other._fold is not again._fold
+        assert len(solves) == 4
+        assert other._grid_mean[0] is not again._grid_mean[0]
 
-    def test_models_differing_only_in_coefficients_keep_their_own_fold(self, uq_dataset_model, monkeypatch):
+    def test_models_differing_only_in_coefficients_keep_their_own_fold(self, uq_dataset_model):
         # a refit at another gamma has the same chain but other coefficients; served
-        # alternately, each answers bitwise as from an empty cache
+        # alternately, each answers bitwise as a model that has built nothing
         ds, model = uq_dataset_model
         g = ds.output_grid
         other = fit_operator(
             g, g, ds.train_inputs, ds.train_outputs, model.regressor.kernel, gamma=1e-3,
             preconditioner=model.preconditioner, pca_input_fraction=0.999, pca_output_fraction=0.999,
         )
-        same = [np.array_equal(a, b) for a, b in zip(operator._fold_key(model), operator._fold_key(other))]
-        assert same == [True] * 3 + [False] + [True] * 6  # everything but the coefficients
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
 
         def outputs(m):
             mean, std = apply_with_uq(m, u, g)
             return apply(m, u, g).values, apply_batch(m, ds.test_inputs, g), mean.values, std.values
 
-        expected = []
-        for m in (model, other):
-            monkeypatch.setattr(operator, "_last_fold", None)
-            expected.append(outputs(replace(m)))  # a copy caches nothing
+        expected = [outputs(replace(m)) for m in (model, other)]  # a copy caches nothing
         assert not np.array_equal(expected[0][1], expected[1][1])
         for _ in range(2):
             for m, want in zip((model, other, replace(model), replace(other)), expected * 2):
@@ -721,7 +799,7 @@ class TestInferenceCore:
         monkeypatch.setattr(recovery, "gram", lambda *a: sizes.append(a[1].shape[0]) or real(*a))
         loaded = load_model(tmp_path / "m")
         assert sizes == []
-        assert "_fold" not in vars(loaded)
+        assert not {"_feature_map", *GRID_PARTS} & vars(loaded).keys()
         assert "_factor" not in vars(loaded.output_recovery)
         assert "_preconditioner_lu" not in vars(loaded.output_recovery)
 
@@ -804,8 +882,8 @@ class TestInferenceCore:
 
 
 class TestRecoverySolves:
-    """Output recovery solves on the cached factors: the fold keeps the bits of a
-    cho_solve build, and a corrupt regressor factor is rejected when the
+    """Output recovery solves on the cached factors: the grid parts keep the bits
+    of a cho_solve build, and a corrupt regressor factor is rejected when the
     regressor is built, or else fails the UQ requests that read it."""
 
     @pytest.mark.parametrize("which", ["pca", "plain"])
@@ -819,12 +897,12 @@ class TestRecoverySolves:
             Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R)
             return Y - rmap.nugget * cho_solve(rmap._factor, Y)
 
-        fold = model._fold
+        (A, a0), norms = model._grid_mean, model._grid_norms
         P_T, directions = (coef.T, np.eye(rmap.size)) if out is None else (out.basis @ coef.T, out.basis)
-        assert np.array_equal(fold.A, weights(P_T).T)
-        assert np.array_equal(fold.norms, np.linalg.norm(weights(directions), axis=1))
+        assert np.array_equal(A, weights(P_T).T)
+        assert np.array_equal(norms, np.linalg.norm(weights(directions), axis=1))
         if out is not None:  # one column: the unblocked solve, within rounding
-            np.testing.assert_allclose(fold.a0, weights(out.mean), rtol=0, atol=1e-13 * np.abs(fold.a0).max())
+            np.testing.assert_allclose(a0, weights(out.mean), rtol=0, atol=1e-13 * np.abs(a0).max())
 
     @pytest.mark.parametrize("entry,value", [((3, 3), np.nan), ((7, 2), np.nan), ((0, 0), np.inf),
                                              ((7, 2), np.inf), ((7, 2), 1e300), ((0, 0), 1e300)],
