@@ -40,7 +40,7 @@ import numpy as np
 
 from . import metrics, operator, regression
 from .data import GENERATORS, Dataset, load_dataset, manifest_sha256, save_dataset
-from .data.container import manifest_count, manifest_file, write_text
+from .data.container import manifest_count, manifest_file, manifest_keys, write_text
 from .errors import OdlearnError, UsageError
 from .kernels import ScalarKernel
 from .recovery import recovery_weights  # noqa: F401 - traced by bench/spans.py
@@ -74,11 +74,11 @@ def load_config(path_str: str) -> dict:
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise UsageError(f"{path}: config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
+        raise UsageError(f"{path}: config must be a JSON object")
     return cfg
 
 
@@ -427,7 +427,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     report["dataset_manifest_sha256"] = manifest_sha256(ds_path)
     resolved_path = Path(ns.model_dir) / "resolved_config.json"
     if resolved_path.is_file():
-        report["resolved_config"] = json.loads(resolved_path.read_text())
+        with manifest_keys(resolved_path, "JSON"):
+            report["resolved_config"] = json.loads(resolved_path.read_text(encoding="utf-8"))
     report_path = Path(ns.report) if ns.report else Path(ns.model_dir) / f"eval_{dataset.name}_{ns.split}.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     write_text(report_path, json.dumps(report, indent=2, sort_keys=True))

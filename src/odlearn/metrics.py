@@ -137,8 +137,10 @@ def count_inference_flops(model: OperatorModel, output_query_count: int) -> Flop
     preconditioner and the input PCA folded into one matrix, plus the
     centering), the same kernel row, and one matvec from the N kernel values to
     the m output points (plus the output PCA mean). Off-grid queries run the
-    folded features and the staged output, and also pay, uncounted, one
-    recovery solve per sample and the kernel values of the cross Gram; on a
+    folded features and the staged output, and also pay, uncounted, the
+    recovery of each sample's coefficients (two triangular solves on the output
+    map's factor, or with an output preconditioner one product with its root L)
+    and the kernel values of the cross Gram; on a
     lattice query set (see ``recovery``) the cross-Gram product is instead an
     FFT convolution, O(L log L) per sample for the padded lattice size L, in
     place of the counted matvec.

@@ -4,8 +4,9 @@ A model is an input recovery map, an optional input PCA, a fitted ridge
 regressor, an optional output PCA and an output recovery map. The input map's
 measurement operator (pointwise values, optional preconditioner) measures the
 input function, and the output map interpolates the predicted measurement
-vector on any query points. Each map factorizes its kernel matrix only when
-something recovers through it. Because the middle stage works on plain
+vector on any query points. Each map builds what it recovers through, the
+factor of its kernel matrix or, with a preconditioner, a check of its root L,
+only when something recovers through it. Because the middle stage works on plain
 vectors, the same trained regressor can be driven from measurement operators
 unseen at training time (``apply_mesh_invariant``), and the Gaussian-process
 reading of the regressor yields pointwise predictive standard deviations
@@ -122,7 +123,7 @@ class OperatorModel:
         S(U, inputs) @ A + a0, a0 None without output PCA. With W the recovery
         weights on the output grid and P the map from regressor outputs to output
         measurements (coef, or coef B^T with output PCA), A = (W P^T)^T, in the
-        exact form of ``on_grid_weights``. Solving against P^T is the more
+        exact form of ``on_grid_weights``. Applying that form to P^T is the more
         accurate of the two ways: on the darcy benchmark model the outputs err by
         3.6e-12 of their RMS, as the staged ones do, against 6.0e-12 with W
         formed first and multiplied."""
@@ -161,8 +162,8 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     mean and the variance off one kernel row per input row. On the model's own
     output grid the values are that kernel row times the folded A, plus a0,
     and the std factors are the grid norms, built only when a std is asked; no
-    m x m weight matrix is read. Other query sets pay one recovery solve per
-    row, and, when std is asked, build their weights for the std factors alone.
+    m x m weight matrix is read. Other query sets pay one recovery per row,
+    and, when std is asked, build their weights for the std factors alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = model.input_measurement.size

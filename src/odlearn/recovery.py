@@ -11,15 +11,19 @@ so that measuring the recovered function gives back U. The module also
 provides the norm-equalizing preconditioner (``cholesky_preconditioner``) and
 fill-distance computation.
 
-Recovery maps are immutable data: the regularized kernel matrix is factorized
-on the first recovery and reused, so an unused map costs no factorization.
-Every solve against G is two LAPACK triangular solves (``dtrtrs``) on that
-cached factor, and a solve against L is one against its cached LU factor. The
-factors are trusted, as they were built from checked matrices, so no request
-rescans them; the right-hand sides are checked instead, and a non-finite
-measurement vector is a ValueError. Many columns take LAPACK's blocked path
-and give the bits of ``potrs``; one column takes the unblocked one, which
-differs only by rounding and costs less than half as much.
+Recovery maps are immutable data: what a map recovers through is built on its
+first recovery and reused, so an unused map builds nothing. Without a
+preconditioner that is the Cholesky factor of G, and every solve against G is
+two LAPACK triangular solves (``dtrtrs``) on it. The factor is trusted, as it
+was built from a checked matrix, so no request rescans it; the right-hand sides
+are checked instead, and a non-finite measurement vector is a ValueError. Many
+columns take LAPACK's blocked path and give the bits of ``potrs``; one column
+takes the unblocked one, which differs only by rounding and costs less than
+half as much. A preconditioned map builds no factor, and the kernel matrix only
+for its weights on its own points: it recovers through L alone, as
+G^-1 L^-1 = L for the map's own root L G L = I (``cholesky_preconditioner`` at
+the map's nugget), which its first recovery checks; any other L, which
+measuring still takes, is a ValueError there.
 
 Evaluating the interpolant, k(q, X) @ C, builds the cross Gram in blocks,
 except on a lattice query set: there it is an exact discrete convolution of C
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import FactorizationError
@@ -80,7 +84,8 @@ class FunctionSamples:
 class MeasurementOperator:
     """Collocation points plus an invertible preconditioner: phi(u) = L @ u(X).
 
-    ``preconditioner=None`` means the identity.
+    ``preconditioner=None`` means the identity. A recovery map recovers only
+    through the root of its own kernel matrix (see ``RecoveryMap``).
     """
 
     points: np.ndarray
@@ -182,9 +187,12 @@ def _lattice_of(points: np.ndarray) -> _Lattice | None:
 class RecoveryMap:
     """Optimal-recovery interpolant factory for one kernel/measurement pair.
 
-    The kernel matrix on the measurement points is assembled and
-    Cholesky-factorized on first use, as is the LU factor of a preconditioner;
-    both are cached, and concurrent first uses at worst compute equal factors twice.
+    Without a preconditioner, the regularized kernel matrix G on the measurement
+    points is assembled and Cholesky-factorized on first use. A preconditioned
+    map builds no factor: it recovers through its L once its first recovery has
+    checked L G L = I (``_root``), and builds the kernel matrix for
+    ``on_grid_weights``. All are cached, and concurrent first uses at worst
+    build equal ones twice.
     """
 
     kernel: ScalarKernel
@@ -215,8 +223,23 @@ class RecoveryMap:
         return self.measurement.size
 
     @cached_property
-    def _preconditioner_lu(self) -> tuple:
-        return lu_factor(self.measurement.preconditioner)
+    def _gram(self) -> np.ndarray:
+        """k(X, X), without the nugget, for a preconditioned map's ``on_grid_weights``."""
+        return gram(self.kernel, self.measurement.points)
+
+    @cached_property
+    def _root(self) -> np.ndarray:
+        """L, checked once to be the map's own root, so that G^-1 L^-1 = L:
+        |L G L x - x| <= 1e-8 |x| for one seeded vector x, with K L x from
+        ``evaluate``, so that an off-grid request builds no kernel matrix."""
+        L, x = self.measurement.preconditioner, np.random.default_rng(0).standard_normal(self.size)
+        Lx = L @ x
+        residual = np.linalg.norm(L @ (evaluate(self, Lx, self.measurement.points) + self.nugget * Lx) - x)
+        residual /= np.linalg.norm(x)
+        if not residual <= 1e-8:  # a NaN residual fails too
+            raise ValueError("preconditioner is not the root (K + nugget I)^-1/2 of its recovery map: "
+                             f"|L G L x - x| / |x| = {residual:.3e} > 1e-8")
+        return L
 
     def coefficients(self, U) -> np.ndarray:
         """Representer coefficients c with recover(U) = sum_i c_i k(., X_i); a
@@ -227,10 +250,9 @@ class RecoveryMap:
             raise ValueError(f"measurement vector has length {U.shape[-1]}, expected {self.size}")
         if not np.isfinite(U).all():
             raise ValueError("measurement vector must be finite")
-        w = U.T
         if self.measurement.preconditioner is not None:
-            w = lu_solve(self._preconditioner_lu, w, check_finite=False)
-        return _gram_solve(self, w)
+            return self._root @ U.T
+        return _gram_solve(self, U.T)
 
 
 def _gram_solve(rmap: RecoveryMap, Y: np.ndarray) -> np.ndarray:
@@ -318,24 +340,25 @@ def recovery_weights(rmap: RecoveryMap, query_points) -> np.ndarray:
     """Matrix W with recover(U)(query_points) = W @ U (rows indexed by query point)."""
     query_points = as_query_points(rmap, query_points)
     kq = gram(rmap.kernel, query_points, rmap.measurement.points)
-    W = _gram_solve(rmap, kq.T).T  # kernel values at checked points are finite
     if rmap.measurement.preconditioner is not None:
-        W = lu_solve(rmap._preconditioner_lu, W.T, trans=1, check_finite=False).T
-    return W
+        return kq @ rmap._root
+    return _gram_solve(rmap, kq.T).T  # kernel values at checked points are finite
 
 
 def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
     """W @ R for the recovery weights W at the map's own points, ``recovery_weights``
-    at ``rmap.measurement.points``, in the exact form Y - nugget * G^-1 Y with
-    Y = L^-1 R: at its own points the kernel matrix is G - nugget * I, so no
-    kernel matrix is built. R is one vector or a matrix of columns; a non-finite R
-    is a ValueError."""
+    at ``rmap.measurement.points``. Without a preconditioner it takes the exact
+    form R - nugget * G^-1 R: at its own points the kernel matrix is
+    G - nugget * I, so no kernel matrix is built. A preconditioned map builds
+    the kernel matrix K and no factor, and gives K @ (L @ R). R is one vector
+    or a matrix of columns; a non-finite R is a ValueError."""
     if not np.isfinite(R).all():
         raise ValueError("right-hand side of the recovery solve is not finite")
-    Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R, check_finite=False)
-    Z = _gram_solve(rmap, Y)
+    if rmap.measurement.preconditioner is not None:
+        return rmap._gram @ (rmap._root @ R)
+    Z = _gram_solve(rmap, R)
     Z *= -rmap.nugget  # in place: Z may be as large as the grid's kernel matrix
-    Z += Y
+    Z += R
     return Z
 
 

@@ -291,6 +291,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [b'{"kernel": "\xff"}', b'{"kernel": '], ids=["not-utf-8", "not-json"])
+    def test_unreadable_config_named_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert run(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: config is not valid UTF-8 JSON: " in err and "Traceback" not in err
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {
             "kernel": {"family": "linear"},
@@ -487,6 +495,13 @@ class TestEval:
         assert str(target) in err
         assert "Traceback" not in err
 
+    def test_malformed_resolved_config_named_exits_1(self, trained, adv1_dir, capsys):
+        path = trained / "resolved_config.json"
+        path.write_text('{"kernel": }')
+        assert run(["eval", str(trained), str(adv1_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: malformed JSON (Expecting value: line 1 column 12" in err and "Traceback" not in err
+
     @pytest.fixture()
     def trained_pca(self, adv1_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -656,6 +671,24 @@ class TestEval:
         assert run(["eval", str(trained_chol_pca), str(adv1_dir)] + (["--with-uq"] if with_uq else [])) == 1
         err = capsys.readouterr().err
         assert f"{path}: non-finite value nan at flat index 3" in err and "Traceback" not in err
+
+    def test_output_preconditioner_not_the_maps_root_fails_serving(self, trained_chol_pca, adv1_dir, capsys):
+        # one entry of the output L scaled by 1.5: finite, so the load takes it, but
+        # recovering through it is no longer recovering through the map's own root
+        path = trained_chol_pca / "l_output.bin"
+        L = np.fromfile(path, dtype="<f8")
+        L[3] *= 1.5
+        tmp = path.with_name(".l_output.bin.tmp")
+        L.tofile(tmp)
+        os.replace(tmp, path)
+        model, ds = operator.load_model(trained_chol_pca), load_dataset(adv1_dir)
+        u, g = operator.FunctionSamples(ds.input_grid, ds.test_inputs[0]), ds.output_grid
+        for q in (g, g + 0.25 * (g[1] - g[0])):
+            with pytest.raises(ValueError, match=r"^preconditioner is not the root .* > 1e-8$"):
+                operator.apply(model, u, q)
+        assert run(["eval", str(trained_chol_pca), str(adv1_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "preconditioner is not the root" in err and "Traceback" not in err
 
     def test_determinism_across_runs(self, adv1_dir, tmp_path):
         reports = []

@@ -747,7 +747,11 @@ class TestInferenceCore:
         {"error_bound": lambda: error_bound(loaded, u, 1.0), "off_grid_apply": lambda: apply(loaded, u, offgrid(g)),
          "on_grid_apply": lambda: apply(loaded, u, g), "on_grid_uq": lambda: apply_with_uq(loaded, u, g)}[first]()
         assert GRID_PARTS & vars(loaded).keys() == built
-        assert ("_factor" in vars(loaded.output_recovery)) == (first != "error_bound")
+        # a recovery builds the map's factor, or with a preconditioner its checked root and no factor
+        rmap, recovered = loaded.output_recovery, first != "error_bound"
+        preconditioned = rmap.measurement.preconditioner is not None
+        assert ("_factor" in vars(rmap)) == (recovered and not preconditioned)
+        assert ("_root" in vars(rmap)) == (recovered and preconditioned)
 
     def test_reloaded_model_reuses_weights_changed_chain_does_not(self, tmp_path, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
@@ -800,8 +804,7 @@ class TestInferenceCore:
         loaded = load_model(tmp_path / "m")
         assert sizes == []
         assert not {"_feature_map", *GRID_PARTS} & vars(loaded).keys()
-        assert "_factor" not in vars(loaded.output_recovery)
-        assert "_preconditioner_lu" not in vars(loaded.output_recovery)
+        assert not {"_factor", "_gram", "_root"} & vars(loaded.output_recovery).keys()
 
     def test_offgrid_uq_builds_weights_once_mean_is_apply(self, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
@@ -883,19 +886,22 @@ class TestInferenceCore:
 
 class TestRecoverySolves:
     """Output recovery solves on the cached factors: the grid parts keep the bits
-    of a cho_solve build, and a corrupt regressor factor is rejected when the
-    regressor is built, or else fails the UQ requests that read it."""
+    of a cho_solve build, or with a preconditioner L of K @ (L @ R), and a
+    corrupt regressor factor is rejected when the regressor is built, or else
+    fails the UQ requests that read it."""
 
     @pytest.mark.parametrize("which", ["pca", "plain"])
     def test_fold_is_bitwise_a_cho_solve_build(self, uq_dataset_model, adv1_model, which):
-        from scipy.linalg import cho_solve, lu_solve
+        from scipy.linalg import cho_solve
 
         _, model = uq_dataset_model if which == "pca" else adv1_model
         rmap, out, coef = model.output_recovery, model.output_pca, model.regressor.coef
+        L = rmap.measurement.preconditioner
 
-        def weights(R):  # on_grid_weights with scipy's cho_solve
-            Y = R if rmap.measurement.preconditioner is None else lu_solve(rmap._preconditioner_lu, R)
-            return Y - rmap.nugget * cho_solve(rmap._factor, Y)
+        def weights(R):  # on_grid_weights with scipy's cho_solve, or through L alone
+            if L is not None:
+                return gram(rmap.kernel, rmap.measurement.points) @ (L @ R)
+            return R - rmap.nugget * cho_solve(rmap._factor, R)
 
         (A, a0), norms = model._grid_mean, model._grid_norms
         P_T, directions = (coef.T, np.eye(rmap.size)) if out is None else (out.basis @ coef.T, out.basis)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, lu_solve
+from scipy.linalg import cho_solve
 
 from odlearn import recovery
 from odlearn.errors import FactorizationError
@@ -106,22 +106,41 @@ class TestRecover:
 
     @pytest.mark.parametrize("preconditioned", [False, True])
     def test_factor_built_on_first_recovery_then_reused(self, monkeypatch, preconditioned):
-        from odlearn import recovery
-
-        calls = []
-        real = recovery.cho_factor
-        monkeypatch.setattr(recovery, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        # a preconditioned map checks its root once, builds its kernel matrix once, for
+        # on_grid_weights, and never factorizes
         rng = np.random.default_rng(15)
         pts = rng.uniform(0, 1, size=(8, 1))
-        L = rng.normal(size=(8, 8)) + 4 * np.eye(8) if preconditioned else None
-        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.3), MeasurementOperator(pts, L))
-        assert calls == [] and "_factor" not in vars(rmap)
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
+        L = cholesky_preconditioner(kernel, pts) if preconditioned else None
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L))
+        calls, grams = [], []
+        real, real_gram = recovery.cho_factor, recovery.gram
+        monkeypatch.setattr(recovery, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(recovery, "gram", lambda k, X, Y=None: grams.append(Y is None) or real_gram(k, X, Y))
+        built = "_root" if preconditioned else "_factor"
+        assert calls == [] and built not in vars(rmap)
         U, q = rng.normal(size=8), rng.uniform(0, 1, size=(5, 1))
         first = recover(rmap, U, q).values
-        assert len(calls) == 1
+        assert len(calls) == (not preconditioned) and built in vars(rmap)
         assert np.array_equal(recover(rmap, U, q).values, first)
         recovery_weights(rmap, q)
-        assert len(calls) == 1
+        on_grid_weights(rmap, U)
+        assert len(calls) == (not preconditioned) and grams.count(True) == 1
+        assert ("_factor" in vars(rmap)) != preconditioned
+
+    def test_recovery_through_an_l_that_is_not_the_maps_root_raises(self):
+        # measuring takes any invertible L; recovering needs L G L = I, checked at the first recovery
+        pts = np.linspace(0.0, 1.0, 6)[:, None]
+        op = MeasurementOperator(pts, 2.0 * np.eye(6))
+        np.testing.assert_array_equal(measure(op, FunctionSamples(pts, np.arange(6.0))), 2.0 * np.arange(6.0))
+        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.4), op)
+        message = r"^preconditioner is not the root \(K \+ nugget I\)\^-1/2 of its recovery map: " \
+                  r"\|L G L x - x\| / \|x\| = \d\.\d{3}e[+-]\d+ > 1e-8$"
+        for recovery_call in (lambda: recover(rmap, np.ones(6), pts), lambda: recovery_weights(rmap, pts),
+                              lambda: on_grid_weights(rmap, np.ones(6))):
+            with pytest.raises(ValueError, match=message):
+                recovery_call()
+        assert not {"_factor", "_root"} & vars(rmap).keys()
 
     def test_gram_factor_reproduces_regularized_gram(self):
         rng = np.random.default_rng(5)
@@ -234,8 +253,9 @@ class TestProperties:
     def test_recovery_weights_match_recover(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 1, size=(7, 1))
-        L = rng.normal(size=(7, 7)) + 3 * np.eye(7)
-        rmap = RecoveryMap(ScalarKernel.gaussian(0.4), MeasurementOperator(pts, L))
+        kernel, nugget = ScalarKernel.gaussian(0.4), 1e-6  # at the default nugget this Gram's condition is 7e9
+        L = cholesky_preconditioner(kernel, pts, nugget)
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L), nugget)
         U = rng.normal(size=7)
         queries = rng.uniform(0, 1, size=(9, 1))
         W = recovery_weights(rmap, queries)
@@ -245,23 +265,23 @@ class TestProperties:
     def test_on_grid_weights_are_the_weights_at_the_map_points(self, preconditioned):
         rng = np.random.default_rng(15)
         pts = rng.uniform(0, 1, size=(7, 1))
-        L = rng.normal(size=(7, 7)) + 3 * np.eye(7) if preconditioned else None
-        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.3), MeasurementOperator(pts, L))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
+        L = cholesky_preconditioner(kernel, pts) if preconditioned else None
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L))
         R = rng.normal(size=(7, 3))
         W = recovery_weights(rmap, pts)
         np.testing.assert_allclose(on_grid_weights(rmap, R), W @ R, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(on_grid_weights(rmap, R[:, 0]), W @ R[:, 0], rtol=1e-10, atol=1e-12)
 
-    def test_batched_coefficients_and_cached_preconditioner_lu(self, monkeypatch):
-        from odlearn import recovery
-
+    def test_batched_coefficients_and_cached_root(self, monkeypatch):
         rng = np.random.default_rng(14)
         pts = rng.uniform(0, 1, size=(9, 1))
-        L = rng.normal(size=(9, 9)) + 4 * np.eye(9)
-        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.3), MeasurementOperator(pts, L))
-        factored = []
-        real = recovery.lu_factor
-        monkeypatch.setattr(recovery, "lu_factor", lambda A: factored.append(1) or real(A))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
+        L = cholesky_preconditioner(kernel, pts)
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L))
+        checks = []  # the root check is the one evaluate call: K L x at the map's points
+        real = recovery.evaluate
+        monkeypatch.setattr(recovery, "evaluate", lambda *a: checks.append(1) or real(*a))
         U = rng.normal(size=(4, 9))
         C = rmap.coefficients(U)
         assert C.shape == (9, 4)
@@ -272,30 +292,36 @@ class TestProperties:
             expected = np.linalg.solve(G + rmap.nugget * np.eye(9), np.linalg.solve(L, U[i]))
             np.testing.assert_allclose(single, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
         recovery_weights(rmap, rng.uniform(0, 1, size=(5, 1)))
-        assert factored == [1]
+        assert checks == [1] and vars(rmap)["_root"] is L and not {"_factor", "_gram"} & vars(rmap).keys()
 
 
 class TestTriangularSolves:
     """Recovery solves are two triangular solves on the cached factor, which is
     never scanned: many columns give the bits of cho_solve, the right-hand
-    sides are checked instead, and a failed solve is a FactorizationError."""
+    sides are checked instead, and a failed solve is a FactorizationError. A
+    preconditioned map recovers by products with its root L and builds no factor."""
 
     @staticmethod
     def map_and_rows(preconditioned, seed=16):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 1, size=(30, 2))
-        L = rng.normal(size=(30, 30)) + 6 * np.eye(30) if preconditioned else None
-        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.4), MeasurementOperator(pts, L))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.4)
+        L = cholesky_preconditioner(kernel, pts) if preconditioned else None
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L))
         return rmap, rng.normal(size=(5, 30)), rng.uniform(0, 1, size=(11, 2))
 
     @pytest.mark.parametrize("preconditioned", [False, True], ids=["identity", "preconditioned"])
     def test_many_columns_are_bitwise_cho_solve(self, preconditioned):
         rmap, U, q = self.map_and_rows(preconditioned)
-        w = lu_solve(rmap._preconditioner_lu, U.T) if preconditioned else U.T
-        assert np.array_equal(rmap.coefficients(U), cho_solve(rmap._factor, w))
-        W = cho_solve(rmap._factor, gram(rmap.kernel, q, rmap.measurement.points).T).T
-        W = lu_solve(rmap._preconditioner_lu, W.T, trans=1).T if preconditioned else W
-        assert np.array_equal(recovery_weights(rmap, q), W)
+        kq, L = gram(rmap.kernel, q, rmap.measurement.points), rmap.measurement.preconditioner
+        if preconditioned:
+            assert np.array_equal(rmap.coefficients(U), L @ U.T)
+            assert np.array_equal(recovery_weights(rmap, q), kq @ L)
+            assert np.array_equal(on_grid_weights(rmap, U.T), gram(rmap.kernel, rmap.measurement.points) @ (L @ U.T))
+            assert "_factor" not in vars(rmap)
+        else:
+            assert np.array_equal(rmap.coefficients(U), cho_solve(rmap._factor, U.T))
+            assert np.array_equal(recovery_weights(rmap, q), cho_solve(rmap._factor, kq.T).T)
 
     @pytest.mark.parametrize("preconditioned", [False, True], ids=["identity", "preconditioned"])
     def test_non_finite_measurement_rejected_before_factorizing(self, preconditioned):
@@ -307,7 +333,7 @@ class TestTriangularSolves:
                 recover(rmap, row, q)
             with pytest.raises(ValueError, match="^measurement vector must be finite$"):
                 rmap.coefficients(np.vstack([U, row]))
-        assert "_factor" not in vars(rmap) and "_preconditioner_lu" not in vars(rmap)
+        assert not {"_factor", "_gram", "_root"} & vars(rmap).keys()
 
     def test_non_finite_on_grid_right_hand_side_rejected(self):
         rmap, U, _ = self.map_and_rows(False)
@@ -485,3 +511,39 @@ class TestLattice:
 
     def test_default_threshold_keeps_burgers_dense_and_darcy_on_the_lattice(self):
         assert 128 * 128 < recovery.LATTICE_MIN_ENTRIES <= 28 * 28 * 29 * 29
+
+
+def _longdouble_cholesky(A):
+    """The lower Cholesky factor of a symmetric positive definite matrix, in np.longdouble."""
+    A = np.asarray(A, dtype=np.longdouble)
+    C = np.zeros_like(A)
+    for j in range(len(A)):
+        C[j, j] = np.sqrt(A[j, j] - C[j, :j] @ C[j, :j])
+        C[j + 1:, j] = (A[j + 1:, j] - C[j + 1:, :j] @ C[j, :j]) / C[j, j]
+    return C
+
+
+def _longdouble_spd_solve(A, B):
+    """A^-1 B for symmetric positive definite A, by forward and back substitution
+    on ``_longdouble_cholesky(A)``."""
+    C, Y = _longdouble_cholesky(A), np.array(B, dtype=np.longdouble)
+    for i in range(len(C)):
+        Y[i] = (Y[i] - C[i, :i] @ Y[:i]) / C[i, i]
+    for i in reversed(range(len(C))):
+        Y[i] = (Y[i] - C[i + 1:, i] @ Y[i + 1:]) / C[i, i]
+    return Y
+
+
+def test_preconditioned_recovery_matches_an_extended_precision_reference():
+    # recovering through L alone must stay near K G^-1 L^-1 v, taken in extended
+    # precision with L and G factorized there (L is symmetric positive definite)
+    rmap, h, U = lattice_map(matern, 1, "cholesky", 60)
+    grid, L = rmap.measurement.points, rmap.measurement.preconditioner
+    q = grid[:-1] + 0.5 * h  # off the grid, on the dense path
+    G = gram(rmap.kernel, grid).astype(np.longdouble) + np.longdouble(rmap.nugget) * np.eye(len(grid))
+    c = _longdouble_spd_solve(G, _longdouble_spd_solve(L, U.T))
+    C = rmap.coefficients(U)
+    for got, want in ((C, c), (on_grid_weights(rmap, U.T), gram(rmap.kernel, grid) @ c),
+                      (evaluate(rmap, C, q), gram(rmap.kernel, q, grid) @ c)):
+        rms = np.sqrt(np.mean(want * want))
+        assert np.abs(got - want).max() <= 1e-12 * rms
