@@ -19,10 +19,10 @@ was built from a checked matrix, so no request rescans it; the right-hand sides
 are checked instead, and a non-finite measurement vector is a ValueError. Many
 columns take LAPACK's blocked path and give the bits of ``potrs``; one column
 takes the unblocked one, which differs only by rounding and costs less than
-half as much. A preconditioned map builds no factor, and the kernel matrix only
-for its weights on its own points: it recovers through L alone, as
-G^-1 L^-1 = L for the map's own root L G L = I (``cholesky_preconditioner`` at
-the map's nugget), which its first recovery checks; any other L, which
+half as much. A preconditioned map builds no factor and keeps no kernel
+matrix: it recovers through L alone, as G^-1 L^-1 = L for the map's own root
+L G L = I (``cholesky_preconditioner`` at the map's nugget), which its first
+recovery checks to the rounding that such a root carries; any other L, which
 measuring still takes, is a ValueError there.
 
 Evaluating the interpolant, k(q, X) @ C, builds the cross Gram in blocks,
@@ -189,10 +189,9 @@ class RecoveryMap:
 
     Without a preconditioner, the regularized kernel matrix G on the measurement
     points is assembled and Cholesky-factorized on first use. A preconditioned
-    map builds no factor: it recovers through its L once its first recovery has
-    checked L G L = I (``_root``), and builds the kernel matrix for
-    ``on_grid_weights``. All are cached, and concurrent first uses at worst
-    build equal ones twice.
+    map builds no factor and keeps no kernel matrix: it recovers through its L
+    once its first recovery has checked L G L = I (``_root``). Both are cached,
+    and concurrent first uses at worst build equal ones twice.
     """
 
     kernel: ScalarKernel
@@ -223,22 +222,23 @@ class RecoveryMap:
         return self.measurement.size
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        """k(X, X), without the nugget, for a preconditioned map's ``on_grid_weights``."""
-        return gram(self.kernel, self.measurement.points)
-
-    @cached_property
     def _root(self) -> np.ndarray:
         """L, checked once to be the map's own root, so that G^-1 L^-1 = L:
-        |L G L x - x| <= 1e-8 |x| for one seeded vector x, with K L x from
-        ``evaluate``, so that an off-grid request builds no kernel matrix."""
+        |L G L x - x| <= tol |x| for one seeded vector x, with K L x from
+        ``evaluate``, so that no kernel matrix is kept (on a lattice it is a
+        convolution). tol is 1e-8, or n eps |L|_1 |L|_inf tr(G) when that is
+        larger: for a root, an upper bound on n eps cond(G), the order of
+        rounding that ``cholesky_preconditioner``'s eigh-built L carries."""
         L, x = self.measurement.preconditioner, np.random.default_rng(0).standard_normal(self.size)
         Lx = L @ x
         residual = np.linalg.norm(L @ (evaluate(self, Lx, self.measurement.points) + self.nugget * Lx) - x)
         residual /= np.linalg.norm(x)
-        if not residual <= 1e-8:  # a NaN residual fails too
+        absL = np.abs(L)
+        trace = float(np.sum(gram_diag(self.kernel, self.measurement.points))) + self.size * self.nugget
+        tol = max(1e-8, self.size * np.finfo(float).eps * absL.sum(0).max() * absL.sum(1).max() * trace)
+        if not residual <= tol:  # a NaN residual fails too
             raise ValueError("preconditioner is not the root (K + nugget I)^-1/2 of its recovery map: "
-                             f"|L G L x - x| / |x| = {residual:.3e} > 1e-8")
+                             f"|L G L x - x| / |x| = {residual:.3e} > {tol:.3e}")
         return L
 
     def coefficients(self, U) -> np.ndarray:
@@ -294,13 +294,18 @@ def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.n
 
     On a lattice query set that meets the conditions in the module docstring,
     the product is an FFT convolution of C, reshaped to the grid, with the
-    kernel's values at the lattice offsets. Otherwise the cross Gram is built
-    in 128-row blocks, whose temporaries the allocator reuses between calls.
+    kernel's values at the lattice offsets. Otherwise it is ``_blocked_product``.
     """
-    grid = rmap.measurement.points
     lattices = _lattice_pair(rmap, query_points)
     if lattices is not None:
-        return _convolve(rmap.kernel, C.reshape(len(grid), -1), *lattices).reshape(len(query_points), *C.shape[1:])
+        return _convolve(rmap.kernel, C.reshape(rmap.size, -1), *lattices).reshape(len(query_points), *C.shape[1:])
+    return _blocked_product(rmap, C, query_points)
+
+
+def _blocked_product(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.ndarray:
+    """k(query_points, X) @ C with the cross Gram built in 128-row blocks, whose
+    temporaries the allocator reuses between calls; no block is kept."""
+    grid = rmap.measurement.points
     blocks = range(0, len(query_points), 128)
     return np.concatenate([gram(rmap.kernel, query_points[i:i + 128], grid) @ C for i in blocks])
 
@@ -350,12 +355,15 @@ def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
     at ``rmap.measurement.points``. Without a preconditioner it takes the exact
     form R - nugget * G^-1 R: at its own points the kernel matrix is
     G - nugget * I, so no kernel matrix is built. A preconditioned map builds
-    the kernel matrix K and no factor, and gives K @ (L @ R). R is one vector
-    or a matrix of columns; a non-finite R is a ValueError."""
+    no factor and gives K @ (L @ R) by ``_blocked_product``, so it keeps no
+    kernel matrix either; it does not convolve on a lattice, as that costs two
+    FFTs per column (darcy's 29x29 grid, 841 columns, one BLAS thread of a
+    2-vCPU x86-64 machine: 217 against 35 ms). R is one vector or a matrix of
+    columns; a non-finite R is a ValueError."""
     if not np.isfinite(R).all():
         raise ValueError("right-hand side of the recovery solve is not finite")
     if rmap.measurement.preconditioner is not None:
-        return rmap._gram @ (rmap._root @ R)
+        return _blocked_product(rmap, rmap._root @ R, rmap.measurement.points)
     Z = _gram_solve(rmap, R)
     Z *= -rmap.nugget  # in place: Z may be as large as the grid's kernel matrix
     Z += R

@@ -684,7 +684,7 @@ class TestEval:
         model, ds = operator.load_model(trained_chol_pca), load_dataset(adv1_dir)
         u, g = operator.FunctionSamples(ds.input_grid, ds.test_inputs[0]), ds.output_grid
         for q in (g, g + 0.25 * (g[1] - g[0])):
-            with pytest.raises(ValueError, match=r"^preconditioner is not the root .* > 1e-8$"):
+            with pytest.raises(ValueError, match=r"^preconditioner is not the root .* > 1\.000e-08$"):
                 operator.apply(model, u, q)
         assert run(["eval", str(trained_chol_pca), str(adv1_dir)]) == 1
         err = capsys.readouterr().err

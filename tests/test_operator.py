@@ -349,6 +349,23 @@ class TestPcaPipeline:
 
 
 class TestPersistence:
+    def test_ill_conditioned_cholesky_model_serves_after_a_reload(self, tmp_path):
+        # a smooth user kernel on a fine grid at the default nugget: the Gram's condition
+        # is 3.5e11, and the model's own root L passes the check that scales with it
+        grid, inputs, outputs = smooth_dataset(n_pts=60, seed=7)
+        smooth = ScalarKernel.gaussian(0.3)
+        model = fit_operator(grid, grid, inputs, outputs, ScalarKernel.gaussian(2.0), gamma=1e-10,
+                             preconditioner="cholesky", q_kernel=smooth, k_kernel=smooth)
+        assert np.linalg.cond(gram(smooth, grid) + model.output_recovery.nugget * np.eye(60)) > 1e11
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        u = FunctionSamples(grid, inputs[0])
+        for q in (grid, offgrid(grid)):
+            mean, std = apply_with_uq(loaded, u, q)
+            assert np.isfinite(std.values).all()
+            assert np.array_equal(apply(loaded, u, q).values, mean.values)
+        assert "_root" in vars(loaded.output_recovery)
+
     def test_round_trip_preserves_predictions(self, tmp_path, adv1_model):
         ds, model = adv1_model
         save_model(model, tmp_path / "m")
@@ -804,7 +821,7 @@ class TestInferenceCore:
         loaded = load_model(tmp_path / "m")
         assert sizes == []
         assert not {"_feature_map", *GRID_PARTS} & vars(loaded).keys()
-        assert not {"_factor", "_gram", "_root"} & vars(loaded.output_recovery).keys()
+        assert not {"_factor", "_root"} & vars(loaded.output_recovery).keys()
 
     def test_offgrid_uq_builds_weights_once_mean_is_apply(self, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model

@@ -106,8 +106,7 @@ class TestRecover:
 
     @pytest.mark.parametrize("preconditioned", [False, True])
     def test_factor_built_on_first_recovery_then_reused(self, monkeypatch, preconditioned):
-        # a preconditioned map checks its root once, builds its kernel matrix once, for
-        # on_grid_weights, and never factorizes
+        # a preconditioned map checks its root once and never builds a kernel matrix or a factor
         rng = np.random.default_rng(15)
         pts = rng.uniform(0, 1, size=(8, 1))
         kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
@@ -125,7 +124,7 @@ class TestRecover:
         assert np.array_equal(recover(rmap, U, q).values, first)
         recovery_weights(rmap, q)
         on_grid_weights(rmap, U)
-        assert len(calls) == (not preconditioned) and grams.count(True) == 1
+        assert len(calls) == grams.count(True) == (not preconditioned)
         assert ("_factor" in vars(rmap)) != preconditioned
 
     def test_recovery_through_an_l_that_is_not_the_maps_root_raises(self):
@@ -135,12 +134,26 @@ class TestRecover:
         np.testing.assert_array_equal(measure(op, FunctionSamples(pts, np.arange(6.0))), 2.0 * np.arange(6.0))
         rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.4), op)
         message = r"^preconditioner is not the root \(K \+ nugget I\)\^-1/2 of its recovery map: " \
-                  r"\|L G L x - x\| / \|x\| = \d\.\d{3}e[+-]\d+ > 1e-8$"
+                  r"\|L G L x - x\| / \|x\| = \d\.\d{3}e[+-]\d+ > 1\.000e-08$"
         for recovery_call in (lambda: recover(rmap, np.ones(6), pts), lambda: recovery_weights(rmap, pts),
                               lambda: on_grid_weights(rmap, np.ones(6))):
             with pytest.raises(ValueError, match=message):
                 recovery_call()
         assert not {"_factor", "_root"} & vars(rmap).keys()
+
+    @pytest.mark.parametrize("kernel,pts", [
+        (ScalarKernel.gaussian(0.2), np.linspace(0.0, 1.0, 200)[:, None]),
+        (ScalarKernel.gaussian(0.3), np.stack(np.meshgrid(*2 * [np.linspace(0.0, 1.0, 20)], indexing="ij"), -1).reshape(-1, 2)),
+    ], ids=["1d-cond-9e11", "2d-cond-1e12"])
+    def test_own_root_passes_at_any_conditioning_a_scaled_entry_does_not(self, kernel, pts):
+        # the check's bound follows cond(G), which an eigh-built root's rounding grows with;
+        # one entry of L scaled by 1.5, as in a corrupt saved L, still misses it
+        L = cholesky_preconditioner(kernel, pts)
+        U = np.random.default_rng(3).normal(size=len(pts))
+        recover(RecoveryMap(kernel, MeasurementOperator(pts, L)), U, pts)
+        L.flat[3] *= 1.5
+        with pytest.raises(ValueError, match="^preconditioner is not the root"):
+            recover(RecoveryMap(kernel, MeasurementOperator(pts, L)), U, pts)
 
     def test_gram_factor_reproduces_regularized_gram(self):
         rng = np.random.default_rng(5)
@@ -253,9 +266,8 @@ class TestProperties:
     def test_recovery_weights_match_recover(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 1, size=(7, 1))
-        kernel, nugget = ScalarKernel.gaussian(0.4), 1e-6  # at the default nugget this Gram's condition is 7e9
-        L = cholesky_preconditioner(kernel, pts, nugget)
-        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L), nugget)
+        kernel = ScalarKernel.gaussian(0.4)  # this Gram's condition is 7e9: its root passes the check
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, cholesky_preconditioner(kernel, pts)))
         U = rng.normal(size=7)
         queries = rng.uniform(0, 1, size=(9, 1))
         W = recovery_weights(rmap, queries)
@@ -292,7 +304,7 @@ class TestProperties:
             expected = np.linalg.solve(G + rmap.nugget * np.eye(9), np.linalg.solve(L, U[i]))
             np.testing.assert_allclose(single, expected, rtol=1e-8, atol=1e-8 * np.abs(expected).max())
         recovery_weights(rmap, rng.uniform(0, 1, size=(5, 1)))
-        assert checks == [1] and vars(rmap)["_root"] is L and not {"_factor", "_gram"} & vars(rmap).keys()
+        assert checks == [1] and vars(rmap)["_root"] is L and "_factor" not in vars(rmap)
 
 
 class TestTriangularSolves:
@@ -333,7 +345,7 @@ class TestTriangularSolves:
                 recover(rmap, row, q)
             with pytest.raises(ValueError, match="^measurement vector must be finite$"):
                 rmap.coefficients(np.vstack([U, row]))
-        assert not {"_factor", "_gram", "_root"} & vars(rmap).keys()
+        assert not {"_factor", "_root"} & vars(rmap).keys()
 
     def test_non_finite_on_grid_right_hand_side_rejected(self):
         rmap, U, _ = self.map_and_rows(False)
@@ -534,12 +546,15 @@ def _longdouble_spd_solve(A, B):
     return Y
 
 
-def test_preconditioned_recovery_matches_an_extended_precision_reference():
+@pytest.mark.parametrize("min_entries", [recovery.LATTICE_MIN_ENTRIES, 0], ids=["dense", "lattice"])
+def test_preconditioned_recovery_matches_an_extended_precision_reference(monkeypatch, min_entries):
     # recovering through L alone must stay near K G^-1 L^-1 v, taken in extended
-    # precision with L and G factorized there (L is symmetric positive definite)
+    # precision with L and G factorized there (L is symmetric positive definite);
+    # at LATTICE_MIN_ENTRIES 0 the products with K, on and off the grid, convolve
+    monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", min_entries)
     rmap, h, U = lattice_map(matern, 1, "cholesky", 60)
     grid, L = rmap.measurement.points, rmap.measurement.preconditioner
-    q = grid[:-1] + 0.5 * h  # off the grid, on the dense path
+    q = grid[:-1] + 0.5 * h  # off the grid
     G = gram(rmap.kernel, grid).astype(np.longdouble) + np.longdouble(rmap.nugget) * np.eye(len(grid))
     c = _longdouble_spd_solve(G, _longdouble_spd_solve(L, U.T))
     C = rmap.coefficients(U)
