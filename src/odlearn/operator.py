@@ -19,11 +19,20 @@ that reads it: the features are X @ M - offset (``_feature_map``), and the
 values on the model's own output grid are the kernel row times A plus a0
 (``_grid_mean``), the paper's expansion G(u)(y) = sum_i S(phi(u), U_i) a_i(y)
 read off at the grid, through the model's one regressor with A as its
-coefficients; the std there is sqrt(s) times ``_grid_norms``. Any other query
-set recovers the predicted measurements there, so an off-grid UQ mean is
-bitwise ``apply``; only its std builds recovery weights. Models are immutable
-after assembly, apart from those cached parts and factors; all apply-style
-operations are pure. The grid kernels use the default nugget, and the
+coefficients; the std there is sqrt(s) times ``_grid_norms``, in closed form
+without output PCA. Any other query set recovers the predicted measurements
+there, so an off-grid UQ mean is bitwise ``apply``; only its std builds
+recovery weights, for their row norms. Each model caches the off-grid query
+sets it serves (``QueryCache``): a set's first request records a hash of its
+points and keeps nothing, and from its second on the set keeps a copy of its
+points, what evaluating there needs (the lattice stencil, or the cross Gram
+when it fits) and, once a std is asked, the row norms, so that a repeated
+request pays for the regressor, one recovery solve and one product. The cache
+holds at most ``QUERY_CACHE_BYTES`` per model after each request, least
+recently used sets going first, and ``clear`` empties it. Models are immutable
+after assembly, apart from those cached parts, factors and query sets; all
+apply-style operations are pure, and a cached set gives the bits of a first
+request. The grid kernels use the default nugget, and the
 preconditioner type a model reports is read off its measurement operators.
 A saved model uses the dataset container's layout and loader
 (``data/container.py``): a JSON manifest plus raw little-endian float64
@@ -38,6 +47,8 @@ the one module global, ``_last_load``, holds it.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -60,11 +71,12 @@ from .preprocess import PcaProjector, pca_fit, project, reconstruct
 from .recovery import (
     FunctionSamples,
     MeasurementOperator,
+    QuerySet,
     RecoveryMap,
     as_query_points,
     cholesky_preconditioner,
-    evaluate,
     measure,
+    on_grid_norms,
     on_grid_weights,
     recover,
     recovery_weights,
@@ -72,6 +84,8 @@ from .recovery import (
 )
 
 MODEL_FORMAT_VERSION = 1
+QUERY_CACHE_BYTES = 16 * 2**20  # per model: the cached off-grid query sets
+QUERY_ENTRY_BYTES = 2048        # charged per cached set for its Python objects: tracemalloc, 1.5 kB at most
 _last_load = None  # (repr of the manifest, mapped binaries, model) of the last successful load_model
 
 
@@ -135,10 +149,111 @@ class OperatorModel:
     @cached_property
     def _grid_norms(self) -> np.ndarray:
         """(n_out,) row norms of W, or of W @ output PCA basis: on the model's own
-        output grid the std is sqrt(s) times these."""
+        output grid the std is sqrt(s) times these. Without output PCA they are
+        ``on_grid_norms``' closed form."""
         rmap, out = self.output_recovery, self.output_pca
-        directions = np.eye(rmap.size) if out is None else out.basis
-        return np.linalg.norm(on_grid_weights(rmap, directions), axis=1)
+        if out is None:
+            return on_grid_norms(rmap)
+        return np.linalg.norm(on_grid_weights(rmap, out.basis), axis=1)
+
+    @cached_property
+    def _queries(self) -> QueryCache:
+        """The off-grid query sets this model has served."""
+        return QueryCache()
+
+
+class _Entry:
+    """A held query set: a copy of its points (``data``, and ``points`` read-only
+    on it), its ``QuerySet`` on the output map, its weight row norms once a std
+    is asked, and the bytes the cache has counted for it."""
+
+    __slots__ = ("data", "points", "query_set", "norms", "counted")
+
+    def __init__(self, data: bytes, shape: tuple) -> None:
+        self.data, self.points = data, np.frombuffer(data).reshape(shape)
+        self.query_set = self.norms = None
+        self.counted = QUERY_ENTRY_BYTES
+
+    @property
+    def nbytes(self) -> int:
+        kept = 0 if self.query_set is None else self.query_set.nbytes
+        return QUERY_ENTRY_BYTES + len(self.data) + kept + (0 if self.norms is None else self.norms.nbytes)
+
+
+class QueryCache:
+    """A model's off-grid query sets, least recently used first, keyed on a hash
+    of the checked points' shape and bytes. A set's first request records only
+    the hash, so a set asked for once keeps nothing; its second request stores a
+    copy of its points (never a view of the caller's array or a mapped file),
+    and from then on the entry, once its bytes are compared equal, keeps what
+    ``QuerySet`` builds there (the cross Gram only if it fits the cap) and, once
+    a std is asked, the weight row norms. After each request the entries hold
+    at most ``QUERY_CACHE_BYTES``, counting ``QUERY_ENTRY_BYTES`` for each one's
+    Python objects: the least recently used go first, and a set whose entry
+    alone is larger is served and not stored. Every request computes from a copy
+    of the points and the same parts, built or kept, in the same way, so a hit
+    gives a miss's bits."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[int, _Entry | None] = OrderedDict()  # None: asked for once
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes counted for the entries held."""
+        return self._bytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+    def serve(self, model: OperatorModel, qp: np.ndarray, C: np.ndarray, std: bool):
+        """(k(qp, X) @ C, transposed, and the weight row norms at qp, or None
+        unless ``std``), through qp's entry when the set is held."""
+        rmap, data = model.output_recovery, qp.tobytes()
+        key = hash((qp.shape, data))
+        with self._lock:
+            if key not in self._entries:  # a first request: record the hash alone
+                self._entries[key] = entry = None
+                self._count(QUERY_ENTRY_BYTES)
+            else:
+                self._entries.move_to_end(key)
+                entry = self._entries[key]
+                if entry is None:  # the second: hold a copy of the points
+                    entry = self._entries[key] = _Entry(data, qp.shape)
+                elif entry.points.shape != qp.shape or entry.data != data:  # another set's hash
+                    entry = None
+        if entry is None:
+            points = np.frombuffer(data).reshape(qp.shape)
+            return QuerySet(rmap, points).evaluate(C).T, (_weight_norms(model, points) if std else None)
+        try:
+            if entry.query_set is None:  # the cross Gram is kept if it and the norms fit the cap
+                fits = len(qp) * (rmap.size + 1) * qp.itemsize <= QUERY_CACHE_BYTES - entry.nbytes
+                entry.query_set = QuerySet(rmap, entry.points, keep_gram=fits)
+            mean = entry.query_set.evaluate(C).T
+            if std and entry.norms is None:
+                entry.norms = _weight_norms(model, entry.points)
+            return mean, (entry.norms if std else None)
+        finally:
+            size = entry.nbytes
+            with self._lock:
+                held = self._entries.get(key) is entry  # not evicted or cleared meanwhile
+                if held and size > QUERY_CACHE_BYTES:  # served, not stored
+                    del self._entries[key]
+                    self._bytes -= entry.counted
+                elif held:
+                    grown, entry.counted = size - entry.counted, size
+                    self._count(grown)
+
+    def _count(self, grown: int) -> None:
+        """Adds ``grown`` bytes, then evicts the least recently used entries, the
+        one just served last, to the cap; under the lock."""
+        self._bytes += grown
+        while self._bytes > QUERY_CACHE_BYTES:
+            _, old = self._entries.popitem(last=False)
+            self._bytes -= QUERY_ENTRY_BYTES if old is None else old.counted
 
 
 def _weight_norms(model: OperatorModel, query_points) -> np.ndarray:
@@ -162,8 +277,9 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
     mean and the variance off one kernel row per input row. On the model's own
     output grid the values are that kernel row times the folded A, plus a0,
     and the std factors are the grid norms, built only when a std is asked; no
-    m x m weight matrix is read. Other query sets pay one recovery per row,
-    and, when std is asked, build their weights for the std factors alone.
+    m x m weight matrix is read. Other query sets pay one recovery per row and
+    one product with the set's cached parts (``QueryCache``), and, when std is
+    asked, the set's weight row norms, built once per cached set.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = model.input_measurement.size
@@ -187,8 +303,7 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
         mean, norms = (out if a0 is None else out + a0), (model._grid_norms if std else None)
     else:
         V = out if model.output_pca is None else reconstruct(model.output_pca, out)
-        mean = evaluate(rmap, rmap.coefficients(V), qp).T
-        norms = _weight_norms(model, qp) if std else None
+        mean, norms = model._queries.serve(model, qp, rmap.coefficients(V), std)
     if not std:
         return mean, None
     return mean, np.sqrt(np.clip(var, 0.0, None))[:, None] * norms

@@ -33,18 +33,25 @@ That path runs when the kernel is stationary; both point sets are C-ordered
 tensor products of arithmetic progressions, with at least two points per axis,
 to ``LATTICE_TOL`` of their extent; the query step equals the grid step on
 every axis, to ``LATTICE_TOL`` of it; and the cross Gram would have at least
-``LATTICE_MIN_ENTRIES`` entries. Every other query set takes the blocked dense
-path.
+``LATTICE_MIN_ENTRIES`` entries; and C has few enough columns, each costing
+two FFTs, that convolving is the cheaper path (``QuerySet.lattice_pair``).
+Every other product takes the blocked dense path. A ``QuerySet`` is one query
+set's preparation, applied to any C: it keeps the lattice pair and the FFT'd
+stencil it builds and, when asked, the cross Gram's blocks, so that a caller
+that meets a set again (the operator's per-model cache) pays only the product.
+``evaluate`` prepares a set for one call. On the map's own points the row
+norms of the recovery weights have a closed form (``on_grid_norms``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .errors import FactorizationError
 from .kernels import ScalarKernel, as_points, distances, gram, gram_diag, stationary_gram
@@ -58,6 +65,17 @@ LATTICE_TOL = 128 * np.finfo(float).eps
 # thread: the two paths cross near 30k entries in 1-D and 2-D, and the lattice
 # path won every case measured above this. Burgers' 128x128 stays dense.
 LATTICE_MIN_ENTRIES = 65_536
+# What a column of C costs on each path, in units of one cross-Gram entry built:
+# its two FFTs cost LATTICE_FFT_COST per S log2 S, S the full convolution's size,
+# and its product with the cross Gram LATTICE_PRODUCT_COST per entry. So a C of B
+# columns convolves while B (FFT_COST S log2 S - PRODUCT_COST n_q n) <= n_q n: the
+# FFTs grow with B, the blocked path pays its cross Gram once. Fitted to cold
+# timings at 1 BLAS thread (2-vCPU x86-64, pocketfft): 0.12-0.21 and
+# 0.006-0.011 on 1-D lattices of 400 and 1000 points and darcy's 28x28 cell
+# centres on its 29x29 grid. Darcy's paths cross at 150-180 columns (the rule
+# says 198); 1-D lattices convolve at any column count.
+LATTICE_FFT_COST = 0.2
+LATTICE_PRODUCT_COST = 0.006
 
 
 @dataclass(frozen=True)
@@ -290,16 +308,74 @@ def recover(rmap: RecoveryMap, U, query_points) -> FunctionSamples:
 
 def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.ndarray:
     """k(query_points, X) @ C for coefficients C from ``rmap.coefficients`` and
-    query points from ``as_query_points``.
+    query points from ``as_query_points``, preparing the set for this call alone
+    (``QuerySet``)."""
+    return QuerySet(rmap, query_points).evaluate(C)
 
-    On a lattice query set that meets the conditions in the module docstring,
-    the product is an FFT convolution of C, reshaped to the grid, with the
-    kernel's values at the lattice offsets. Otherwise it is ``_blocked_product``.
-    """
-    lattices = _lattice_pair(rmap, query_points)
-    if lattices is not None:
-        return _convolve(rmap.kernel, C.reshape(rmap.size, -1), *lattices).reshape(len(query_points), *C.shape[1:])
-    return _blocked_product(rmap, C, query_points)
+
+@dataclass(frozen=True, eq=False)
+class QuerySet:
+    """Query points of one recovery map, from ``as_query_points``, and what
+    evaluating k(q, X) @ C there needs, each part built on its first need and
+    kept: the lattice pair, the FFT'd kernel stencil of a lattice pair and, with
+    ``keep_gram``, the cross Gram in 128-row blocks (n_q x n x 8 bytes). Which
+    path a product takes is decided on every call, from the set's size, C's
+    column count and the current ``LATTICE_MIN_ENTRIES`` (``lattice_pair``),
+    and a kept part is what a rebuild gives, so a set evaluates to the same bits
+    however many products it has served. Concurrent first needs at worst build
+    equal parts twice."""
+
+    rmap: RecoveryMap
+    points: np.ndarray
+    keep_gram: bool = False
+
+    @cached_property
+    def _lattices(self) -> tuple[_Lattice, _Lattice] | None:
+        x = self.rmap._lattice
+        q = _lattice_of(self.points) if x is not None else None
+        if q is None or np.any(np.abs(q.step - x.step) > LATTICE_TOL * x.step):
+            return None
+        return q, x
+
+    @cached_property
+    def _stencil(self) -> np.ndarray:
+        return _stencil(self.rmap.kernel, *self._lattices)
+
+    @cached_property
+    def _blocks(self) -> list[np.ndarray]:
+        grid = self.rmap.measurement.points
+        return [gram(self.rmap.kernel, self.points[i:i + 128], grid) for i in range(0, len(self.points), 128)]
+
+    def lattice_pair(self, columns: int) -> tuple[_Lattice, _Lattice] | None:
+        """The query lattice and the grid lattice when a product with ``columns``
+        columns convolves (the conditions in the module docstring), else None."""
+        entries = len(self.points) * self.rmap.size
+        if self.rmap.kernel.family == "linear" or entries < LATTICE_MIN_ENTRIES or self._lattices is None:
+            return None
+        q, x = self._lattices
+        size = math.prod(m + n - 1 for m, n in zip(q.shape, x.shape))
+        per_column = LATTICE_FFT_COST * size * math.log2(size) - LATTICE_PRODUCT_COST * entries
+        return self._lattices if columns * per_column <= entries else None
+
+    def evaluate(self, C: np.ndarray) -> np.ndarray:
+        """k(points, X) @ C for coefficients C from ``rmap.coefficients``: an FFT
+        convolution of C, reshaped to the grid, with the kernel's values at the
+        lattice offsets (``lattice_pair``), else the product with the kept
+        blocks, or with ``keep_gram`` off ``_blocked_product``."""
+        lattices = self.lattice_pair(C.shape[1] if C.ndim == 2 else 1)
+        if lattices is not None:
+            valid = _convolve(self._stencil, C.reshape(self.rmap.size, -1), *lattices)
+            return valid.reshape(len(self.points), *C.shape[1:])
+        if self.keep_gram:
+            return np.concatenate([block @ C for block in self._blocks])
+        return _blocked_product(self.rmap, C, self.points)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stencil and blocks kept so far (the points are the caller's)."""
+        kept = vars(self)
+        stencil = kept.get("_stencil")
+        return (0 if stencil is None else stencil.nbytes) + sum(block.nbytes for block in kept.get("_blocks", ()))
 
 
 def _blocked_product(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.ndarray:
@@ -310,31 +386,26 @@ def _blocked_product(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray)
     return np.concatenate([gram(rmap.kernel, query_points[i:i + 128], grid) @ C for i in blocks])
 
 
-def _lattice_pair(rmap: RecoveryMap, qp: np.ndarray) -> tuple[_Lattice, _Lattice] | None:
-    """The query lattice and the grid lattice when evaluate convolves (the
-    conditions in the module docstring), else None."""
-    if rmap.kernel.family == "linear" or len(qp) * rmap.size < LATTICE_MIN_ENTRIES:
-        return None
-    x = rmap._lattice
-    q = _lattice_of(qp) if x is not None else None
-    if q is None or np.any(np.abs(q.step - x.step) > LATTICE_TOL * x.step):
-        return None
-    return q, x
+def _stencil(kernel: ScalarKernel, q: _Lattice, x: _Lattice) -> np.ndarray:
+    """The real FFT of the kernel at every offset i - j of lattices q and x of one
+    step (x's), on the grid of the full convolution."""
+    d = len(x.shape)
+    size = tuple(m + n - 1 for m, n in zip(q.shape, x.shape))
+    r2 = 0.0
+    for k in range(d):
+        offset = q.origin[k] - x.origin[k] + (np.arange(size[k]) - (x.shape[k] - 1)) * x.step[k]
+        r2 = r2 + (offset * offset).reshape((-1,) + (1,) * (d - 1 - k))
+    return np.fft.rfftn(stationary_gram(kernel, np.sqrt(r2)), axes=tuple(range(d)))
 
 
-def _convolve(kernel: ScalarKernel, C: np.ndarray, q: _Lattice, x: _Lattice) -> np.ndarray:
-    """k(q, x) @ C, (n_q, B), for lattices q and x of one step (x's).
+def _convolve(stencil: np.ndarray, C: np.ndarray, q: _Lattice, x: _Lattice) -> np.ndarray:
+    """k(q, x) @ C, (n_q, B), for lattices q and x of one step, from their ``_stencil``.
 
     k(q_i, x_j) depends only on i - j, so the product is the valid part of the
     convolution of C, on the grid, with the kernel at every offset i - j.
     """
     d, B = len(x.shape), C.shape[1]
     size = tuple(m + n - 1 for m, n in zip(q.shape, x.shape))
-    r2 = 0.0
-    for k in range(d):
-        offset = q.origin[k] - x.origin[k] + (np.arange(size[k]) - (x.shape[k] - 1)) * x.step[k]
-        r2 = r2 + (offset * offset).reshape((-1,) + (1,) * (d - 1 - k))
-    stencil = np.fft.rfftn(stationary_gram(kernel, np.sqrt(r2)), axes=tuple(range(d)))
     axes = tuple(range(1, d + 1))
     full = np.fft.irfftn(np.fft.rfftn(C.T.reshape(B, *x.shape), s=size, axes=axes) * stencil, s=size, axes=axes)
     valid = full[(slice(None),) + tuple(slice(n - 1, n - 1 + m) for n, m in zip(x.shape, q.shape))]
@@ -368,6 +439,27 @@ def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
     Z *= -rmap.nugget  # in place: Z may be as large as the grid's kernel matrix
     Z += R
     return Z
+
+
+def on_grid_norms(rmap: RecoveryMap) -> np.ndarray:
+    """The row norms of the recovery weights W at the map's own points, in closed
+    form. Without a preconditioner W = I - nugget G^-1, so |w_y|^2 is
+    1 - 2 nugget (G^-1)_yy + nugget^2 |(G^-1)_y|^2, with G^-1 from ``dpotri`` on
+    the map's factor. With the map's own root L (symmetric, L L = G^-1), W = K L
+    and W W^T = K G^-1 K = G - 2 nugget I + nugget^2 G^-1, so |w_y|^2 is
+    k(y, y) - nugget + nugget^2 |L_y|^2: one pass over L, no K L product."""
+    lam = rmap.nugget
+    if rmap.measurement.preconditioner is not None:
+        L = rmap._root
+        sq = gram_diag(rmap.kernel, rmap.measurement.points) - lam + lam * lam * (L * L).sum(axis=1)
+    else:
+        inv, info = dpotri(rmap._factor[0], lower=1)
+        if info != 0:
+            raise FactorizationError(f"recovery inverse failed with LAPACK info={info}; increase the nugget")
+        T = np.tril(inv)  # dpotri fills the lower triangle only
+        T *= T
+        sq = 1.0 - 2.0 * lam * np.diag(inv) + lam * lam * (T.sum(axis=0) + T.sum(axis=1) - np.diag(T))
+    return np.sqrt(np.clip(sq, 0.0, None))  # rounding may take a vanishing norm below 0
 
 
 def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None = None) -> np.ndarray:

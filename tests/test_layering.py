@@ -2,7 +2,7 @@
 module depends on nothing in odlearn, and the data layer only on errors and
 kernels, so that recovery, regression or the operator never enter it. Also read
 from the source: the regressor factorizes S + gamma*I at one call site, recovery
-solves against a map's cached factor at one call site, the operator builds
+solves against a map's cached factor at one call site and inverts it at one other, the operator builds
 recovery weights only for off-grid UQ and keeps one module-level cache, the last
 load, which only ``load_model`` sets; only the kernels module imports
 ``scipy.spatial``, so every stationary Gram gets its distances from
@@ -69,10 +69,14 @@ def test_regression_factorizes_at_one_call_site():
 
 def test_recovery_solves_against_its_factor_at_one_call_site():
     tree = ast.parse((PACKAGE / "recovery.py").read_text())
+    # the factor's readers: the solver, with both triangular solves, and the closed-form
+    # on-grid norms, with the one inversion
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "_factor"]
-    assert len(reads) == 1
-    solver = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and reads[0] in ast.walk(f))
-    assert len(calls_to(solver, "dtrtrs")) == len(calls_to(tree, "dtrtrs")) == 2
+    readers = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for read in reads if read in ast.walk(f)}
+    assert len(reads) == 2 and readers.keys() == {"_gram_solve", "on_grid_norms"}
+    assert len(calls_to(readers["_gram_solve"], "dtrtrs")) == len(calls_to(tree, "dtrtrs")) == 2
+    assert len(calls_to(readers["on_grid_norms"], "dpotri")) == len(calls_to(tree, "dpotri")) == 1
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "cho_solve" not in names

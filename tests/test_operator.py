@@ -517,6 +517,16 @@ def offgrid(grid):
     return grid + 0.25 * (grid[1] - grid[0])
 
 
+def convolutions(monkeypatch) -> list:
+    """A list that grows by one on each lattice convolution of an off-grid product,
+    whether or not the query set's parts were cached."""
+    from odlearn import recovery
+
+    calls, real = [], recovery._convolve
+    monkeypatch.setattr(recovery, "_convolve", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def held_arrays(obj, path="model") -> dict:
     """Every array in the dataclass fields of ``obj``, nested, by attribute path."""
     if isinstance(obj, np.ndarray):
@@ -666,20 +676,28 @@ class TestInferenceCore:
 
     def test_single_apply_matches_batch_row(self, uq_dataset_model, adv1_model, monkeypatch):
         # one off-grid row takes the unblocked triangular solves, a batch the blocked
-        # ones; at threshold 0 the off-grid set, a lattice of the grid's step, convolves
+        # ones. At threshold 0 the off-grid set, a lattice of the grid's step,
+        # convolves every single row and the 10-row batch of the 20-point grid; adv1's
+        # 40 rows on its 40-point grid are past the column crossover and take the
+        # blocked path. The models, and the query sets they cache, serve both thresholds
         from odlearn import recovery
 
+        convolved = convolutions(monkeypatch)
         for threshold in (recovery.LATTICE_MIN_ENTRIES, 0):
             monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", threshold)
             for ds, model in (uq_dataset_model, adv1_model):
                 for q in (ds.output_grid, offgrid(ds.output_grid)):
+                    convolved.clear()
                     batch = apply_batch(model, ds.test_inputs, q)
                     scale = np.sqrt(np.mean(np.sum(batch * batch, axis=1)))
                     for i in range(batch.shape[0]):
                         single = apply(model, FunctionSamples(ds.input_grid, ds.test_inputs[i]), q).values
                         assert np.linalg.norm(single - batch[i]) <= 1e-13 * scale
-        ds, model = uq_dataset_model
-        assert recovery._lattice_pair(model.output_recovery, offgrid(ds.output_grid)) is not None
+                    if threshold == 0 and q is not ds.output_grid:
+                        batch_convolved = model is uq_dataset_model[1]
+                        assert len(convolved) == len(batch) + batch_convolved
+                    else:
+                        assert convolved == []
 
     def test_single_uq_std_matches_batched_eval_std(self, uq_dataset_model):
         ds, model = uq_dataset_model
@@ -825,6 +843,7 @@ class TestInferenceCore:
 
     def test_offgrid_uq_builds_weights_once_mean_is_apply(self, uq_dataset_model, monkeypatch):
         ds, model = uq_dataset_model
+        model = replace(model)  # a copy has served no query set
         q = offgrid(ds.output_grid)
         applied = [apply(model, FunctionSamples(ds.input_grid, x), q).values for x in ds.test_inputs]
         real = operator.recovery_weights
@@ -833,7 +852,7 @@ class TestInferenceCore:
         for x, expected in zip(ds.test_inputs, applied):
             mean, _ = apply_with_uq(model, FunctionSamples(ds.input_grid, x), q)
             assert np.array_equal(mean.values, expected)
-        assert len(weights) == len(ds.test_inputs)  # one W per UQ request, for its std
+        assert len(weights) == 1  # one W per query set, for its row norms
 
     @pytest.mark.parametrize("queries", ["grid", "lattice", "dense"])
     def test_uq_mean_is_apply_bitwise(self, uq_dataset_model, monkeypatch, queries):
@@ -842,16 +861,16 @@ class TestInferenceCore:
         from odlearn import recovery
 
         monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", 0)
+        convolved = convolutions(monkeypatch)
         ds, model = uq_dataset_model
         g = ds.output_grid
         q = {"grid": g, "lattice": offgrid(g), "dense": np.linspace(0.0, 1.0, 301)[:, None]}[queries]
-        if queries != "grid":
-            assert (recovery._lattice_pair(model.output_recovery, q) is None) == (queries == "dense")
         for x in ds.test_inputs:
             u = FunctionSamples(ds.input_grid, x)
             assert np.array_equal(apply_with_uq(model, u, q)[0].values, apply(model, u, q).values)
         mean, std = operator._predict(model, ds.test_inputs, q, std=True)
         assert np.array_equal(mean, apply_batch(model, ds.test_inputs, q)) and std.shape == mean.shape
+        assert len(convolved) == (2 * len(ds.test_inputs) + 2 if queries == "lattice" else 0)
 
     def test_apply_equals_recover_on_and_off_grid(self, uq_dataset_model):
         ds, model = uq_dataset_model
@@ -878,6 +897,7 @@ class TestInferenceCore:
         h = g[1] - g[0]
         lattice = g[0] + 0.1 * h + np.arange(40)[:, None] * h
         monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", len(lattice) * len(g))
+        convolved = convolutions(monkeypatch)
         cases = [(model, g + 0.37 * h), (model, lattice), (load_model(tmp_path / "m"), g)]
         u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
 
@@ -890,6 +910,7 @@ class TestInferenceCore:
         for _ in range(3):
             for (m, q), expected in zip(cases, first):
                 assert all(map(np.array_equal, outputs(m, q), expected))
+        assert len(convolved) == 4 * 3  # on the lattice alone: apply, UQ and the batch, in 4 rounds
 
     def test_input_nugget_is_the_gram_default_and_persists(self, tmp_path, uq_dataset_model):
         _, model = uq_dataset_model
@@ -901,9 +922,158 @@ class TestInferenceCore:
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
 
+def held_sets(model) -> list[np.ndarray]:
+    """The points of the query sets the model's cache holds, least recently used first."""
+    return [entry.points for entry in model._queries._entries.values() if entry is not None]
+
+
+class TestQueryCache:
+    """A model caches the off-grid query sets it serves: a set's second request
+    holds a copy of its points, and its parts are kept from then on; a repeated
+    request gives a fresh model's bits, and what the cache holds stays within
+    its byte cap."""
+
+    @pytest.mark.parametrize("case", ["lattice", "dense", "dense above the cap"])
+    def test_repeated_request_is_a_fresh_models_first(self, uq_dataset_model, monkeypatch, case):
+        from odlearn import recovery
+
+        ds, model = uq_dataset_model
+        g = ds.output_grid
+        if case == "lattice":
+            monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", 0)
+            q = offgrid(g)
+        else:  # 301 points, no lattice of the grid's step: three 128-row blocks
+            q = np.linspace(0.0, 1.0, 301)[:, None]
+        if case == "dense above the cap":  # the entry fits, its 48 kB cross Gram does not
+            monkeypatch.setattr(operator, "QUERY_CACHE_BYTES", 16 * 1024)
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        kinds = {
+            "apply": lambda m: apply(m, u, q).values,
+            "batch": lambda m: apply_batch(m, ds.test_inputs, q),
+            "uq": lambda m: np.concatenate([r.values for r in apply_with_uq(m, u, q)]),
+        }
+        first = {kind: f(replace(model)) for kind, f in kinds.items()}  # a copy has served nothing
+        m = replace(model)
+        for _ in range(3):
+            for kind, f in kinds.items():
+                assert np.array_equal(f(m), first[kind]), kind
+        (entry,) = m._queries._entries.values()
+        kept = vars(entry.query_set).keys()
+        assert ("_stencil" in kept) == (case == "lattice") and ("_blocks" in kept) == (case == "dense")
+        assert entry.norms is not None and m._queries.nbytes == entry.nbytes <= operator.QUERY_CACHE_BYTES
+
+    def test_least_recently_used_sets_go_first_and_a_set_over_the_cap_is_not_stored(self, uq_dataset_model,
+                                                                                     monkeypatch):
+        ds, model = uq_dataset_model
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        m = replace(model)
+        a, b, c, d = (offgrid(ds.output_grid) + 0.01 * i for i in range(4))
+        apply(m, u, a)
+        assert held_sets(m) == [] and len(m._queries._entries) == 1  # a first request keeps nothing
+        apply(m, u, a)
+        monkeypatch.setattr(operator, "QUERY_CACHE_BYTES", 3 * m._queries.nbytes)  # three sets like a
+        for q in (b, b, c, c, a, d, d):  # two requests hold a set
+            apply(m, u, q)
+        assert [p.tolist() for p in held_sets(m)] == [c.tolist(), a.tolist(), d.tolist()]  # b went first
+        big = np.linspace(0.0, 1.0, 2000)[:, None]  # 16 kB of points: its entry alone is over the cap
+        for _ in range(3):
+            assert np.array_equal(apply(m, u, big).values, apply(replace(model), u, big).values)
+            assert held_sets(m) and all(p.shape != big.shape for p in held_sets(m))
+        assert m._queries.nbytes <= operator.QUERY_CACHE_BYTES
+        counted = [operator.QUERY_ENTRY_BYTES if e is None else e.counted for e in m._queries._entries.values()]
+        assert m._queries.nbytes == sum(counted)
+        m._queries.clear()
+        assert not m._queries._entries and m._queries.nbytes == 0
+
+    def test_overwriting_the_query_array_serves_the_new_points(self, uq_dataset_model):
+        ds, model = uq_dataset_model
+        m, u = replace(model), FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        q = offgrid(ds.output_grid)
+        before = [apply(m, u, q).values for _ in range(3)]  # held from the second request
+        assert not any(np.shares_memory(p, q) for p in held_sets(m))
+        q += 0.5 * (q[1] - q[0])  # in place
+        after = apply(m, u, q).values
+        assert np.array_equal(after, apply(replace(model), u, q.copy()).values)
+        assert not np.array_equal(after, before[0])
+
+    def test_threads_sharing_a_model_keep_the_count_and_the_bits(self, uq_dataset_model, monkeypatch):
+        # more threads than cores serve four sets on one model under a cap that
+        # holds two: a lost update would break the byte count or an output
+        import sys
+        import threading
+
+        ds, model = uq_dataset_model
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        sets = [offgrid(ds.output_grid) + 0.01 * i for i in range(4)]
+        expected = [apply_with_uq(replace(model), u, q)[1].values for q in sets]
+        m = replace(model)
+        apply_with_uq(m, u, sets[0])
+        apply_with_uq(m, u, sets[0])
+        monkeypatch.setattr(operator, "QUERY_CACHE_BYTES", 2 * m._queries.nbytes)
+        failures = []
+
+        def serve(k):
+            try:
+                for i in range(600):
+                    j = (k + i) % len(sets)
+                    if not np.array_equal(apply_with_uq(m, u, sets[j])[1].values, expected[j]):
+                        failures.append(j)
+            except Exception as exc:  # a lost update can also surface as an error in the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and failures == []
+        counted = [operator.QUERY_ENTRY_BYTES if e is None else e.counted for e in m._queries._entries.values()]
+        assert m._queries.nbytes == sum(counted) <= operator.QUERY_CACHE_BYTES
+
+    def test_what_the_cache_holds_stays_within_its_cap(self, uq_dataset_model, monkeypatch):
+        # tracemalloc sees numpy's buffers and the Python objects: what clearing the
+        # cache frees is at most what it counted, and that is at most the cap
+        import gc
+        import tracemalloc
+
+        from odlearn import recovery
+
+        ds, model = uq_dataset_model
+        g = ds.output_grid
+        monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", 0)
+        monkeypatch.setattr(operator, "QUERY_CACHE_BYTES", 64 * 1024)
+        m, u = replace(model), FunctionSamples(ds.input_grid, ds.test_inputs[0])
+        apply_with_uq(m, u, g + 1.0)  # builds the model's own parts before the count starts
+        m._queries.clear()
+        sets = [offgrid(g) + 0.01 * i * (g[1] - g[0]) if i % 2 else np.linspace(0.0, 1.0, 30 + i)[:, None]
+                for i in range(40)]  # lattices, kept as stencils, and dense sets, kept as cross Grams
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for i, q in enumerate(sets):
+                for _ in range(2 + i % 3):
+                    apply_with_uq(m, u, q)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            counted, entries = m._queries.nbytes, len(m._queries._entries)
+            m._queries.clear()
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries < len(sets)  # some were evicted
+        assert 0 < freed <= counted <= operator.QUERY_CACHE_BYTES
+
+
 class TestRecoverySolves:
     """Output recovery solves on the cached factors: the grid parts keep the bits
-    of a cho_solve build, or with a preconditioner L of K @ (L @ R), and a
+    of a cho_solve build, or with a preconditioner L of K @ (L @ R), apart from
+    the closed-form norms of a model without output PCA, and a
     corrupt regressor factor is rejected when the regressor is built, or else
     fails the UQ requests that read it."""
 
@@ -923,7 +1093,11 @@ class TestRecoverySolves:
         (A, a0), norms = model._grid_mean, model._grid_norms
         P_T, directions = (coef.T, np.eye(rmap.size)) if out is None else (out.basis @ coef.T, out.basis)
         assert np.array_equal(A, weights(P_T).T)
-        assert np.array_equal(norms, np.linalg.norm(weights(directions), axis=1))
+        built = np.linalg.norm(weights(directions), axis=1)
+        if out is None:  # the closed form of on_grid_norms, within rounding
+            np.testing.assert_allclose(norms, built, rtol=1e-14, atol=0)
+        else:
+            assert np.array_equal(norms, built)
         if out is not None:  # one column: the unblocked solve, within rounding
             np.testing.assert_allclose(a0, weights(out.mean), rtol=0, atol=1e-13 * np.abs(a0).max())
 
