@@ -92,6 +92,11 @@ class ScalarKernel:
         Matern smoothness, restricted to half-integers 0.5, 1.5, 2.5, 3.5.
     output_scale : float
         Positive multiplier applied to every kernel value (default 1).
+
+    A stationary kernel also holds its diagonal value k(x, x) = output_scale *
+    stationary_value(0), computed once when it is built (``diag_value``, None
+    for the linear family); like the Matern coefficients it is derived, so it
+    takes no part in ``==``, ``hash``, ``repr`` or ``to_config``.
     """
 
     family: str
@@ -100,6 +105,7 @@ class ScalarKernel:
     nu: float | None = None
     output_scale: float = 1.0
     _matern_coeffs: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    diag_value: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -122,6 +128,7 @@ class ScalarKernel:
             if self.nu not in MATERN_NUS:
                 raise ValueError(f"matern nu must be one of {MATERN_NUS}, got {self.nu}")
             object.__setattr__(self, "_matern_coeffs", _matern_poly_coeffs(self.nu))
+        object.__setattr__(self, "diag_value", self.output_scale * float(self.stationary_value(0.0)))
 
     # -- constructors ------------------------------------------------------
 
@@ -289,9 +296,10 @@ def stationary_gram(kernel: ScalarKernel, distances) -> np.ndarray:
 
 
 def gram_diag(kernel: ScalarKernel, X) -> np.ndarray:
-    """Vector of k(X_i, X_i) values, cheaper than diag(gram(k, X))."""
+    """Vector of k(X_i, X_i) values, cheaper than diag(gram(k, X)): output_scale
+    times |X_i|^2 for the linear family, else the kernel's ``diag_value``,
+    computed once when the kernel was built, at every point."""
     X = as_points(X, "X")
     if kernel.family == "linear":
         return kernel.output_scale * np.einsum("ij,ij->i", X, X)
-    at_zero = float(kernel.stationary_value(0.0))
-    return np.full(X.shape[0], kernel.output_scale * at_zero)
+    return np.full(X.shape[0], kernel.diag_value)

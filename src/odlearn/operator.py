@@ -306,7 +306,7 @@ def _predict(model: OperatorModel, X, query_points, *, std: bool = False):
         mean, norms = model._queries.serve(model, qp, rmap.coefficients(V), std)
     if not std:
         return mean, None
-    return mean, np.sqrt(np.clip(var, 0.0, None))[:, None] * norms
+    return mean, np.sqrt(np.maximum(var, 0.0))[:, None] * norms
 
 
 def _row(model: OperatorModel, u: FunctionSamples) -> np.ndarray:

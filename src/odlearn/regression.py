@@ -6,14 +6,17 @@ Cholesky factorization of S(U, U) + gamma*I serves all coefficient columns;
 this is the dominant cost saver of the whole pipeline. A fitted regressor keeps
 the lower factor L of that matrix next to the coefficients, so the
 Gaussian-process posterior variance at a query is one triangular solve against
-L: s(q, q) - |L^-1 s(U, q)|^2. ``posterior`` reads the mean s(q, U) coef, or
-s(q, U) times other (N, m') coefficients, and that variance off one kernel row
-per query. Every factorization of S + gamma*I, in ``fit`` and in the evidence,
-is one step that advises a larger gamma on failure. A regressor is checked once,
-when it is built: its features must be finite, and the squares in each row of L
-must sum to S(U_i, U_i) + gamma to 1e-10 relative, so a factor that does not
-belong to the features and gamma beside it (a corrupt saved model) is an
-OdlearnError.
+L: s(q, q) - |L^-1 s(U, q)|^2. That solve is the one place a fitted factor is
+solved against, a direct LAPACK ``dtrtrs`` call, and s(q, q) of a stationary
+kernel is its cached ``diag_value``. ``posterior`` reads the mean s(q, U) coef,
+or s(q, U) times other (N, m') coefficients, and that variance off one kernel
+row per query. Every factorization of S + gamma*I, in ``fit`` and in the
+evidence, is one step that advises a larger gamma on failure. A regressor is
+checked once, when it is built: its features must be finite, the squares in
+each row of L must sum to S(U_i, U_i) + gamma to 1e-10 relative, and the
+diagonal of L must be positive, so a factor that does not belong to the
+features and gamma beside it, or that is singular (a corrupt saved model), is
+an OdlearnError.
 
 The Gram and every kernel row get their distances from ``kernels.distances``:
 ``cdist`` below ``kernels.GRAM_IDENTITY_MIN_DIM`` feature dimensions or
@@ -49,6 +52,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import FactorizationError, OdlearnError
 from .kernels import ScalarKernel, as_points, distances, gram, gram_diag, sqnorms, stationary_gram
@@ -87,6 +91,13 @@ class TrainedRegressor:
             i = bad[0]
             raise OdlearnError(f"the regressor's Gram factor is corrupt: the squares in its row {i} sum to "
                                f"{float(rows[i])!r}, not S(U_i, U_i) + gamma = {float(expected[i])!r}")
+        # a row can keep its sum with its mass moved off the diagonal; a zero pivot makes L singular
+        pivots = np.diagonal(self.chol)
+        bad = np.flatnonzero(~(pivots > 0))
+        if bad.size:
+            i = bad[0]
+            raise OdlearnError(f"the regressor's Gram factor is corrupt: its diagonal entry {i} is "
+                               f"{float(pivots[i])!r}, not positive")
 
     @cached_property
     def input_sqnorms(self) -> np.ndarray:
@@ -164,12 +175,19 @@ def _queries(model: TrainedRegressor, U) -> tuple[np.ndarray, np.ndarray, bool]:
 
 def _variance(model: TrainedRegressor, U: np.ndarray, K: np.ndarray) -> np.ndarray:
     """s(U, U) - |L^-1 K^T|^2 per query, from the batch's kernel rows K. The
-    factor's rows were checked when the regressor was built, so it is finite;
-    a factor that passes that check but is not the Cholesky factor can still
-    overflow the solve, and then the B variances are not finite."""
-    Z = solve_triangular(model.chol, K.T, lower=True, check_finite=False)
+    solve is one LAPACK ``dtrtrs`` on L^T, the F-ordered upper view of the
+    C-ordered factor, solved transposed: the call scipy's ``solve_triangular``
+    makes, without its wrapper (12 of a 30 us burgers variance). s(U, U) of a
+    stationary kernel is its cached diagonal value. The factor was checked when
+    the regressor was built, so it is finite with a positive diagonal; a factor
+    that passes that check but is not the Cholesky factor can still overflow
+    the solve, and then the B variances are not finite."""
+    Z, info = dtrtrs(model.chol.T, K.T, lower=0, trans=1)
+    if info != 0:
+        raise OdlearnError(f"posterior variance solve failed with LAPACK info={info}")
+    diag = gram_diag(model.kernel, U) if model.kernel.diag_value is None else model.kernel.diag_value
     with np.errstate(over="ignore", invalid="ignore"):
-        var = gram_diag(model.kernel, U) - np.sum(np.square(Z, out=Z), axis=0)
+        var = diag - np.sum(np.square(Z, out=Z), axis=0)
     if not np.isfinite(var).all():
         raise OdlearnError("posterior variance is not finite: the regressor's Gram factor is corrupt")
     return var

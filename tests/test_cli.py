@@ -32,6 +32,25 @@ def write_config(path, cfg):
     return str(path)
 
 
+def small_gaussian_model(tmp_path):
+    """A 40-sample advection dataset and a Gaussian-kernel model trained on it: (data, model) dirs."""
+    data, model = tmp_path / "adv1", tmp_path / "model"
+    assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
+                "--out", str(data)]) == 0
+    cfg = write_config(tmp_path / "cfg.json", {
+        "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
+        "gamma": 1e-6, "output_dir": str(model),
+    })
+    assert run(["train", "--config", cfg]) == 0
+    return data, model
+
+
+def saved_gram_factor(model):
+    """A saved model's Gram factor, read from its file, and the path of that file."""
+    entry = json.loads((model / "manifest.json").read_text())["arrays"]["gram_factor"]
+    return np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"]), model / entry["file"]
+
+
 def malformed_ids(rows):
     """``which:key.path=type`` per row; a repeated id also gets the value, so
     adding a row never renames an existing case."""
@@ -581,15 +600,7 @@ class TestEval:
     @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
     @pytest.mark.parametrize("name,keep", SHRUNK, ids=[f"{n}{k}" for n, k in SHRUNK])
     def test_inconsistent_regressor_arrays_exit_1(self, tmp_path, capsys, name, keep, with_uq):
-        data = tmp_path / "adv1"
-        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
-                    "--out", str(data)]) == 0
-        model = tmp_path / "model"
-        cfg = write_config(tmp_path / "cfg.json", {
-            "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
-            "gamma": 1e-6, "output_dir": str(model),
-        })
-        assert run(["train", "--config", cfg]) == 0
+        data, model = small_gaussian_model(tmp_path)
         manifest = json.loads((model / "manifest.json").read_text())
         entry = manifest["arrays"][name]
         arr = np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"])
@@ -603,19 +614,10 @@ class TestEval:
 
     @pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "overflow"])
     def test_corrupt_gram_factor_fails_uq_eval(self, tmp_path, capsys, value):
-        data = tmp_path / "adv1"
-        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
-                    "--out", str(data)]) == 0
-        model = tmp_path / "model"
-        cfg = write_config(tmp_path / "cfg.json", {
-            "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
-            "gamma": 1e-6, "output_dir": str(model),
-        })
-        assert run(["train", "--config", cfg]) == 0
-        entry = json.loads((model / "manifest.json").read_text())["arrays"]["gram_factor"]
-        arr = np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"])
+        data, model = small_gaussian_model(tmp_path)
+        arr, path = saved_gram_factor(model)
         arr[7, 2] = value
-        arr.tofile(model / entry["file"])
+        arr.tofile(path)
         assert run(["eval", str(model), str(data), "--with-uq"]) == 1
         err = capsys.readouterr().err
         assert "regressor's Gram factor is corrupt" in err and "Traceback" not in err
@@ -623,22 +625,26 @@ class TestEval:
     @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
     def test_wrong_finite_gram_factor_fails_load(self, tmp_path, capsys, with_uq):
         # finite, so no solve sees it: before the factor check, eval --with-uq reported std 0
-        data = tmp_path / "adv1"
-        assert run(["generate", "advection1", "--train", "40", "--test", "10", "--grid", "10",
-                    "--out", str(data)]) == 0
-        model = tmp_path / "model"
-        cfg = write_config(tmp_path / "cfg.json", {
-            "dataset": str(data), "kernel": {"family": "gaussian", "lengthscale": 2.0},
-            "gamma": 1e-6, "output_dir": str(model),
-        })
-        assert run(["train", "--config", cfg]) == 0
-        entry = json.loads((model / "manifest.json").read_text())["arrays"]["gram_factor"]
-        arr = np.fromfile(model / entry["file"], dtype="<f8").reshape(entry["shape"])
+        data, model = small_gaussian_model(tmp_path)
+        arr, path = saved_gram_factor(model)
         arr[0, 0] = 1e300
-        arr.tofile(model / entry["file"])
+        arr.tofile(path)
         assert run(["eval", str(model), str(data)] + (["--with-uq"] if with_uq else [])) == 1
         err = capsys.readouterr().err
         assert "gram_factor" in err and "Gram factor is corrupt" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("with_uq", [False, True], ids=["plain", "uq"])
+    def test_singular_gram_factor_fails_load(self, tmp_path, capsys, with_uq):
+        # row 5 keeps its sum of squares with its mass moved to column 0, so only its zero
+        # pivot is wrong: before the pivot check plain eval served the model, and eval
+        # --with-uq failed in the solve with a message that named no file
+        data, model = small_gaussian_model(tmp_path)
+        arr, path = saved_gram_factor(model)
+        arr[5, 0], arr[5, 1:6] = np.linalg.norm(arr[5, :6]), 0.0
+        arr.tofile(path)
+        assert run(["eval", str(model), str(data)] + (["--with-uq"] if with_uq else [])) == 1
+        err = capsys.readouterr().err
+        assert "gram_factor.bin" in err and "diagonal entry 5 is 0.0" in err and "Traceback" not in err
 
     @pytest.fixture()
     def trained_chol_pca(self, adv1_dir, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ class TestGram:
         X = rng.normal(size=(5, 2))
         for k in all_families():
             np.testing.assert_allclose(gram_diag(k, X), np.diag(gram(k, X)), rtol=1e-13)
+
+    def test_gram_diag_is_the_cached_value_bitwise(self):
+        X = np.random.default_rng(2).normal(size=(6, 3))
+        for k in [k for k in all_families() if k.family != "linear"]:
+            k = ScalarKernel.from_config({**k.to_config(), "output_scale": 1.7})
+            want = np.full(6, k.output_scale * k.stationary_value(0.0))
+            assert k.diag_value == want[0] and gram_diag(k, X).tobytes() == want.tobytes()
+        linear = ScalarKernel.linear(output_scale=1.7)
+        assert linear.diag_value is None
+        assert gram_diag(linear, X).tobytes() == (1.7 * np.einsum("ij,ij->i", X, X)).tobytes()
 
 
 def long_double_distances(X, Y):
@@ -255,6 +266,18 @@ class TestValidationAndConfig:
         k = ScalarKernel.from_config(cfg)
         assert k.family == "matern" and k.nu == 2.5
         assert ScalarKernel.from_config(k.to_config()) == k
+
+    def test_cached_diagonal_is_not_part_of_the_kernel(self):
+        k = ScalarKernel.matern(nu=2.5, lengthscale=0.8, output_scale=1.7)
+        other = ScalarKernel.matern(nu=2.5, lengthscale=0.8, output_scale=1.7)
+        object.__setattr__(other, "diag_value", 0.5)
+        assert k == other and hash(k) == hash(other)
+        assert "diag_value" not in repr(k) and "diag_value" not in k.to_config()
+        # pickled to sweep workers, and rebuilt from a saved model's config
+        for copy in (pickle.loads(pickle.dumps(k)), ScalarKernel.from_config(k.to_config())):
+            assert copy == k and copy.diag_value == k.diag_value == 1.7
+        with pytest.raises(TypeError):
+            ScalarKernel("gaussian", lengthscale=1.0, diag_value=2.0)
 
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown kernel config"):

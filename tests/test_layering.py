@@ -1,10 +1,11 @@
 """Import layering of the package, read from the source with ``ast``: the kernels
 module depends on nothing in odlearn, and the data layer only on errors and
 kernels, so that recovery, regression or the operator never enter it. Also read
-from the source: the regressor factorizes S + gamma*I at one call site, recovery
-solves against a map's cached factor at one call site and inverts it at one other, the operator builds
-recovery weights only for off-grid UQ and keeps one module-level cache, the last
-load, which only ``load_model`` sets; only the kernels module imports
+from the source: the regressor factorizes S + gamma*I at one call site and solves
+against a fitted factor at one other, the variance's ``dtrtrs``; recovery solves
+against a map's cached factor at one call site and inverts it at one other; the
+operator builds recovery weights only for off-grid UQ and keeps one module-level
+cache, the last load, which only ``load_model`` sets; only the kernels module imports
 ``scipy.spatial``, so every stationary Gram gets its distances from
 ``kernels.distances``; binaries have one reader and one writer, in the data
 container, and no object is built around its constructor's checks."""
@@ -65,6 +66,19 @@ def test_relative_imports_resolve():
 def test_regression_factorizes_at_one_call_site():
     tree = ast.parse((PACKAGE / "regression.py").read_text())
     assert len(calls_to(tree, "cho_factor")) == 1
+
+
+def test_regression_solves_against_a_fitted_factor_at_one_call_site():
+    tree = ast.parse((PACKAGE / "regression.py").read_text())
+    # the fitted factor's readers: the check at construction, which solves nothing, and the variance
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "chol"]
+    readers = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for read in reads if read in ast.walk(f)}
+    assert readers.keys() == {"__post_init__", "_variance"}
+    solves = [call for name in ("dtrtrs", "solve_triangular", "cho_solve") for call in calls_to(tree, name)]
+    fitted = [call for call in solves if any(read in ast.walk(call) for read in reads)]
+    assert fitted == calls_to(readers["_variance"], "dtrtrs") == calls_to(tree, "dtrtrs") and len(fitted) == 1
+    assert calls_to(readers["_variance"], "solve_triangular") == []
 
 
 def test_recovery_solves_against_its_factor_at_one_call_site():

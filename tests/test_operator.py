@@ -11,7 +11,7 @@ from odlearn import cli, operator
 from odlearn.data import Dataset, gen_advection1, load_dataset, save_dataset
 from odlearn.data.container import write_array
 from odlearn.errors import DatasetFormatError, OdlearnError
-from odlearn.kernels import ScalarKernel, gram
+from odlearn.kernels import ScalarKernel, gram, gram_diag
 from odlearn.operator import (
     apply,
     apply_batch,
@@ -560,6 +560,31 @@ class TestMappedModels:
         u_fine = recover(loaded.input_recovery, measure(loaded.input_measurement, u), fine)
         assert np.array_equal(apply_mesh_invariant(loaded, u_fine, foreign, ds.output_grid).values,
                               apply_mesh_invariant(model, u_fine, foreign, ds.output_grid).values)
+
+    @pytest.mark.parametrize("family", ["matern", "linear"])
+    def test_variance_is_bitwise_a_solve_triangular_reference(self, tmp_path, uq_dataset_model, family):
+        # the direct LAPACK solve on the read-only mapped factor keeps scipy's bits
+        from scipy.linalg import solve_triangular
+
+        ds, model = uq_dataset_model
+        if family == "linear":
+            model = fit_operator(ds.input_grid, ds.output_grid, ds.train_inputs, ds.train_outputs,
+                                 ScalarKernel.linear(), gamma=1e-6, preconditioner=model.preconditioner,
+                                 pca_input_fraction=0.999, pca_output_fraction=0.999)
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        reg = loaded.regressor
+        assert not reg.chol.flags.writeable
+        for U in (operator._features(loaded, ds.test_inputs[:1]), operator._features(loaded, ds.test_inputs[:7])):
+            K = gram(reg.kernel, U, reg.inputs)
+            Z = solve_triangular(reg.chol, K.T, lower=True, check_finite=False)
+            want = gram_diag(reg.kernel, U) - np.sum(np.square(Z), axis=0)
+            mean, var = regression.posterior(reg, U)
+            assert var.tobytes() == regression.posterior_variance(reg, U).tobytes() == want.tobytes()
+            assert mean.tobytes() == (K @ reg.coef).tobytes()
+            if len(U) == 1:
+                u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+                assert error_bound(loaded, u, 2.0) == float(np.sqrt(reg.output_dim * max(want[0], 0.0)) * 2.0)
 
     def test_saving_over_a_loaded_model_and_dataset_leaves_them_unchanged(self, tmp_path, uq_dataset_model):
         ds, model = uq_dataset_model
@@ -1111,6 +1136,18 @@ class TestRecoverySolves:
         chol = model.regressor.chol.copy()
         chol[entry] = value
         with pytest.raises(OdlearnError, match=r"regressor's Gram factor is corrupt: the squares in its row"):
+            replace(model.regressor, chol=chol)
+
+    @pytest.mark.parametrize("pivot", ["zero", "negative"])
+    def test_factor_with_a_non_positive_pivot_is_rejected(self, uq_dataset_model, pivot):
+        # row 5 keeps its sum of squares, so only the pivot check sees it
+        _, model = uq_dataset_model
+        chol = model.regressor.chol.copy()
+        if pivot == "zero":
+            chol[5, 0], chol[5, 1:6] = np.linalg.norm(chol[5, :6]), 0.0
+        else:
+            chol[5, 5] = -chol[5, 5]
+        with pytest.raises(OdlearnError, match=r"regressor's Gram factor is corrupt: its diagonal entry 5 is"):
             replace(model.regressor, chol=chol)
 
     def test_factor_that_passes_the_row_check_still_fails_uq(self, uq_dataset_model):

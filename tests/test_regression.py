@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, solve_triangular
 from scipy.spatial.distance import cdist
 
 from odlearn import kernels, regression
-from odlearn.errors import FactorizationError
+from odlearn.errors import FactorizationError, OdlearnError
 from odlearn.kernels import GRAM_IDENTITY_MIN_DIM, ScalarKernel, gram, sqnorms
 from odlearn.regression import (
     TuningSpec,
@@ -191,6 +191,15 @@ class TestPosteriorVariance:
         np.testing.assert_allclose(posterior_variance(model, Q), expected, rtol=0, atol=1e-12)
         single = posterior_variance(model, Q[2])
         assert isinstance(single, float) and abs(single - expected[2]) <= 1e-12
+
+    def test_singular_factor_fails_the_solve(self):
+        # construction rejects a zero pivot; a factor zeroed after it reaches LAPACK, which reports it
+        rng = np.random.default_rng(42)
+        model = fit(ScalarKernel.matern(nu=2.5, lengthscale=1.0), rng.normal(size=(6, 2)),
+                    rng.normal(size=(6, 1)), gamma=1e-6)
+        model.chol[2, 2] = 0.0
+        with pytest.raises(OdlearnError, match="posterior variance solve failed with LAPACK info=3"):
+            posterior_variance(model, rng.normal(size=2))
 
     def test_far_query_returns_prior_variance(self):
         kernel = ScalarKernel.gaussian(0.1, output_scale=2.5)
