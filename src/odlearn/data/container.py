@@ -18,6 +18,11 @@ helpers: ``write_array``/``read_array`` for the binaries and
 ``write_manifest``/``read_manifest`` for the manifest. Every load failure is a
 DatasetFormatError naming the file and, where there is one, the manifest key.
 A binary named by a manifest must be a bare file name inside its directory.
+A model manifest may name one binary under several keys: ``save_model`` writes
+each distinct array once, so a model whose two sides share a grid or a
+preconditioner stores it in the first key's file (``input_points.bin``,
+``l_input.bin``), and ``load_model`` maps and checks each distinct file once.
+Models saved with every key in a file of its own load the same.
 
 Binaries are mapped read-only, not copied: a loaded array shares the page
 cache with its file and is not writeable; grids read from a manifest are made

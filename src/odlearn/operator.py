@@ -36,11 +36,12 @@ request. The grid kernels use the default nugget, and the
 preconditioner type a model reports is read off its measurement operators.
 A saved model uses the dataset container's layout and loader
 (``data/container.py``): a JSON manifest plus raw little-endian float64
-binaries, mapped read-only at load and replaced file by file, never rewritten
-in place, at save. So every array of a loaded model is read-only and shares
-the page cache with its file; a model stays as it was loaded when its directory
-is saved over. ``load_model`` checks the regressor's factor and then that every
-other array is finite, and names the file that fails. A load of the same bytes
+binaries, one file per distinct array, mapped read-only at load and replaced
+file by file, never rewritten in place, at save. So every array of a loaded
+model is read-only and shares the page cache with its file; a model stays as it
+was loaded when its directory is saved over. ``load_model`` checks the
+regressor's factor and then that every other array is finite, each distinct
+array once, and names the file that fails. A load of the same bytes
 as the last successful one returns that load's model, parts built, unchecked;
 the one module global, ``_last_load``, holds it.
 """
@@ -511,23 +512,31 @@ def fit_operator(
 # ---------------------------------------------------------------------------
 
 
-def _read_binaries(directory: Path, manifest: dict) -> dict[str, np.ndarray]:
-    """Every binary a model reads, mapped, by manifest key: the ``arrays`` entries
-    (the preconditioners when present; older models' training targets are not
-    read), then the PCA sidecars, each read whole."""
-    path, arrays, found = directory / "manifest.json", manifest["arrays"], {}
+def _read_binaries(directory: Path, manifest: dict) -> tuple[dict[str, np.ndarray], dict[str, Path]]:
+    """Every binary a model reads, mapped, and its file, by manifest key: the
+    ``arrays`` entries (the preconditioners when present; older models' training
+    targets are not read), then the PCA sidecars, each read whole. Each distinct
+    (file, shape) is mapped once, and every key that names it gets that one
+    read-only array."""
+    path, arrays, found, files, maps = directory / "manifest.json", manifest["arrays"], {}, {}, {}
+
+    def read(key: str, entry: dict, shape: tuple) -> None:
+        files[key] = file = manifest_file(directory, entry["file"])
+        if (file, shape) not in maps:
+            maps[file, shape] = read_array(file, shape)
+        found[key] = maps[file, shape]
+
     for key in ("input_points", "output_points", "l_input", "l_output", "train_features", "coefficients",
                 "gram_factor"):
         if key in arrays or not key.startswith("l_"):  # the preconditioners are optional
             with manifest_keys(path, f"arrays.{key}"):
-                shape = tuple(manifest_count(n) for n in arrays[key]["shape"])
-                found[key] = read_array(manifest_file(directory, arrays[key]["file"]), shape)
+                read(key, arrays[key], tuple(manifest_count(n) for n in arrays[key]["shape"]))
     for key in ("pca_input", "pca_output"):
         if manifest.get(key) is not None:
             with manifest_keys(path, key):
                 d, k = manifest_count(manifest[key]["dim"]), manifest_count(manifest[key]["k"])
-                found[key] = read_array(manifest_file(directory, manifest[key]["file"]), (d + d * k,))
-    return found
+                read(key, manifest[key], (d + d * k,))
+    return found, files
 
 
 def _finite(path: Path, a: np.ndarray) -> np.ndarray:
@@ -538,13 +547,12 @@ def _finite(path: Path, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pca_to_files(directory: Path, name: str, p: PcaProjector | None) -> dict | None:
+def _pca_to_files(write, name: str, p: PcaProjector | None) -> dict | None:
     # sidecar layout: mean (d floats) then basis (d*k floats, row-major)
     if p is None:
         return None
-    write_array(directory, name, np.concatenate([p.mean, p.basis.ravel()]))
     return {
-        "file": name,
+        "file": write(name, np.concatenate([p.mean, p.basis.ravel()]))["file"],
         "dim": p.dim,
         "k": p.k,
         "singular_values": p.singular_values.tolist(),
@@ -559,7 +567,6 @@ def _pca_from_files(directory: Path, manifest: dict, key: str, blob: np.ndarray 
     entry = manifest[key]
     with manifest_keys(directory / "manifest.json", key):
         d = entry["dim"]
-        _finite(directory / entry["file"], blob)
         singular_values = np.array(entry["singular_values"], dtype=float)
         singular_values.flags.writeable = False  # like the mapped mean and basis
         return PcaProjector(
@@ -572,9 +579,26 @@ def _pca_from_files(directory: Path, manifest: dict, key: str, blob: np.ndarray 
 
 
 def save_model(model: OperatorModel, directory) -> None:
-    """Persist the model as manifest.json plus raw little-endian f64 binaries."""
+    """Persist the model as manifest.json plus raw little-endian f64 binaries.
+
+    Each distinct array is written once: a key whose array is an earlier key's
+    array, or has its shape and ``<f8`` C-order bytes, names the earlier key's
+    file in the manifest (a fitted model's two L's are one object, and equal
+    grids are one file). After the manifest is written, the files of this
+    layout that it no longer names are removed, such as the ``l_output.bin`` and
+    ``output_points.bin`` of a directory saved before equal arrays were shared."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    written = []  # (data, manifest entry) of each file written
+
+    def write(name: str, a: np.ndarray) -> dict:
+        data = np.ascontiguousarray(a, dtype="<f8")
+        for b, entry in written:
+            if b is data or (b.shape == data.shape and np.array_equal(b.view("<u8"), data.view("<u8"))):
+                return entry
+        written.append((data, write_array(directory, name, data)))
+        return written[-1][1]
+
     table = {
         "input_points": model.input_measurement.points,
         "output_points": model.output_measurement.points,
@@ -584,7 +608,9 @@ def save_model(model: OperatorModel, directory) -> None:
         "l_input": model.input_measurement.preconditioner,
         "l_output": model.output_measurement.preconditioner,
     }
-    arrays = {k: write_array(directory, f"{k}.bin", a) for k, a in table.items() if a is not None}
+    arrays = {k: write(f"{k}.bin", a) for k, a in table.items() if a is not None}
+    pca = {k: _pca_to_files(write, f"{k}.bin", p) for k, p in (("pca_input", model.input_pca),
+                                                               ("pca_output", model.output_pca))}
     write_manifest(directory, {
         "format_version": MODEL_FORMAT_VERSION,
         "s_kernel": model.regressor.kernel.to_config(),
@@ -593,45 +619,53 @@ def save_model(model: OperatorModel, directory) -> None:
         "gamma": model.regressor.gamma,
         "input_nugget": model.input_recovery.nugget,
         "output_nugget": model.output_recovery.nugget,
-        "pca_input": _pca_to_files(directory, "pca_input.bin", model.input_pca),
-        "pca_output": _pca_to_files(directory, "pca_output.bin", model.output_pca),
+        **pca,
         "arrays": arrays,
     })
+    named = {entry["file"] for _, entry in written}
+    for name in {f"{k}.bin" for k in (*table, *pca)} - named:
+        (directory / name).unlink(missing_ok=True)
 
 
 def load_model(directory) -> OperatorModel:
     """Load a model directory written by save_model; older models' training targets are not read.
 
-    The binaries are mapped read-only. A load whose manifest (compared by
-    ``repr``, so that 1, 1.0 and true differ) and arrays equal those of the last
-    successful load returns that load's model, with the parts and factors it
-    has built, and checks nothing: its bytes equal bytes that passed the checks,
-    and files are replaced, never rewritten in place (``data/container.py``),
-    so a mapped array never changes under its model. Any other load checks the
-    training features finite first, then the regressor's factor, then every
-    other array finite (about 1 ms on the 20 MB darcy model with a Cholesky
-    preconditioner, which also faults in its pages); a failure names the file."""
+    The binaries are mapped read-only, each distinct (file, shape) once, so keys
+    that name one file share one array, and every comparison and check below
+    visits each distinct array once. Models that store equal arrays in files of
+    their own, as every save did before equal arrays were shared, load the same.
+    A load whose manifest (compared by ``repr``, so that 1, 1.0 and true differ)
+    and arrays equal those of the last successful load returns that load's
+    model, with the parts and factors it has built, and checks nothing: its
+    bytes equal bytes that passed the checks, and files are replaced, never
+    rewritten in place (``data/container.py``), so a mapped array never changes
+    under its model. Any other load checks the training features finite first,
+    then the regressor's factor, then every other array finite (about 1 ms on
+    the 14 MB darcy model with a Cholesky preconditioner, which also faults in
+    its pages); a failure names the file."""
     global _last_load
     directory = Path(directory)
     manifest = read_manifest(directory, MODEL_FORMAT_VERSION, "model")
     with manifest_keys(directory / "manifest.json"):
-        mapped, text, last = _read_binaries(directory, manifest), repr(manifest), _last_load
+        (mapped, files), text, last = _read_binaries(directory, manifest), repr(manifest), _last_load
+        distinct = {id(a): (k, a) for k, a in mapped.items()}.values()
         # an equal manifest names the same files and shapes; NaN equals nothing
-        if last is not None and last[0] == text and all(np.array_equal(a, last[1][k]) for k, a in mapped.items()):
+        if last is not None and last[0] == text and all(np.array_equal(a, last[1][k]) for k, a in distinct):
             return last[2]
-        arrays = manifest["arrays"]
         s_kernel, q_kernel, k_kernel = (ScalarKernel.from_config(manifest[f"{k}_kernel"]) for k in "sqk")
         # the features before the regressor rejects them unnamed
-        inputs = _finite(directory / arrays["train_features"]["file"], mapped["train_features"])
+        inputs = _finite(files["train_features"], mapped["train_features"])
         try:
             reg = regression.TrainedRegressor(kernel=s_kernel, inputs=inputs, gamma=manifest["gamma"],
                                               coef=mapped["coefficients"], chol=mapped["gram_factor"])
         except OdlearnError as exc:  # the factor check; shapes and gamma raise ValueError
-            raise DatasetFormatError(f"{directory / arrays['gram_factor']['file']}: {exc}") from exc
+            raise DatasetFormatError(f"{files['gram_factor']}: {exc}") from exc
         # the points are checked finite as points, by MeasurementOperator
-        for k in ("coefficients", "l_input", "l_output"):
-            if k in mapped:
-                _finite(directory / arrays[k]["file"], mapped[k])
+        checked = {id(inputs)}
+        for k in ("coefficients", "l_input", "l_output", "pca_input", "pca_output"):
+            if k in mapped and id(mapped[k]) not in checked:
+                checked.add(id(mapped[k]))
+                _finite(files[k], mapped[k])
         model = OperatorModel(
             input_recovery=RecoveryMap(q_kernel, MeasurementOperator(mapped["input_points"], mapped.get("l_input")),
                                        manifest["input_nugget"]),

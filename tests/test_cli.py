@@ -679,15 +679,19 @@ class TestEval:
         assert f"{path}: non-finite value nan at flat index 3" in err and "Traceback" not in err
 
     def test_output_preconditioner_not_the_maps_root_fails_serving(self, trained_chol_pca, adv1_dir, capsys):
-        # one entry of the output L scaled by 1.5: finite, so the load takes it, but
-        # recovering through it is no longer recovering through the map's own root
-        path = trained_chol_pca / "l_output.bin"
-        L = np.fromfile(path, dtype="<f8")
+        # the output side gets its own copy of L, one entry scaled by 1.5, in the two-file
+        # layout every save wrote before equal arrays were shared: finite, so the load
+        # takes it, but recovering through it is no longer recovering through the map's root
+        manifest_path = trained_chol_pca / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["arrays"]["l_output"]["file"] == "l_input.bin"
+        L = np.fromfile(trained_chol_pca / "l_input.bin", dtype="<f8")
         L[3] *= 1.5
-        tmp = path.with_name(".l_output.bin.tmp")
-        L.tofile(tmp)
-        os.replace(tmp, path)
+        manifest["arrays"]["l_output"] = write_array(trained_chol_pca, "l_output.bin", L.reshape(
+            manifest["arrays"]["l_output"]["shape"]))
+        manifest_path.write_text(json.dumps(manifest))
         model, ds = operator.load_model(trained_chol_pca), load_dataset(adv1_dir)
+        assert not np.array_equal(model.input_measurement.preconditioner, model.output_measurement.preconditioner)
         u, g = operator.FunctionSamples(ds.input_grid, ds.test_inputs[0]), ds.output_grid
         for q in (g, g + 0.25 * (g[1] - g[0])):
             with pytest.raises(ValueError, match=r"^preconditioner is not the root .* > 1\.000e-08$"):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -407,16 +408,18 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="bytes"):
             load_model(tmp_path / "m")
 
-    @pytest.mark.parametrize("name", ["coefficients.bin", "pca_input.bin", "l_output.bin"])
-    def test_missing_binary_named(self, tmp_path, name):
+    @pytest.mark.parametrize("key", ["arrays.coefficients", "pca_input", "arrays.l_output"])
+    def test_missing_binary_named(self, tmp_path, key):
+        # the file the manifest names for the key: l_output names l_input.bin
         grid, inputs, outputs = smooth_dataset(n_train=30, seed=16)
         model = fit_operator(
             grid, grid, inputs, outputs, ScalarKernel.matern(nu=2.5, lengthscale=4.0),
             gamma=1e-8, preconditioner="cholesky", pca_input_fraction=0.99,
         )
         save_model(model, tmp_path / "m")
+        name = manifest_entry(tmp_path / "m", key)["file"]
         (tmp_path / "m" / name).unlink()
-        with pytest.raises(DatasetFormatError, match=rf"missing .*{name}"):
+        with pytest.raises(DatasetFormatError, match=rf"missing .*{re.escape(name)}"):
             load_model(tmp_path / "m")
 
     def test_saved_model_holds_only_what_load_reads(self, tmp_path, monkeypatch):
@@ -425,19 +428,104 @@ class TestPersistence:
             grid, grid, inputs, outputs, ScalarKernel.matern(nu=2.5, lengthscale=4.0),
             gamma=1e-8, preconditioner="cholesky", pca_input_fraction=0.99, pca_output_fraction=0.99,
         )
-        save_model(model, tmp_path / "m")
-        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        directory = tmp_path / "m"
+        save_model(model, directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
         assert set(manifest["arrays"]) == {
             "input_points", "output_points", "train_features", "coefficients", "gram_factor",
             "l_input", "l_output",
         }
         assert "lower" not in manifest["arrays"]["gram_factor"]
         assert "preconditioner" not in manifest
+        for key, first in (("output_points", "input_points"), ("l_output", "l_input")):
+            assert manifest["arrays"][key] == manifest["arrays"][first] == {
+                "file": f"{first}.bin", "shape": manifest["arrays"][key]["shape"]}
         read = []
         real = operator.read_array
         monkeypatch.setattr(operator, "read_array", lambda path, shape: read.append(path.name) or real(path, shape))
-        load_model(tmp_path / "m")
-        assert sorted(read) == sorted(p.name for p in (tmp_path / "m").glob("*.bin"))
+        load_model(directory)
+        # each distinct file once, and no file the manifest does not name
+        assert sorted(read) == sorted(named_files(directory)) == sorted(p.name for p in directory.glob("*.bin"))
+        two_file_layout(directory)
+        assert {"output_points.bin", "l_output.bin"} <= named_files(directory)
+        save_model(model, directory)
+        assert named_files(directory) == {p.name for p in directory.glob("*.bin")}
+        assert not {"output_points.bin", "l_output.bin"} & named_files(directory)
+
+    def test_save_load_save_writes_the_same_files(self, tmp_path, uq_dataset_model):
+        save_model(uq_dataset_model[1], tmp_path / "a")
+        assert manifest_entry(tmp_path / "a", "arrays.output_points")["file"] == "input_points.bin"
+        save_model(load_model(tmp_path / "a"), tmp_path / "b")
+        assert saved_files(tmp_path / "a") == saved_files(tmp_path / "b")
+
+    def test_two_file_layout_loads_to_the_same_model(self, tmp_path, uq_dataset_model):
+        # every save before equal arrays were shared wrote the output grid and L to
+        # files of their own; such a model serves the same bits, and saving it
+        # shares the equal arrays again
+        ds, model = uq_dataset_model
+        save_model(model, tmp_path / "new")
+        save_model(model, tmp_path / "old")
+        two_file_layout(tmp_path / "old")
+        new, old = load_model(tmp_path / "new"), load_model(tmp_path / "old")
+        assert new.output_measurement.points is new.input_measurement.points
+        assert old.output_measurement.points is not old.input_measurement.points
+        u = FunctionSamples(ds.input_grid, ds.test_inputs[0])
+
+        def outputs(m):
+            got = [np.array(error_bound(m, u, 1.0))]
+            for q in (ds.output_grid, offgrid(ds.output_grid)):
+                mean, std = apply_with_uq(m, u, q)
+                got += [apply_batch(m, ds.test_inputs, q), mean.values, std.values]
+            return got
+
+        assert all(map(np.array_equal, outputs(old), outputs(new)))
+        save_model(old, tmp_path / "old")
+        assert saved_files(tmp_path / "old") == saved_files(tmp_path / "new")
+
+    @pytest.mark.parametrize("case, shared", [
+        ("different grids", {}),
+        ("input L only", {"output_points": "input_points.bin"}),
+        ("equal sides", {"output_points": "input_points.bin", "l_output": "l_input.bin",
+                         "pca_output": "pca_input.bin"}),
+    ], ids=["different_grids", "input_l_only", "equal_sides"])
+    def test_keys_share_a_file_only_when_their_arrays_are_equal(self, tmp_path, case, shared):
+        grid, inputs, outputs = smooth_dataset(n_train=30, seed=16)
+        s_kernel, kw = ScalarKernel.matern(nu=2.5, lengthscale=4.0), {
+            "preconditioner": "cholesky", "pca_input_fraction": 0.99, "pca_output_fraction": 0.99}
+        if case == "different grids":  # not a scaled or shifted grid, whose default L would be equal
+            model = fit_operator(grid, grid**2, inputs, outputs, s_kernel, 1e-8, **kw)
+        elif case == "equal sides":  # the identity map: equal grids, L's and PCA sidecars
+            model = fit_operator(grid, grid, inputs, inputs, s_kernel, 1e-8, **kw)
+        else:
+            model = fit_operator(grid, grid, inputs, outputs, s_kernel, 1e-8, **kw)
+            out = model.output_recovery
+            model = replace(model, output_recovery=RecoveryMap(
+                out.kernel, MeasurementOperator(out.measurement.points), out.nugget))
+        save_model(model, tmp_path / "m")
+        table = {
+            "arrays.input_points": model.input_measurement.points,
+            "arrays.output_points": model.output_measurement.points,
+            "arrays.train_features": model.regressor.inputs,
+            "arrays.coefficients": model.regressor.coef,
+            "arrays.gram_factor": model.regressor.chol,
+            "arrays.l_input": model.input_measurement.preconditioner,
+            "arrays.l_output": model.output_measurement.preconditioner,
+            "pca_input": np.concatenate([model.input_pca.mean, model.input_pca.basis.ravel()]),
+            "pca_output": np.concatenate([model.output_pca.mean, model.output_pca.basis.ravel()]),
+        }
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        for key, a in table.items():
+            base = key.split(".")[-1]
+            if a is None:
+                assert base not in manifest["arrays"]
+                continue
+            name = manifest_entry(tmp_path / "m", key)["file"]
+            assert name == shared.get(base, f"{base}.bin"), key
+            assert (tmp_path / "m" / name).read_bytes() == np.ascontiguousarray(a, dtype="<f8").tobytes(), key
+        assert named_files(tmp_path / "m") == {p.name for p in (tmp_path / "m").glob("*.bin")}
+        loaded = load_model(tmp_path / "m")
+        assert np.array_equal(apply_batch(loaded, inputs, model.output_measurement.points),
+                              apply_batch(model, inputs, model.output_measurement.points))
 
     def test_older_layout_loads_to_the_same_model(self, tmp_path, uq_dataset_model):
         # older models also carry the training targets, a gram_factor.lower flag
@@ -494,6 +582,38 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DatasetFormatError, match=rf"{key}.*bare file name"):
             load_model(tmp_path / "m")
+
+
+def manifest_entry(directory, key: str) -> dict:
+    """The manifest entry at a dotted key, such as ``arrays.l_output`` or ``pca_input``."""
+    node = json.loads((directory / "manifest.json").read_text())
+    for part in key.split("."):
+        node = node[part]
+    return node
+
+
+def named_files(directory) -> set[str]:
+    """The binaries a model directory's manifest names."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    entries = [*manifest["arrays"].values(), manifest["pca_input"], manifest["pca_output"]]
+    return {entry["file"] for entry in entries if entry is not None}
+
+
+def saved_files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def two_file_layout(directory) -> None:
+    """Rewrite a saved model into the layout every save wrote before equal arrays
+    were shared: the output grid and L in files of their own."""
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for key, first in (("output_points", "input_points"), ("l_output", "l_input")):
+        if key in manifest["arrays"]:
+            assert manifest["arrays"][key]["file"] == f"{first}.bin"
+            shutil.copyfile(directory / f"{first}.bin", directory / f"{key}.bin")
+            manifest["arrays"][key]["file"] = f"{key}.bin"
+    path.write_text(json.dumps(manifest))
 
 
 @pytest.fixture(scope="module", params=["none", "cholesky"])
