@@ -248,7 +248,8 @@ def save_dataset(ds: Dataset, directory) -> dict:
 
 
 def load_dataset(directory) -> Dataset:
-    """Read a dataset directory, verifying format version and byte counts."""
+    """Read a dataset directory, verifying format version and byte counts; a
+    split with a non-finite value is a DatasetFormatError naming its file."""
     directory = Path(directory)
     manifest = read_manifest(directory, FORMAT_VERSION, "dataset")
     manifest_path = directory / "manifest.json"
@@ -265,14 +266,18 @@ def load_dataset(directory) -> Dataset:
                 rows = manifest_count(manifest["splits"][split])
             arrays[attr] = read_array(directory / fname, (rows, grids[side].shape[0]))
         name = manifest["name"]
-    ds = Dataset(
-        name=name,
-        input_grid=grids["input"],
-        output_grid=grids["output"],
-        seed=manifest.get("seed", 0),
-        provenance=manifest.get("provenance", ""),
-        **arrays,
-    )
+    try:
+        ds = Dataset(
+            name=name,
+            input_grid=grids["input"],
+            output_grid=grids["output"],
+            seed=manifest.get("seed", 0),
+            provenance=manifest.get("provenance", ""),
+            **arrays,
+        )
+    except ValueError as exc:  # the shapes are the manifest's, so a split is not finite: name its file
+        files = (fname for attr, (fname, _, _) in _SPLIT_FILES.items() if not np.isfinite(arrays[attr]).all())
+        raise DatasetFormatError(f"{directory / next(files, 'manifest.json')}: {exc}") from exc
     ds.prng = manifest.get("prng", ds.prng)
     return ds
 

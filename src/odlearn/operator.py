@@ -39,11 +39,10 @@ A saved model uses the dataset container's layout and loader
 binaries, one file per distinct array, mapped read-only at load and replaced
 file by file, never rewritten in place, at save. So every array of a loaded
 model is read-only and shares the page cache with its file; a model stays as it
-was loaded when its directory is saved over. ``load_model`` checks the
-regressor's factor and then that every other array is finite, each distinct
-array once, and names the file that fails. A load of the same bytes
-as the last successful one returns that load's model, parts built, unchecked;
-the one module global, ``_last_load``, holds it.
+was loaded when its directory is saved over. ``load_model`` checks each
+distinct array once, in one pass that names the file or key that fails. A load
+of the same bytes as the last successful one returns that load's model, parts
+built, unchecked; the one module global, ``_last_load``, holds it.
 """
 
 from __future__ import annotations
@@ -370,7 +369,7 @@ def error_bound(model: OperatorModel, u: FunctionSamples, rkhs_norm_bound: float
     the measured input; the bound covers any target operator whose
     vector-valued RKHS norm is at most ``rkhs_norm_bound``.
     """
-    if not (rkhs_norm_bound >= 0 and np.isfinite(rkhs_norm_bound)):
+    if isinstance(rkhs_norm_bound, bool) or not (rkhs_norm_bound >= 0 and np.isfinite(rkhs_norm_bound)):
         raise ValueError(f"rkhs_norm_bound must be a finite number >= 0, got {rkhs_norm_bound!r}")
     s = regression.posterior_variance(model.regressor, _features(model, _row(model, u)))[0]
     return float(np.sqrt(model.regressor.output_dim * max(s, 0.0)) * rkhs_norm_bound)
@@ -539,14 +538,6 @@ def _read_binaries(directory: Path, manifest: dict) -> tuple[dict[str, np.ndarra
     return found, files
 
 
-def _finite(path: Path, a: np.ndarray) -> np.ndarray:
-    """``a``, or a DatasetFormatError naming ``path`` if an entry is not finite."""
-    if not np.isfinite(a).all():
-        i = np.flatnonzero(~np.isfinite(a))[0]
-        raise DatasetFormatError(f"{path}: non-finite value {float(a.flat[i])!r} at flat index {i}")
-    return a
-
-
 def _pca_to_files(write, name: str, p: PcaProjector | None) -> dict | None:
     # sidecar layout: mean (d floats) then basis (d*k floats, row-major)
     if p is None:
@@ -633,47 +624,46 @@ def load_model(directory) -> OperatorModel:
     The binaries are mapped read-only, each distinct (file, shape) once, so keys
     that name one file share one array, and every comparison and check below
     visits each distinct array once. Models that store equal arrays in files of
-    their own, as every save did before equal arrays were shared, load the same.
+    their own load the same.
     A load whose manifest (compared by ``repr``, so that 1, 1.0 and true differ)
     and arrays equal those of the last successful load returns that load's
     model, with the parts and factors it has built, and checks nothing: its
     bytes equal bytes that passed the checks, and files are replaced, never
     rewritten in place (``data/container.py``), so a mapped array never changes
-    under its model. Any other load checks the training features finite first,
-    then the regressor's factor, then every other array finite (about 1 ms on
-    the 14 MB darcy model with a Cholesky preconditioner, which also faults in
-    its pages); a failure names the file."""
+    under its model. Any other load checks every array but the regressor's
+    factor finite in read order, naming the file, then the factor by the
+    regressor's row check, then the grid points distinct, naming the key
+    ``arrays.<side>_points`` (about 1 ms on the 14 MB darcy-cholesky model,
+    which also faults in its pages)."""
     global _last_load
     directory = Path(directory)
-    manifest = read_manifest(directory, MODEL_FORMAT_VERSION, "model")
-    with manifest_keys(directory / "manifest.json"):
+    manifest, path = read_manifest(directory, MODEL_FORMAT_VERSION, "model"), directory / "manifest.json"
+    with manifest_keys(path):
         (mapped, files), text, last = _read_binaries(directory, manifest), repr(manifest), _last_load
         distinct = {id(a): (k, a) for k, a in mapped.items()}.values()
         # an equal manifest names the same files and shapes; NaN equals nothing
         if last is not None and last[0] == text and all(np.array_equal(a, last[1][k]) for k, a in distinct):
             return last[2]
         s_kernel, q_kernel, k_kernel = (ScalarKernel.from_config(manifest[f"{k}_kernel"]) for k in "sqk")
-        # the features before the regressor rejects them unnamed
-        inputs = _finite(files["train_features"], mapped["train_features"])
+        for k, a in distinct:  # the regressor checks its factor row by row
+            if k != "gram_factor" and not np.isfinite(a).all():
+                i = np.flatnonzero(~np.isfinite(a))[0]
+                raise DatasetFormatError(f"{files[k]}: non-finite value {float(a.flat[i])!r} at flat index {i}")
         try:
-            reg = regression.TrainedRegressor(kernel=s_kernel, inputs=inputs, gamma=manifest["gamma"],
+            reg = regression.TrainedRegressor(kernel=s_kernel, inputs=mapped["train_features"], gamma=manifest["gamma"],
                                               coef=mapped["coefficients"], chol=mapped["gram_factor"])
         except OdlearnError as exc:  # the factor check; shapes and gamma raise ValueError
             raise DatasetFormatError(f"{files['gram_factor']}: {exc}") from exc
-        # the points are checked finite as points, by MeasurementOperator
-        checked = {id(inputs)}
-        for k in ("coefficients", "l_input", "l_output", "pca_input", "pca_output"):
-            if k in mapped and id(mapped[k]) not in checked:
-                checked.add(id(mapped[k]))
-                _finite(files[k], mapped[k])
+        ops = {}
+        for side in ("input", "output"):
+            with manifest_keys(path, f"arrays.{side}_points"):
+                ops[side] = MeasurementOperator(mapped[f"{side}_points"], mapped.get(f"l_{side}"))
         model = OperatorModel(
-            input_recovery=RecoveryMap(q_kernel, MeasurementOperator(mapped["input_points"], mapped.get("l_input")),
-                                       manifest["input_nugget"]),
+            input_recovery=RecoveryMap(q_kernel, ops["input"], manifest["input_nugget"]),
             input_pca=_pca_from_files(directory, manifest, "pca_input", mapped.get("pca_input")),
             regressor=reg,
             output_pca=_pca_from_files(directory, manifest, "pca_output", mapped.get("pca_output")),
-            output_recovery=RecoveryMap(k_kernel, MeasurementOperator(mapped["output_points"], mapped.get("l_output")),
-                                        manifest["output_nugget"]),
+            output_recovery=RecoveryMap(k_kernel, ops["output"], manifest["output_nugget"]),
         )
     _last_load = (text, mapped, model)
     return model

@@ -57,8 +57,8 @@ def pca_fit(samples, retained_fraction: float) -> PcaProjector:
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("samples must be an (N, d) matrix with N >= 2")
-    if not (0.0 < retained_fraction <= 1.0):
-        raise ValueError("retained_fraction must be in (0, 1]")
+    if isinstance(retained_fraction, bool) or not (0.0 < retained_fraction <= 1.0):
+        raise ValueError(f"retained_fraction must be a number in (0, 1], got {retained_fraction!r}")
     mean = X.mean(axis=0)
     centered = X - mean
     kept = None

@@ -39,8 +39,8 @@ Every other product takes the blocked dense path. A ``QuerySet`` is one query
 set's preparation, applied to any C: it keeps the lattice pair and the FFT'd
 stencil it builds and, when asked, the cross Gram's blocks, so that a caller
 that meets a set again (the operator's per-model cache) pays only the product.
-``evaluate`` prepares a set for one call. On the map's own points the row
-norms of the recovery weights have a closed form (``on_grid_norms``).
+On the map's own points the row norms of the recovery weights have a closed
+form (``on_grid_norms``).
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ NUGGET_FACTOR = 1e-10  # default nugget = 1e-10 * mean(diag Gram)
 # from linspace and their midpoints or cell centres sit within about 1 ulp, and a
 # point this far off moves the convolved result by about that much times |grad k|.
 LATTICE_TOL = 128 * np.finfo(float).eps
-# Cross-Gram entries from which evaluate convolves on lattices. Timeit, 1 BLAS
-# thread: the two paths cross near 30k entries in 1-D and 2-D, and the lattice
-# path won every case measured above this. Burgers' 128x128 stays dense.
+# Cross-Gram entries from which QuerySet.evaluate convolves on lattices. Timeit,
+# 1 BLAS thread: the two paths cross near 30k entries in 1-D and 2-D, and the
+# lattice path won every case measured above this. Burgers' 128x128 stays dense.
 LATTICE_MIN_ENTRIES = 65_536
 # What a column of C costs on each path, in units of one cross-Gram entry built:
 # its two FFTs cost LATTICE_FFT_COST per S log2 S, S the full convolution's size,
@@ -243,13 +243,13 @@ class RecoveryMap:
     def _root(self) -> np.ndarray:
         """L, checked once to be the map's own root, so that G^-1 L^-1 = L:
         |L G L x - x| <= tol |x| for one seeded vector x, with K L x from
-        ``evaluate``, so that no kernel matrix is kept (on a lattice it is a
-        convolution). tol is 1e-8, or n eps |L|_1 |L|_inf tr(G) when that is
+        ``QuerySet.evaluate``, so that no kernel matrix is kept (on a lattice it
+        is a convolution). tol is 1e-8, or n eps |L|_1 |L|_inf tr(G) when that is
         larger: for a root, an upper bound on n eps cond(G), the order of
         rounding that ``cholesky_preconditioner``'s eigh-built L carries."""
         L, x = self.measurement.preconditioner, np.random.default_rng(0).standard_normal(self.size)
         Lx = L @ x
-        residual = np.linalg.norm(L @ (evaluate(self, Lx, self.measurement.points) + self.nugget * Lx) - x)
+        residual = np.linalg.norm(L @ (QuerySet(self, self.measurement.points).evaluate(Lx) + self.nugget * Lx) - x)
         residual /= np.linalg.norm(x)
         absL = np.abs(L)
         trace = float(np.sum(gram_diag(self.kernel, self.measurement.points))) + self.size * self.nugget
@@ -303,14 +303,7 @@ def recover(rmap: RecoveryMap, U, query_points) -> FunctionSamples:
     nugget-level error.
     """
     qp = as_query_points(rmap, query_points)
-    return FunctionSamples(qp, evaluate(rmap, rmap.coefficients(U), qp))
-
-
-def evaluate(rmap: RecoveryMap, C: np.ndarray, query_points: np.ndarray) -> np.ndarray:
-    """k(query_points, X) @ C for coefficients C from ``rmap.coefficients`` and
-    query points from ``as_query_points``, preparing the set for this call alone
-    (``QuerySet``)."""
-    return QuerySet(rmap, query_points).evaluate(C)
+    return FunctionSamples(qp, QuerySet(rmap, qp).evaluate(rmap.coefficients(U)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,10 +420,12 @@ def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
     form R - nugget * G^-1 R: at its own points the kernel matrix is
     G - nugget * I, so no kernel matrix is built. A preconditioned map builds
     no factor and gives K @ (L @ R) by ``_blocked_product``, so it keeps no
-    kernel matrix either; it does not convolve on a lattice, as that costs two
-    FFTs per column (darcy's 29x29 grid, 841 columns, one BLAS thread of a
-    2-vCPU x86-64 machine: 217 against 35 ms). R is one vector or a matrix of
-    columns; a non-finite R is a ValueError."""
+    kernel matrix either. It does not take ``QuerySet.evaluate``: on the map's
+    own grid its column-count rule mispredicts, convolving up to 198 columns on
+    darcy's 29x29 grid where the dense product is faster from about 150 (darcy's
+    root L, one BLAS thread of a 2-vCPU Xeon, best of 5, stencil build included:
+    100 columns 7.2 against 7.6 ms, 150 11.2 against 8.8, 198 14.5 against 9.4).
+    R is one vector or a matrix of columns; a non-finite R is a ValueError."""
     if not np.isfinite(R).all():
         raise ValueError("right-hand side of the recovery solve is not finite")
     if rmap.measurement.preconditioner is not None:

@@ -678,6 +678,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{path}: non-finite value nan at flat index 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,split", [("eval", "test_outputs"), ("train", "train_inputs")])
+    def test_non_finite_split_exits_1(self, trained, adv1_dir, tmp_path, capsys, command, split):
+        path = adv1_dir / f"{split}.bin"
+        arr = np.fromfile(path, dtype="<f8")
+        arr[3] = np.nan
+        arr.tofile(path)
+        cfg = write_config(tmp_path / "retrain.json", {
+            "dataset": str(adv1_dir), "kernel": {"family": "linear"}, "gamma": 1e-12,
+            "output_dir": str(tmp_path / "retrained"),
+        })
+        assert run(["eval", str(trained), str(adv1_dir)] if command == "eval" else ["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: {split} contains non-finite values" in err and "Traceback" not in err
+
     def test_output_preconditioner_not_the_maps_root_fails_serving(self, trained_chol_pca, adv1_dir, capsys):
         # the output side gets its own copy of L, one entry scaled by 1.5, in the two-file
         # layout every save wrote before equal arrays were shared: finite, so the load

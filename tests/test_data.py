@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -381,6 +382,16 @@ class TestContainer:
         del manifest["splits"]
         (tmp_path / "d" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatasetFormatError, match=r"manifest\.json: missing key 'splits'"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("split", ["train_inputs", "train_outputs", "test_inputs", "test_outputs"])
+    def test_non_finite_split_named(self, tmp_path, split):
+        save_dataset(gen_advection1(5, 3, grid_size=16, seed=1), tmp_path / "d")
+        path = tmp_path / "d" / f"{split}.bin"
+        arr = np.fromfile(path, dtype="<f8")
+        arr[3] = np.nan
+        arr.tofile(path)
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: {split} contains non-finite values$"):
             load_dataset(tmp_path / "d")
 
     def test_dataset_validation(self):

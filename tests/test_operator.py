@@ -270,6 +270,12 @@ class TestErrorBound:
         with pytest.raises(ValueError, match="^rkhs_norm_bound must be a finite number >= 0, got inf$"):
             error_bound(model, FunctionSamples(ds.input_grid, ds.test_inputs[0]), float("inf"))
 
+    def test_bool_bound_rejected(self, adv1_model):
+        # True == 1.0 in Python, but a bound is a number, as regression.fit's gamma is
+        ds, model = adv1_model
+        with pytest.raises(ValueError, match="^rkhs_norm_bound must be a finite number >= 0, got True$"):
+            error_bound(model, FunctionSamples(ds.input_grid, ds.test_inputs[0]), True)
+
     def test_bound_dominates_synthetic_truth(self):
         # operator whose measurement-space map lives in the RKHS with known norm
         rng = np.random.default_rng(13)
@@ -421,6 +427,43 @@ class TestPersistence:
         (tmp_path / "m" / name).unlink()
         with pytest.raises(DatasetFormatError, match=rf"missing .*{re.escape(name)}"):
             load_model(tmp_path / "m")
+
+    STORED = ["arrays.input_points", "arrays.output_points", "arrays.l_input", "arrays.l_output",
+              "arrays.train_features", "arrays.coefficients", "arrays.gram_factor", "pca_input", "pca_output"]
+
+    @pytest.fixture()
+    def chol_pca_dir(self, tmp_path):
+        """A saved model with a Cholesky preconditioner and input and output PCA."""
+        grid, inputs, outputs = smooth_dataset(n_train=30, seed=16)
+        model = fit_operator(
+            grid, grid, inputs, outputs, ScalarKernel.matern(nu=2.5, lengthscale=4.0),
+            gamma=1e-8, preconditioner="cholesky", pca_input_fraction=0.99, pca_output_fraction=0.99,
+        )
+        save_model(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert {f"arrays.{k}" for k in manifest["arrays"]} | {"pca_input", "pca_output"} == set(self.STORED)
+        return tmp_path / "m"
+
+    @pytest.mark.parametrize("key", STORED)
+    def test_non_finite_stored_array_names_its_file(self, chol_pca_dir, key):
+        # the file the manifest names for the key: output_points names input_points.bin;
+        # the factor fails the regressor's row check, every other array the finite check
+        path = chol_pca_dir / manifest_entry(chol_pca_dir, key)["file"]
+        arr = np.fromfile(path, dtype="<f8")
+        arr[3] = np.nan
+        write_array(chol_pca_dir, path.name, arr)
+        reason = "the regressor's Gram factor is corrupt" if key == "arrays.gram_factor" else "non-finite value nan"
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(path))}: {reason}"):
+            load_model(chol_pca_dir)
+
+    def test_repeated_grid_point_names_its_key(self, chol_pca_dir):
+        path = chol_pca_dir / manifest_entry(chol_pca_dir, "arrays.input_points")["file"]
+        points = np.fromfile(path, dtype="<f8")
+        points[1] = points[0]
+        write_array(chol_pca_dir, path.name, points)
+        with pytest.raises(DatasetFormatError, match=r"manifest\.json: malformed arrays\.input_points "
+                                                     r"\(collocation points must be pairwise distinct\)$"):
+            load_model(chol_pca_dir)
 
     def test_saved_model_holds_only_what_load_reads(self, tmp_path, monkeypatch):
         grid, inputs, outputs = smooth_dataset(n_train=30, seed=16)

@@ -98,6 +98,11 @@ class TestFit:
         with pytest.raises(ValueError):
             pca_fit(np.random.default_rng(0).normal(size=(5, 3)), 1.5)
 
+    def test_bool_fraction_rejected(self):
+        # True == 1.0 in Python, but a fraction is a number, as regression.fit's gamma is
+        with pytest.raises(ValueError, match=r"^retained_fraction must be a number in \(0, 1\], got True$"):
+            pca_fit(np.random.default_rng(0).normal(size=(5, 3)), True)
+
     def test_basis_orthonormal_and_values_sorted(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(25, 8))

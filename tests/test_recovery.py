@@ -8,9 +8,9 @@ from odlearn.kernels import ScalarKernel, gram
 from odlearn.recovery import (
     FunctionSamples,
     MeasurementOperator,
+    QuerySet,
     RecoveryMap,
     cholesky_preconditioner,
-    evaluate,
     fill_distance,
     measure,
     on_grid_norms,
@@ -292,9 +292,9 @@ class TestProperties:
         kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.3)
         L = cholesky_preconditioner(kernel, pts)
         rmap = RecoveryMap(kernel, MeasurementOperator(pts, L))
-        checks = []  # the root check is the one evaluate call: K L x at the map's points
-        real = recovery.evaluate
-        monkeypatch.setattr(recovery, "evaluate", lambda *a: checks.append(1) or real(*a))
+        checks = []  # the root check is the one QuerySet.evaluate call: K L x at the map's points
+        real = QuerySet.evaluate
+        monkeypatch.setattr(QuerySet, "evaluate", lambda *a: checks.append(1) or real(*a))
         U = rng.normal(size=(4, 9))
         C = rmap.coefficients(U)
         assert C.shape == (9, 4)
@@ -415,18 +415,18 @@ def lattice_map(kernel_of_step, dim, preconditioner, n):
 
 
 def lattice_and_dense(monkeypatch, rmap, C, q, threshold=0):
-    """evaluate on q at the lattice threshold given, then each column of C alone,
-    then with the lattice path off; and whether the batch took the lattice path
-    (which builds no cross Gram)."""
+    """QuerySet.evaluate on q at the lattice threshold given, then on each column
+    of C alone, then with the lattice path off; and whether the batch took the
+    lattice path (which builds no cross Gram)."""
     calls = []
     real = recovery.gram
     monkeypatch.setattr(recovery, "gram", lambda *a: calls.append(1) or real(*a))
     monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", threshold)
-    fast = evaluate(rmap, C, q)
+    fast = QuerySet(rmap, q).evaluate(C)
     took_lattice = not calls
-    singles = np.column_stack([evaluate(rmap, c, q) for c in C.T])
+    singles = np.column_stack([QuerySet(rmap, q).evaluate(c) for c in C.T])
     monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", np.inf)
-    return fast, singles, evaluate(rmap, C, q), took_lattice
+    return fast, singles, QuerySet(rmap, q).evaluate(C), took_lattice
 
 
 def matern(h):
@@ -434,9 +434,9 @@ def matern(h):
 
 
 class TestLattice:
-    """evaluate on lattice query sets convolves by FFT; it must agree with the
-    blocked dense path to 1e-13 of each column, bitwise for one column alone or
-    in a batch, and fall back bitwise wherever a condition fails."""
+    """QuerySet.evaluate on lattice query sets convolves by FFT; it must agree
+    with the blocked dense path to 1e-13 of each column, bitwise for one column
+    alone or in a batch, and fall back bitwise wherever a condition fails."""
 
     def check_lattice(self, monkeypatch, rmap, U, q):
         C = rmap.coefficients(U)
@@ -602,7 +602,7 @@ def test_preconditioned_recovery_matches_an_extended_precision_reference(monkeyp
     c = _longdouble_spd_solve(G, _longdouble_spd_solve(L, U.T))
     C = rmap.coefficients(U)
     for got, want in ((C, c), (on_grid_weights(rmap, U.T), gram(rmap.kernel, grid) @ c),
-                      (evaluate(rmap, C, q), gram(rmap.kernel, q, grid) @ c)):
+                      (QuerySet(rmap, q).evaluate(C), gram(rmap.kernel, q, grid) @ c)):
         rms = np.sqrt(np.mean(want * want))
         assert np.abs(got - want).max() <= 1e-12 * rms
     assert len(convolved) == (2 if min_entries == 0 else 0)
