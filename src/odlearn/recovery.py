@@ -23,7 +23,10 @@ half as much. A preconditioned map builds no factor and keeps no kernel
 matrix: it recovers through L alone, as G^-1 L^-1 = L for the map's own root
 L G L = I (``cholesky_preconditioner`` at the map's nugget), which its first
 recovery checks to the rounding that such a root carries; any other L, which
-measuring still takes, is a ValueError there.
+measuring still takes, is a ValueError there. ``cholesky_preconditioner``
+builds that root from symmetric eigendecompositions: on a lattice, with a
+stationary kernel, one per reflection-parity block of G, 2^d ``eigh`` calls of
+about n / 2^d points each; on any other set one ``eigh`` of all n.
 
 Evaluating the interpolant, k(q, X) @ C, builds the cross Gram in blocks,
 except on a lattice query set: there it is an exact discrete convolution of C
@@ -45,6 +48,7 @@ form (``on_grid_norms``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -246,7 +250,8 @@ class RecoveryMap:
         ``QuerySet.evaluate``, so that no kernel matrix is kept (on a lattice it
         is a convolution). tol is 1e-8, or n eps |L|_1 |L|_inf tr(G) when that is
         larger: for a root, an upper bound on n eps cond(G), the order of
-        rounding that ``cholesky_preconditioner``'s eigh-built L carries."""
+        rounding that ``cholesky_preconditioner``'s eigh-built L carries, from
+        one eigh of G or, on a lattice, one of each of its 2^d parity blocks."""
         L, x = self.measurement.preconditioner, np.random.default_rng(0).standard_normal(self.size)
         Lx = L @ x
         residual = np.linalg.norm(L @ (QuerySet(self, self.measurement.points).evaluate(Lx) + self.nugget * Lx) - x)
@@ -465,18 +470,97 @@ def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None =
     L.T @ L = G^-1 as well, so preconditioned measurement vectors carry the
     RKHS geometry: |L u(X)|^2 = u(X)^T G^-1 u(X), and measurement/recovery
     become norm-one maps on the span of the representers.
+
+    L is built from the eigendecompositions of G's parity blocks. On a lattice
+    (``_lattice_of``) a stationary kernel's G commutes with reversing each
+    axis, so the orthogonal even/odd butterfly (x_i +- x_{n-1-i}) / sqrt(2)
+    along every axis splits it into 2^d blocks of about n / 2^d points (225,
+    210, 210 and 196 on a 29x29 grid): 2^d ``eigh`` calls of that size in place
+    of one of n. By the same symmetry G's rows on the first half of every axis
+    give the blocks, and L's rows there give the rest of L, so only those rows
+    are built (a quarter of G in 2-D). Any other set, or the linear family, has
+    no reversible axis and one block, G itself: one ``eigh`` of n, the former
+    dense arithmetic. L comes out exactly symmetric.
     """
-    G = gram(kernel, points)
+    points = as_points(points, "points")
     nugget = resolve_nugget(kernel, points, nugget)
-    A = G + nugget * np.eye(G.shape[0])
-    w, V = np.linalg.eigh(A)
-    if w.min() <= 0:
-        raise FactorizationError(
-            f"kernel matrix has nonpositive eigenvalue {w.min():.3e} after "
-            f"nugget={nugget:.3e}; increase the nugget"
-        )
-    L = (V * (1.0 / np.sqrt(w))) @ V.T
-    return 0.5 * (L + L.T)
+    n, dim = points.shape
+    lattice = None if kernel.family == "linear" else _lattice_of(points)
+    shape = (n,) if lattice is None else lattice.shape
+    pairs = (0,) if lattice is None else tuple(m // 2 for m in shape)  # x_i and x_{m-1-i}, i < pairs
+    half = tuple(m - h for m, h in zip(shape, pairs))  # the pairs' first points, then the middle one
+    head = tuple(slice(e) for e in half)
+    flips = range(len(shape) if lattice else 0)  # the reversible axes
+    d = len(shape)
+    # G's first-half rows, each column axis k folded into even and odd sums at 1 + 2k:
+    # (rows, 2, half_0, 2, half_1, ...) on a lattice, (n, n) on any other set
+    T = gram(kernel, points.reshape(*shape, dim)[head].reshape(-1, dim), points).reshape(-1, *shape)
+    for k in flips:
+        T = _fold(T, 1 + 2 * k, half[k])
+    blocks = T.reshape(*half, *T.shape[1:])  # a view of T, its rows on the half lattice
+    # a middle point (odd length) is its own mirror image, so the folds count it twice:
+    # its rows and columns take 1/sqrt(2) in G's blocks, and sqrt(2) in their roots.
+    # It has no odd part: its odd column is 0 from the fold, and its odd row is set to 0
+    middles = [((slice(None),) * k + (pairs[k],), (slice(None),) * (d + 2 * k + 1) + (pairs[k],),
+                (slice(None),) * k + (pairs[k],) + (slice(None),) * (d - 1 + k) + (1,))
+               for k in flips if shape[k] % 2]
+    for row, col, odd_row in middles:
+        blocks[row] *= math.sqrt(0.5)
+        blocks[col] *= math.sqrt(0.5)
+        blocks[odd_row] = 0.0
+    scale = 0.5 ** len(flips)  # the butterflies' 1/sqrt(2), on rows and columns, that _unfold leaves out
+    for parity in itertools.product(*[(0, 1) if h else (0,) for h in pairs]):
+        block = tuple(slice(h) if p else slice(e) for p, h, e in zip(parity, pairs, half))
+        cols = tuple(x for p, b in zip(parity, block) for x in ((p, b) if flips else (b,)))
+        size = math.prod(b.stop for b in block)
+        A = blocks[block + cols].reshape(size, size)  # a view or a copy: no other block reads it
+        A[np.diag_indices(size)] += nugget
+        w, V = np.linalg.eigh(A)
+        if w.min() <= 0:
+            raise FactorizationError(
+                f"kernel matrix has nonpositive eigenvalue {w.min():.3e} after "
+                f"nugget={nugget:.3e}; increase the nugget"
+            )
+        R = (V * (scale / np.sqrt(w))) @ V.T
+        blocks[block + cols] = (0.5 * (R + R.T)).reshape(*[b.stop for b in block] * 2)
+    for row, col, _ in middles:
+        blocks[row] /= math.sqrt(0.5)
+        blocks[col] /= math.sqrt(0.5)
+    for k in reversed(flips):
+        T = _unfold(T, 1 + 2 * k, shape[k])
+    L = np.empty((n, n))
+    full = L.reshape(*shape, *shape)
+    full[head] = T.reshape(*half, *shape)
+    for k in flips:  # the other rows by symmetry: L[mirror_k(y), x] = L[y, mirror_k(x)]
+        above = (slice(None),) * k
+        below = head[k + 1:] + (slice(None),) * d
+        mirrored = (slice(None),) * (d + k) + (slice(None, None, -1),)
+        source = full[above + (slice(pairs[k] - 1, None, -1),) + below]
+        full[above + (slice(half[k], None),) + below] = source[mirrored]
+    return L
+
+
+def _fold(x: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """x with its ``axis`` replaced by two, (2, size): the sums and differences of
+    its first ``size`` entries and its last ``size`` reversed. A middle entry is
+    its own mirror image, so its difference is exactly 0."""
+    out = np.empty(x.shape[:axis] + (2, size) + x.shape[axis + 1:])
+    x, to = np.moveaxis(x, axis, 0), np.moveaxis(out, (axis, axis + 1), (0, 1))
+    np.add(x[:size], x[::-1][:size], out=to[0])
+    np.subtract(x[:size], x[::-1][:size], out=to[1])
+    return out
+
+
+def _unfold(x: np.ndarray, axis: int, length: int) -> np.ndarray:
+    """The inverse of ``_fold`` up to a factor 2: the (2, size) axes at ``axis``
+    become one of ``length`` entries, the first ``size`` the sums of the two and
+    the last ``size``, reversed, their differences."""
+    size = x.shape[axis + 1]
+    out = np.empty(x.shape[:axis] + (length,) + x.shape[axis + 2:])
+    x, to = np.moveaxis(x, (axis, axis + 1), (0, 1)), np.moveaxis(out, axis, 0)
+    np.add(x[0], x[1], out=to[:size])
+    np.subtract(x[0], x[1], out=to[::-1][:size])
+    return out
 
 
 def fill_distance(sample, domain_probe) -> float:

@@ -31,6 +31,7 @@ from odlearn.recovery import (
     MeasurementOperator,
     RecoveryMap,
     measure,
+    on_grid_weights,
     recover,
     recovery_weights,
 )
@@ -954,9 +955,9 @@ class TestInferenceCore:
             apply_with_uq(loaded, u, g)
             apply_batch(loaded, ds.test_inputs, g)
             error_bound(loaded, u, 1.0)
-        assert len(solves) == 3 and weights == []  # A, a0 and the norms once; no weight matrix
+        assert len(solves) == 2 and weights == []  # A with a0, and the norms, once; no weight matrix
         apply(loaded, FunctionSamples(ds.input_grid, ds.test_inputs[0]), offgrid(g))
-        assert len(solves) == 3
+        assert len(solves) == 2
 
     @pytest.mark.parametrize("first, built", [
         ("error_bound", set()), ("off_grid_apply", set()), ("on_grid_apply", {"_grid_mean"}),
@@ -987,12 +988,12 @@ class TestInferenceCore:
         first = apply_batch(loaded, ds.test_inputs, g)
         again = load_model(tmp_path / "m")
         assert again is loaded
-        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(solves) == 2  # A and a0
+        assert np.array_equal(apply_batch(again, ds.test_inputs, g), first) and len(solves) == 1  # A with a0
         r = again.output_recovery
         other = replace(again, output_recovery=RecoveryMap(r.kernel, r.measurement, 2.0 * r.nugget))
         assert not GRID_PARTS & vars(other).keys()
         apply_batch(other, ds.test_inputs, g)
-        assert len(solves) == 4
+        assert len(solves) == 2
         assert other._grid_mean[0] is not again._grid_mean[0]
 
     def test_models_differing_only_in_coefficients_keep_their_own_fold(self, uq_dataset_model):
@@ -1288,6 +1289,24 @@ class TestRecoverySolves:
             assert np.array_equal(norms, built)
         if out is not None:  # one column: the unblocked solve, within rounding
             np.testing.assert_allclose(a0, weights(out.mean), rtol=0, atol=1e-13 * np.abs(a0).max())
+
+    def test_grid_mean_builds_the_grid_kernel_matrix_once(self, uq_dataset_model, monkeypatch):
+        # a0 = W mu rides as the last column of A's product, so a preconditioned
+        # map builds its grid's kernel matrix once, not once for A and again for a0
+        from odlearn import recovery
+
+        _, model = uq_dataset_model
+        rmap, out, coef = model.output_recovery, model.output_pca, model.regressor.coef
+        model = replace(model)  # nothing built yet
+        rmap._root if rmap.measurement.preconditioner is not None else rmap._factor
+        rows, real = [], recovery.gram
+        monkeypatch.setattr(recovery, "gram", lambda k, X, *a: rows.append(len(X)) or real(k, X, *a))
+        A, a0 = model._grid_mean
+        monkeypatch.undo()
+        assert sum(rows) == (rmap.size if rmap.measurement.preconditioner is not None else 0)
+        two_calls = (on_grid_weights(rmap, out.basis @ coef.T).T, on_grid_weights(rmap, out.mean))
+        for got, want in zip((A, a0), two_calls):
+            assert np.abs(got - want).max() <= 1e-12 * np.sqrt(np.mean(want * want))
 
     @pytest.mark.parametrize("entry,value", [((3, 3), np.nan), ((7, 2), np.nan), ((0, 0), np.inf),
                                              ((7, 2), np.inf), ((7, 2), 1e300), ((0, 0), 1e300)],

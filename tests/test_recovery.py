@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
+from scipy.spatial.distance import pdist
 
 from odlearn import recovery
 from odlearn.errors import FactorizationError
@@ -431,6 +432,113 @@ def lattice_and_dense(monkeypatch, rmap, C, q, threshold=0):
 
 def matern(h):
     return ScalarKernel.matern(nu=2.5, lengthscale=2.0 * h)
+
+
+def dense_root(kernel, pts, nugget=None):
+    """(G + nugget I)^-1/2 from one eigh of the whole matrix, symmetrized."""
+    G = gram(kernel, pts)
+    w, V = np.linalg.eigh(G + recovery.resolve_nugget(kernel, pts, nugget) * np.eye(len(G)))
+    L = (V * (1.0 / np.sqrt(w))) @ V.T
+    return 0.5 * (L + L.T)
+
+
+def eigh_sizes(monkeypatch) -> list:
+    """A list that gets the order of every matrix np.linalg.eigh decomposes."""
+    sizes, real = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A, *a: sizes.append(len(A)) or real(A, *a))
+    return sizes
+
+
+def lattice(*counts):
+    return tensor_points(*[np.linspace(0.0, 1.0, m) for m in counts])
+
+
+def criterion_8_sets():
+    rng = np.random.default_rng(800)  # the random sets of acceptance criterion 8
+    for trial in range(20):
+        n, d = int(rng.integers(2, 25)), int(rng.integers(2, 4))
+        while True:
+            pts = rng.uniform(0, 2, size=(n, d))
+            if pdist(pts).min() >= 0.15:
+                break
+        kernel = [ScalarKernel.matern(nu=2.5, lengthscale=0.7), ScalarKernel.matern(nu=1.5, lengthscale=1.0),
+                  ScalarKernel.rq(lengthscale=0.8, alpha=1.0)][trial % 3]
+        yield kernel, pts, 1e-13
+        rng.normal(size=n)
+
+
+def one_block_sets():
+    pts = lattice(8, 7)
+    jittered = pts + 1e-6 * np.random.default_rng(3).uniform(-1.0, 1.0, pts.shape)
+    yield ScalarKernel.matern(nu=2.5, lengthscale=0.3), jittered, None
+    yield ScalarKernel.linear(), pts, 1e-3
+    yield ScalarKernel.gaussian(1.0), [[0.3, 0.4]], None
+
+
+class TestParityBlocks:
+    """On a lattice a stationary kernel's matrix splits into 2^d parity blocks,
+    and L is built from one eigh of each; every other set is one block, whose L
+    is bitwise the dense formula."""
+
+    @pytest.mark.parametrize("kernel_of_step", [lambda h: ScalarKernel.matern(nu=2.5, lengthscale=2.0 * h),
+                                                lambda h: ScalarKernel.gaussian(lengthscale=h),
+                                                lambda h: ScalarKernel.rq(lengthscale=h, alpha=1.5)],
+                             ids=["matern2.5", "gaussian", "rq"])
+    @pytest.mark.parametrize("counts, blocks", [
+        ((41,), [21, 20]), ((40,), [20, 20]), ((29, 29), [225, 210, 210, 196]),
+        ((8, 7), [16, 12, 16, 12]), ((2, 5), [3, 2, 3, 2]),
+    ], ids=["41", "40", "29x29", "8x7", "2x5"])
+    def test_lattice_root_matches_a_dense_eigh(self, monkeypatch, kernel_of_step, counts, blocks):
+        # lengthscales tied to the finest step, as the default grid kernel's are:
+        # condition numbers 10-5e3, so the two roots differ by rounding alone
+        pts, kernel = lattice(*counts), kernel_of_step(1.0 / (max(counts) - 1))
+        reference = dense_root(kernel, pts)
+        sizes = eigh_sizes(monkeypatch)
+        L = cholesky_preconditioner(kernel, pts)
+        assert sizes == blocks
+        assert np.array_equal(L, L.T)
+        assert np.abs(L - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("kernel, pts, nugget", [*criterion_8_sets(), *one_block_sets()],
+                             ids=[*(f"criterion8-{i}" for i in range(20)), "jittered", "linear", "one-point"])
+    def test_one_block_is_bitwise_the_dense_formula(self, monkeypatch, kernel, pts, nugget):
+        sizes = eigh_sizes(monkeypatch)
+        L = cholesky_preconditioner(kernel, pts, nugget=nugget)
+        assert sizes == [len(L)]
+        assert np.array_equal(L, dense_root(kernel, pts, nugget))
+
+    def test_lattice_moved_by_ulps_takes_the_parity_path_and_passes_the_root_check(self, monkeypatch):
+        pts = lattice(12, 9)
+        pts[[5, 40, 77]] += 4 * np.finfo(float).eps * np.array([[1.0, -1.0], [-1.0, 0.0], [0.0, 1.0]])
+        assert recovery._lattice_of(pts) is not None and not np.array_equal(pts, lattice(12, 9))
+        kernel = ScalarKernel.matern(nu=2.5, lengthscale=0.2)
+        sizes = eigh_sizes(monkeypatch)
+        L = cholesky_preconditioner(kernel, pts)
+        assert sizes == [30, 24, 30, 24]
+        monkeypatch.undo()
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts, L))
+        assert rmap._root is L
+        assert np.abs(L - dense_root(kernel, pts)).max() <= 1e-12 * np.abs(L).max()
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_nonpositive_eigenvalue_in_any_block_advises_a_larger_nugget(self, monkeypatch, block):
+        calls, real = [], np.linalg.eigh
+
+        def eigh(A):  # the given block loses its smallest eigenvalue
+            w, V = real(A)
+            if len(calls) == block:
+                w[0] = -1e-17
+            calls.append(1)
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(FactorizationError, match=r"nonpositive eigenvalue -1\.000e-17 .*increase the nugget"):
+            cholesky_preconditioner(ScalarKernel.matern(nu=2.5, lengthscale=0.2), lattice(6, 5))
+        assert len(calls) == block + 1
+
+    def test_singular_lattice_matrix_advises_a_larger_nugget(self):
+        with pytest.raises(FactorizationError, match="nonpositive eigenvalue.*increase the nugget"):
+            cholesky_preconditioner(ScalarKernel.gaussian(lengthscale=2.0), lattice(12, 12), nugget=0.0)
 
 
 class TestLattice:
