@@ -392,11 +392,15 @@ def mesh_lengthscale(points) -> float:
     at nugget-level error even for rough (discontinuous) samples.
     """
     pts = as_points(points, "points")
-    if pts.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         return 1.0
-    d = distances(pts)
-    d[np.diag_indices(pts.shape[0])] = np.inf
-    spacing = float(np.median(d.min(axis=1)))
+    nearest = np.empty(n)
+    for i in range(0, n, 128):  # 128 rows of distances at a time: no n x n matrix
+        d = distances(pts[i:i + 128], pts)
+        d[np.arange(len(d)), np.arange(i, i + len(d))] = np.inf
+        nearest[i:i + 128] = d.min(axis=1)
+    spacing = float(np.median(nearest))
     return 2.0 * spacing if spacing > 0 else 1.0
 
 

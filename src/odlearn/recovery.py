@@ -14,9 +14,18 @@ fill-distance computation.
 Recovery maps are immutable data: what a map recovers through is built on its
 first recovery and reused, so an unused map builds nothing. Without a
 preconditioner that is the Cholesky factor of G, and every solve against G is
-two LAPACK triangular solves (``dtrtrs``) on it. The factor is trusted, as it
-was built from a checked matrix, so no request rescans it; the right-hand sides
-are checked instead, and a non-finite measurement vector is a ValueError. Many
+two LAPACK triangular solves (``dtrtrs``) on it. On a lattice (``_lattice_of``)
+of at least ``PARITY_MIN_POINTS`` points, with a stationary kernel, G commutes
+with reversing each axis, so the even/odd butterfly P along every axis makes
+H = P G P^T block diagonal, 2^d reflection-parity blocks of about n / 2^d
+points (``_Parity``), and G^-1 = P^T H^-1 P: the factor is the blocks'
+Cholesky factors, about n^2 / 2^d floats built in about 1 / 4^d of the dense
+flops, from G's rows on the first half of every axis only (``_parity_blocks``),
+and a solve folds its columns, solves each block, and unfolds them. Any other
+map, the linear family, or a lattice below the rule has one block, G, whose
+factor is the dense one bit for bit. The factor is trusted, as it was built
+from a checked matrix, so no request rescans it; the right-hand sides are
+checked instead, and a non-finite measurement vector is a ValueError. Many
 columns take LAPACK's blocked path and give the bits of ``potrs``; one column
 takes the unblocked one, which differs only by rounding and costs less than
 half as much. A preconditioned map builds no factor and keeps no kernel
@@ -24,9 +33,9 @@ matrix: it recovers through L alone, as G^-1 L^-1 = L for the map's own root
 L G L = I (``cholesky_preconditioner`` at the map's nugget), which its first
 recovery checks to the rounding that such a root carries; any other L, which
 measuring still takes, is a ValueError there. ``cholesky_preconditioner``
-builds that root from symmetric eigendecompositions: on a lattice, with a
-stationary kernel, one per reflection-parity block of G, 2^d ``eigh`` calls of
-about n / 2^d points each; on any other set one ``eigh`` of all n.
+builds that root from the same blocks by symmetric eigendecompositions: on a
+lattice, with a stationary kernel, 2^d ``eigh`` calls of about n / 2^d points
+each, whatever its size; on any other set one ``eigh`` of all n.
 
 Evaluating the interpolant, k(q, X) @ C, builds the cross Gram in blocks,
 except on a lattice query set: there it is an exact discrete convolution of C
@@ -61,6 +70,14 @@ from .errors import FactorizationError
 from .kernels import ScalarKernel, as_points, distances, gram, gram_diag, stationary_gram
 
 NUGGET_FACTOR = 1e-10  # default nugget = 1e-10 * mean(diag Gram)
+# Points from which a recovery map on a lattice factorizes G by its parity blocks
+# (RecoveryMap._parity). Each block costs two more LAPACK calls per solve and the
+# folds a pass over the columns each, so one column solves faster dense below
+# this: timeit at 1 BLAS thread (2-vCPU x86-64), Matern 5/2 of twice the step,
+# dense against parity, 1-D 500 points 61 against 60 us, 600 85 against 75; 2-D
+# 24x24 92 against 116, 25x25 88 against 88, 29x29 193 against 110. Burgers'
+# 128 points and advection's 40 and 200 stay one block; darcy's 841 split.
+PARITY_MIN_POINTS = 600
 # Lattice detection tolerance, relative to the point set's extent: 128 ulps. Grids
 # from linspace and their midpoints or cell centres sit within about 1 ulp, and a
 # point this far off moves the convolved result by about that much times |grad k|.
@@ -74,12 +91,15 @@ LATTICE_MIN_ENTRIES = 65_536
 # and its product with the cross Gram LATTICE_PRODUCT_COST per entry. So a C of B
 # columns convolves while B (FFT_COST S log2 S - PRODUCT_COST n_q n) <= n_q n: the
 # FFTs grow with B, the blocked path pays its cross Gram once. Fitted to cold
-# timings at 1 BLAS thread (2-vCPU x86-64, pocketfft): 0.12-0.21 and
-# 0.006-0.011 on 1-D lattices of 400 and 1000 points and darcy's 28x28 cell
-# centres on its 29x29 grid. Darcy's paths cross at 150-180 columns (the rule
-# says 198); 1-D lattices convolve at any column count.
-LATTICE_FFT_COST = 0.2
-LATTICE_PRODUCT_COST = 0.006
+# timings at 1 BLAS thread (2-vCPU x86-64, pocketfft, best of 11, two runs):
+# 0.14-0.39 and 0.0045-0.0073 on darcy's 29x29 grid against itself, its 28x28
+# cell centres, and 1-D lattices of 400 and 1000 points against their
+# midpoints. The paths cross at 120-150 columns at darcy's cell centres (the rule
+# says 138), at 100 or fewer on its own grid, whose 57-point FFTs cost more
+# (146), and near 150 at 400 points in 1-D (179); 1000 points in 1-D convolve at
+# any column count, as PRODUCT_COST n_q n exceeds FFT_COST S log2 S there.
+LATTICE_FFT_COST = 0.23
+LATTICE_PRODUCT_COST = 0.0055
 
 
 @dataclass(frozen=True)
@@ -210,10 +230,14 @@ class RecoveryMap:
     """Optimal-recovery interpolant factory for one kernel/measurement pair.
 
     Without a preconditioner, the regularized kernel matrix G on the measurement
-    points is assembled and Cholesky-factorized on first use. A preconditioned
-    map builds no factor and keeps no kernel matrix: it recovers through its L
-    once its first recovery has checked L G L = I (``_root``). Both are cached,
-    and concurrent first uses at worst build equal ones twice.
+    points is Cholesky-factorized on first use: on a lattice of at least
+    ``PARITY_MIN_POINTS`` points with a stationary kernel, block by parity block
+    (``_parity``), each block built from G's rows on the half lattice, else G
+    whole. On darcy's 29x29 grid that is four factors of 225, 210, 210 and 196
+    points, 1.4 MB against 5.7 MB, built in about a third of the dense time. A
+    preconditioned map builds no factor and keeps no kernel matrix: it recovers
+    through its L once its first recovery has checked L G L = I (``_root``).
+    Both are cached, and concurrent first uses at worst build equal ones twice.
     """
 
     kernel: ScalarKernel
@@ -229,15 +253,27 @@ class RecoveryMap:
         return _lattice_of(self.measurement.points)
 
     @cached_property
+    def _parity(self) -> _Parity:
+        """How G splits (``_Parity``): by reflection parity on a lattice of at
+        least ``PARITY_MIN_POINTS`` points with a stationary kernel, else not."""
+        big = self.kernel.family != "linear" and self.size >= PARITY_MIN_POINTS
+        return _parity_of(self._lattice if big else None, self.size)
+
+    @cached_property
     def _factor(self) -> tuple:
-        G = gram(self.kernel, self.measurement.points)
+        """``cho_factor``'s (c, lower) of G, or on a parity split the tuple of its
+        blocks' c, in ``_parity.blocks`` order. Each block is factorized in place
+        through its F-ordered transpose: G itself is exactly symmetric, and a
+        parity block is to the rounding of its mirrored points (a few ulps)."""
+        _, blocks = _parity_blocks(self.kernel, self.measurement.points, self._parity, self.nugget)
         try:
-            return cho_factor(G + self.nugget * np.eye(G.shape[0]), lower=True)
+            factors = tuple(cho_factor(A.T, lower=True, overwrite_a=True)[0] for A in blocks)
         except LinAlgError as exc:
             raise FactorizationError(
                 "kernel matrix is numerically singular even after adding "
                 f"nugget={self.nugget:.3e}; increase the nugget"
             ) from exc
+        return (factors if self._parity.flips else factors[0]), True
 
     @property
     def size(self) -> int:
@@ -280,15 +316,37 @@ class RecoveryMap:
 
 def _gram_solve(rmap: RecoveryMap, Y: np.ndarray) -> np.ndarray:
     """G^-1 Y, for a vector or a matrix of columns Y, by two triangular solves
-    on the map's cached Cholesky factor. Neither operand is scanned: the
-    factor was built from a checked matrix, and the caller checks Y."""
-    c = rmap._factor[0]
-    X, info = dtrtrs(c, Y, lower=1)
-    if info == 0:
-        X, info = dtrtrs(c, X, lower=1, trans=1, overwrite_b=1)
-    if info != 0:
-        raise FactorizationError(f"recovery solve failed with LAPACK info={info}; increase the nugget")
-    return X
+    on each of the map's cached Cholesky factors. With one block that is G's
+    factor, on Y itself. On a parity split G^-1 = P^T H^-1 P, with P the
+    unscaled even/odd butterfly along every axis and H = P G P^T block diagonal:
+    Y's columns are folded (``_fold``), each block of rows is solved against its
+    block's factor, and the result is unfolded, each step one pass over Y.
+    Neither operand is scanned: the factors were built from a checked matrix,
+    and the caller checks Y."""
+    parity, (c, _) = rmap._parity, rmap._factor
+
+    def solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
+        X, info = dtrtrs(c, B, lower=1)
+        if info == 0:
+            X, info = dtrtrs(c, X, lower=1, trans=1, overwrite_b=1)
+        if info != 0:
+            raise FactorizationError(f"recovery solve failed with LAPACK info={info}; increase the nugget")
+        return X
+
+    if not parity.flips:
+        return solve(c, Y)
+    Z = parity.fold(Y.T.reshape(-1, *parity.shape), 1)  # (columns, 2, half_0, 2, half_1, ...)
+    middles = [col for _, col in parity.middles(1)]
+    for col in middles:
+        Z[col] *= math.sqrt(0.5)
+    for (_, cols, size), block in zip(parity.blocks, c):
+        rows = Z[(slice(None),) + cols]
+        rows[...] = solve(block, rows.reshape(len(Z), size).T).T.reshape(rows.shape)
+    for col in middles:
+        Z[col] /= math.sqrt(0.5)
+    X = parity.unfold(Z, 1).reshape(len(Z), -1)
+    X *= 0.5 ** len(parity.shape)
+    return X.T if Y.ndim == 2 else X[0]
 
 
 def as_query_points(rmap: RecoveryMap, query_points) -> np.ndarray:
@@ -426,10 +484,11 @@ def on_grid_weights(rmap: RecoveryMap, R) -> np.ndarray:
     G - nugget * I, so no kernel matrix is built. A preconditioned map builds
     no factor and gives K @ (L @ R) by ``_blocked_product``, so it keeps no
     kernel matrix either. It does not take ``QuerySet.evaluate``: on the map's
-    own grid its column-count rule mispredicts, convolving up to 198 columns on
-    darcy's 29x29 grid where the dense product is faster from about 150 (darcy's
-    root L, one BLAS thread of a 2-vCPU Xeon, best of 5, stencil build included:
-    100 columns 7.2 against 7.6 ms, 150 11.2 against 8.8, 198 14.5 against 9.4).
+    own grid its column-count rule mispredicts, convolving up to 146 columns on
+    darcy's 29x29 grid, whose 57-point FFTs cost more than the rule's S log2 S,
+    where the dense product is faster from 100 or fewer (one BLAS thread of a
+    2-vCPU Xeon, best of 11, stencil build included: 100 columns 12.5-14.0
+    against 10.5-10.7 ms, 120 17.6-20.6 against 11.3-11.7).
     R is one vector or a matrix of columns; a non-finite R is a ValueError."""
     if not np.isfinite(R).all():
         raise ValueError("right-hand side of the recovery solve is not finite")
@@ -445,7 +504,13 @@ def on_grid_norms(rmap: RecoveryMap) -> np.ndarray:
     """The row norms of the recovery weights W at the map's own points, in closed
     form. Without a preconditioner W = I - nugget G^-1, so |w_y|^2 is
     1 - 2 nugget (G^-1)_yy + nugget^2 |(G^-1)_y|^2, with G^-1 from ``dpotri`` on
-    the map's factor. With the map's own root L (symmetric, L L = G^-1), W = K L
+    the map's factor. On a parity split no n x n inverse is formed: G^-1 =
+    Q^T B^-1 Q for the orthogonal butterfly Q and B = Q G Q^T, whose diagonal
+    blocks are the factorized ones, so (G^-1)_yy and |(G^-1)_y|^2 =
+    (G^-2)_yy are, at a point and its mirror images, the mean over the parities
+    of the diagonals of each block's inverse and of its square (its row norms),
+    both from that block's ``dpotri`` (``_mirror_mean``). With the map's own
+    root L (symmetric, L L = G^-1), W = K L
     and W W^T = K G^-1 K = G - 2 nugget I + nugget^2 G^-1, so |w_y|^2 is
     k(y, y) - nugget + nugget^2 |L_y|^2: one pass over L, no K L product."""
     lam = rmap.nugget
@@ -453,12 +518,20 @@ def on_grid_norms(rmap: RecoveryMap) -> np.ndarray:
         L = rmap._root
         sq = gram_diag(rmap.kernel, rmap.measurement.points) - lam + lam * lam * (L * L).sum(axis=1)
     else:
-        inv, info = dpotri(rmap._factor[0], lower=1)
-        if info != 0:
-            raise FactorizationError(f"recovery inverse failed with LAPACK info={info}; increase the nugget")
-        T = np.tril(inv)  # dpotri fills the lower triangle only
-        T *= T
-        sq = 1.0 - 2.0 * lam * np.diag(inv) + lam * lam * (T.sum(axis=0) + T.sum(axis=1) - np.diag(T))
+        parity, (c, _) = rmap._parity, rmap._factor
+        diags = np.zeros((2, *parity.folded))  # each block inverse's diagonal and its square's
+        for (rows, cols, _), block in zip(parity.blocks, c if parity.flips else (c,)):
+            inv, info = dpotri(block, lower=1)
+            if info != 0:
+                raise FactorizationError(f"recovery inverse failed with LAPACK info={info}; increase the nugget")
+            T = np.tril(inv)  # dpotri fills the lower triangle only
+            T *= T
+            both = np.stack([np.diag(inv), T.sum(axis=0) + T.sum(axis=1) - np.diag(T)])
+            diags[(slice(None),) + cols] = both.reshape(2, *(b.stop for b in rows))
+        for k in reversed(parity.axes):
+            diags = _mirror_mean(diags, 1 + 2 * k, parity.shape[k])
+        inv_diag, inv_rows = diags.reshape(2, -1)
+        sq = 1.0 - 2.0 * lam * inv_diag + lam * lam * inv_rows
     return np.sqrt(np.clip(sq, 0.0, None))  # rounding may take a vanishing norm below 0
 
 
@@ -477,44 +550,20 @@ def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None =
     along every axis splits it into 2^d blocks of about n / 2^d points (225,
     210, 210 and 196 on a 29x29 grid): 2^d ``eigh`` calls of that size in place
     of one of n. By the same symmetry G's rows on the first half of every axis
-    give the blocks, and L's rows there give the rest of L, so only those rows
-    are built (a quarter of G in 2-D). Any other set, or the linear family, has
+    give the blocks, as they do a recovery map's factor (``_parity_blocks``),
+    and L's rows there give the rest of L, so only those rows are built (a
+    quarter of G in 2-D). Any other set, or the linear family, has
     no reversible axis and one block, G itself: one ``eigh`` of n, the former
     dense arithmetic. L comes out exactly symmetric.
     """
     points = as_points(points, "points")
     nugget = resolve_nugget(kernel, points, nugget)
-    n, dim = points.shape
-    lattice = None if kernel.family == "linear" else _lattice_of(points)
-    shape = (n,) if lattice is None else lattice.shape
-    pairs = (0,) if lattice is None else tuple(m // 2 for m in shape)  # x_i and x_{m-1-i}, i < pairs
-    half = tuple(m - h for m, h in zip(shape, pairs))  # the pairs' first points, then the middle one
-    head = tuple(slice(e) for e in half)
-    flips = range(len(shape) if lattice else 0)  # the reversible axes
-    d = len(shape)
-    # G's first-half rows, each column axis k folded into even and odd sums at 1 + 2k:
-    # (rows, 2, half_0, 2, half_1, ...) on a lattice, (n, n) on any other set
-    T = gram(kernel, points.reshape(*shape, dim)[head].reshape(-1, dim), points).reshape(-1, *shape)
-    for k in flips:
-        T = _fold(T, 1 + 2 * k, half[k])
-    blocks = T.reshape(*half, *T.shape[1:])  # a view of T, its rows on the half lattice
-    # a middle point (odd length) is its own mirror image, so the folds count it twice:
-    # its rows and columns take 1/sqrt(2) in G's blocks, and sqrt(2) in their roots.
-    # It has no odd part: its odd column is 0 from the fold, and its odd row is set to 0
-    middles = [((slice(None),) * k + (pairs[k],), (slice(None),) * (d + 2 * k + 1) + (pairs[k],),
-                (slice(None),) * k + (pairs[k],) + (slice(None),) * (d - 1 + k) + (1,))
-               for k in flips if shape[k] % 2]
-    for row, col, odd_row in middles:
-        blocks[row] *= math.sqrt(0.5)
-        blocks[col] *= math.sqrt(0.5)
-        blocks[odd_row] = 0.0
-    scale = 0.5 ** len(flips)  # the butterflies' 1/sqrt(2), on rows and columns, that _unfold leaves out
-    for parity in itertools.product(*[(0, 1) if h else (0,) for h in pairs]):
-        block = tuple(slice(h) if p else slice(e) for p, h, e in zip(parity, pairs, half))
-        cols = tuple(x for p, b in zip(parity, block) for x in ((p, b) if flips else (b,)))
-        size = math.prod(b.stop for b in block)
-        A = blocks[block + cols].reshape(size, size)  # a view or a copy: no other block reads it
-        A[np.diag_indices(size)] += nugget
+    n = len(points)
+    parity = _parity_of(None if kernel.family == "linear" else _lattice_of(points), n)
+    shape, pairs, half, d = parity.shape, parity.pairs, parity.half, len(parity.shape)
+    blocks, As = _parity_blocks(kernel, points, parity, nugget)
+    scale = 0.5 ** len(parity.axes)  # the butterflies' 1/sqrt(2), on rows and columns, that _unfold leaves out
+    for (rows, cols, _), A in zip(parity.blocks, As):
         w, V = np.linalg.eigh(A)
         if w.min() <= 0:
             raise FactorizationError(
@@ -522,16 +571,15 @@ def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None =
                 f"nugget={nugget:.3e}; increase the nugget"
             )
         R = (V * (scale / np.sqrt(w))) @ V.T
-        blocks[block + cols] = (0.5 * (R + R.T)).reshape(*[b.stop for b in block] * 2)
-    for row, col, _ in middles:
+        blocks[rows + cols] = (0.5 * (R + R.T)).reshape(*[b.stop for b in rows] * 2)
+    for row, col in parity.middles(d):  # a middle point's sqrt(2) in the roots
         blocks[row] /= math.sqrt(0.5)
         blocks[col] /= math.sqrt(0.5)
-    for k in reversed(flips):
-        T = _unfold(T, 1 + 2 * k, shape[k])
     L = np.empty((n, n))
     full = L.reshape(*shape, *shape)
-    full[head] = T.reshape(*half, *shape)
-    for k in flips:  # the other rows by symmetry: L[mirror_k(y), x] = L[y, mirror_k(x)]
+    head = tuple(slice(e) for e in half)
+    full[head] = parity.unfold(blocks, d)
+    for k in parity.axes:  # the other rows by symmetry: L[mirror_k(y), x] = L[y, mirror_k(x)]
         above = (slice(None),) * k
         below = head[k + 1:] + (slice(None),) * d
         mirrored = (slice(None),) * (d + k) + (slice(None, None, -1),)
@@ -540,14 +588,114 @@ def cholesky_preconditioner(kernel: ScalarKernel, points, nugget: float | None =
     return L
 
 
+@dataclass(frozen=True)
+class _Parity:
+    """How the kernel matrix G of a point set splits into reflection-parity blocks.
+
+    On a lattice of ``shape``, with a stationary kernel (``flips``), G commutes
+    with reversing each axis: along an axis of m points, point i and its mirror
+    image m - 1 - i form one of ``pairs`` = m // 2 pairs, and the middle point of
+    an odd axis is its own. ``_fold`` takes each axis to the pairs' sums and
+    differences, (2, half) with half = m - pairs, the ``folded`` shape; and G
+    to 2^d blocks, one per parity, of about n / 2^d points each. Any other set
+    has the shape (n,), no flips, and one block, G itself.
+    """
+
+    shape: tuple[int, ...]
+    flips: bool
+
+    @cached_property
+    def pairs(self) -> tuple[int, ...]:
+        return tuple(m // 2 for m in self.shape) if self.flips else (0,)
+
+    @cached_property
+    def half(self) -> tuple[int, ...]:
+        """Points per axis of the half lattice: the pairs' first points, then the middle one."""
+        return tuple(m - h for m, h in zip(self.shape, self.pairs))
+
+    @property
+    def axes(self) -> range:
+        """The reversible axes."""
+        return range(len(self.shape) if self.flips else 0)
+
+    @cached_property
+    def folded(self) -> tuple[int, ...]:
+        return tuple(x for e in self.half for x in ((2, e) if self.flips else (e,)))
+
+    @cached_property
+    def blocks(self) -> list[tuple[tuple, tuple, int]]:
+        """(rows, cols, size) of each parity block: the slices of its points on the
+        half lattice, its index into the folded axes, and its point count."""
+        found = []
+        for parity in itertools.product(*[(0, 1) if h else (0,) for h in self.pairs]):
+            rows = tuple(slice(h) if p else slice(e) for p, h, e in zip(parity, self.pairs, self.half))
+            cols = tuple(x for p, b in zip(parity, rows) for x in ((p, b) if self.flips else (b,)))
+            found.append((rows, cols, math.prod(b.stop for b in rows)))
+        return found
+
+    def middles(self, lead: int) -> list[tuple[tuple, tuple]]:
+        """(row, col) for each odd axis k: the index of its middle point among rows on
+        the half lattice, and among the folded axes after ``lead`` leading ones."""
+        return [((slice(None),) * k + (self.pairs[k],), (slice(None),) * (lead + 2 * k + 1) + (self.pairs[k],))
+                for k in self.axes if self.shape[k] % 2]
+
+    def fold(self, x: np.ndarray, lead: int) -> np.ndarray:
+        """x with its lattice axes, after ``lead`` leading ones, folded (``_fold``)."""
+        for k in self.axes:
+            x = _fold(x, lead + 2 * k, self.half[k])
+        return x
+
+    def unfold(self, x: np.ndarray, lead: int) -> np.ndarray:
+        """The inverse of ``fold`` up to a factor 2 per reversible axis (``_unfold``)."""
+        for k in reversed(self.axes):
+            x = _unfold(x, lead + 2 * k, self.shape[k])
+        return x
+
+
+def _parity_of(lattice: _Lattice | None, n: int) -> _Parity:
+    """The parity split of n points that form ``lattice``, or of one block."""
+    return _Parity((n,), False) if lattice is None else _Parity(lattice.shape, True)
+
+
+def _parity_blocks(kernel: ScalarKernel, points: np.ndarray, parity: _Parity,
+                   nugget: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(rows, blocks): rows is G's rows on the half lattice with their columns
+    folded, (half_0, half_1, ..., 2, half_0, 2, half_1, ...), G itself for one
+    block; blocks are the parity blocks of G + nugget I, of the butterfly scaled
+    to be orthogonal, each a view of rows or a copy, in ``parity.blocks`` order.
+    By G's symmetry under reflections its rows on the half lattice give every
+    block, so only they are built (a quarter of G in 2-D)."""
+    dim, d = points.shape[1], len(parity.shape)
+    if parity.flips:
+        head = points.reshape(*parity.shape, dim)[tuple(slice(e) for e in parity.half)]
+        rows = parity.fold(gram(kernel, head.reshape(-1, dim), points).reshape(*parity.half, *parity.shape), d)
+    else:
+        rows = gram(kernel, points)
+    # a middle point (odd length) is its own mirror image, so the folds count it twice:
+    # its rows and columns take 1/sqrt(2) in G's blocks. It has no odd part: its odd
+    # column is 0 from the fold, and its odd row is set to 0
+    for row, col in parity.middles(d):
+        k = len(row) - 1  # the odd axis
+        rows[row] *= math.sqrt(0.5)
+        rows[col] *= math.sqrt(0.5)
+        rows[row + (slice(None),) * (d - 1 + k) + (1,)] = 0.0
+    blocks = []
+    for block, cols, size in parity.blocks:
+        A = rows[block + cols].reshape(size, size)
+        A[np.diag_indices(size)] += nugget
+        blocks.append(A)
+    return rows, blocks
+
+
 def _fold(x: np.ndarray, axis: int, size: int) -> np.ndarray:
     """x with its ``axis`` replaced by two, (2, size): the sums and differences of
     its first ``size`` entries and its last ``size`` reversed. A middle entry is
     its own mirror image, so its difference is exactly 0."""
     out = np.empty(x.shape[:axis] + (2, size) + x.shape[axis + 1:])
-    x, to = np.moveaxis(x, axis, 0), np.moveaxis(out, (axis, axis + 1), (0, 1))
-    np.add(x[:size], x[::-1][:size], out=to[0])
-    np.subtract(x[:size], x[::-1][:size], out=to[1])
+    at = (slice(None),) * axis
+    first, last = x[at + (slice(size),)], x[at + (slice(None, x.shape[axis] - 1 - size, -1),)]
+    np.add(first, last, out=out[at + (0,)])
+    np.subtract(first, last, out=out[at + (1,)])
     return out
 
 
@@ -557,10 +705,23 @@ def _unfold(x: np.ndarray, axis: int, length: int) -> np.ndarray:
     the last ``size``, reversed, their differences."""
     size = x.shape[axis + 1]
     out = np.empty(x.shape[:axis] + (length,) + x.shape[axis + 2:])
-    x, to = np.moveaxis(x, (axis, axis + 1), (0, 1)), np.moveaxis(out, axis, 0)
-    np.add(x[0], x[1], out=to[:size])
-    np.subtract(x[0], x[1], out=to[::-1][:size])
+    at = (slice(None),) * axis
+    even, odd = x[at + (0,)], x[at + (1,)]
+    np.add(even, odd, out=out[at + (slice(size),)])
+    np.subtract(even, odd, out=out[at + (slice(None, length - 1 - size, -1),)])
     return out
+
+
+def _mirror_mean(x: np.ndarray, axis: int, length: int) -> np.ndarray:
+    """For values that a point shares with its mirror image, such as the diagonal
+    of G^-1: the (2, size) axes at ``axis`` become one of ``length`` entries, a
+    pair's two the mean of its even and odd entry and a middle one its even entry
+    (its odd one is 0)."""
+    pairs = length // 2
+    x = np.moveaxis(x, (axis, axis + 1), (0, 1))
+    mean = x[0] + x[1]
+    mean[:pairs] *= 0.5
+    return np.moveaxis(np.concatenate([mean, mean[pairs - 1::-1]]), 0, axis)
 
 
 def fill_distance(sample, domain_probe) -> float:

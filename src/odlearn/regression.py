@@ -127,9 +127,13 @@ def _samples(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
 
 def _factor(G: np.ndarray, gamma: float, failed: str = "at") -> np.ndarray:
     """The lower Cholesky factor of G + gamma*I, or a FactorizationError advising a
-    larger gamma; ``failed`` is "at", or "even at" for the default ridge."""
+    larger gamma; ``failed`` is "at", or "even at" for the default ridge. G is
+    copied once, in the F order LAPACK factorizes in place, and gamma is added
+    on the copy's diagonal: the bits of G + gamma*I without an N x N identity."""
+    A = np.array(G, order="F")
+    A[np.diag_indices(len(A))] += gamma
     try:
-        return cho_factor(G + gamma * np.eye(G.shape[0]), lower=True)[0]
+        return cho_factor(A, lower=True, overwrite_a=True)[0]
     except LinAlgError as exc:
         raise FactorizationError(
             f"Gram factorization failed {failed} gamma={gamma:.3e}; increase gamma"

@@ -96,6 +96,14 @@ def test_recovery_solves_against_its_factor_at_one_call_site():
     assert "cho_solve" not in names
 
 
+def test_no_identity_matrix_is_built():
+    # a regularized factorization adds its ridge or nugget on the diagonal in place
+    found = [f"{path.relative_to(PACKAGE).as_posix()}:{node.lineno}" for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "eye" and getattr(node.value, "id", None) == "np"]
+    assert found == []
+
+
 def test_operator_builds_weights_at_one_call_site_and_holds_one_global():
     tree = ast.parse((PACKAGE / "operator.py").read_text())
     assert len(calls_to(tree, "recovery_weights")) == 1  # off-grid UQ

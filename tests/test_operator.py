@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from odlearn import cli, operator
 from odlearn.data import Dataset, gen_advection1, load_dataset, save_dataset
@@ -354,6 +355,28 @@ class TestPcaPipeline:
         feats = prepare_features(grid, 2.0 * grid, inputs, outputs)
         assert len(calls) == 3
         assert feats.output_recovery.kernel.lengthscale == 2.0 * feats.input_recovery.kernel.lengthscale
+
+
+class TestMeshLengthscale:
+    @staticmethod
+    def dense(points):
+        """The formula from the full n x n distance matrix."""
+        d = cdist(points, points)
+        d[np.diag_indices(len(points))] = np.inf
+        spacing = float(np.median(d.min(axis=1)))
+        return 2.0 * spacing if spacing > 0 else 1.0
+
+    @pytest.mark.parametrize("points", [
+        np.linspace(0.0, 1.0, 300)[:, None],
+        np.linspace(-2.0, 3.0, 129)[:, None],
+        np.column_stack([a.ravel() for a in np.meshgrid(np.linspace(0, 1, 29), np.linspace(0, 2, 23),
+                                                        indexing="ij")]),
+        np.random.default_rng(40).uniform(0.0, 1.0, size=(500, 2)),
+        np.random.default_rng(41).normal(size=(257, 3)),
+        np.array([[0.0], [1.0]]),
+    ], ids=["1d-300", "1d-129", "2d-29x23", "random-500x2", "random-257x3", "two-points"])
+    def test_blocked_nearest_spacing_equals_the_dense_formula(self, points):
+        assert operator.mesh_lengthscale(points) == self.dense(points)
 
 
 class TestPersistence:
@@ -866,9 +889,9 @@ class TestInferenceCore:
     def test_single_apply_matches_batch_row(self, uq_dataset_model, adv1_model, monkeypatch):
         # one off-grid row takes the unblocked triangular solves, a batch the blocked
         # ones. At threshold 0 the off-grid set, a lattice of the grid's step,
-        # convolves every single row and the 10-row batch of the 20-point grid; adv1's
-        # 40 rows on its 40-point grid are past the column crossover and take the
-        # blocked path. The models, and the query sets they cache, serve both thresholds
+        # convolves every single row; the 10-row batch of the 20-point grid (past its
+        # 8-column crossover) and adv1's 40 rows on its 40-point grid take the blocked
+        # path. The models, and the query sets they cache, serve both thresholds
         from odlearn import recovery
 
         convolved = convolutions(monkeypatch)
@@ -883,8 +906,7 @@ class TestInferenceCore:
                         single = apply(model, FunctionSamples(ds.input_grid, ds.test_inputs[i]), q).values
                         assert np.linalg.norm(single - batch[i]) <= 1e-13 * scale
                     if threshold == 0 and q is not ds.output_grid:
-                        batch_convolved = model is uq_dataset_model[1]
-                        assert len(convolved) == len(batch) + batch_convolved
+                        assert len(convolved) == len(batch)
                     else:
                         assert convolved == []
 
@@ -1045,8 +1067,9 @@ class TestInferenceCore:
 
     @pytest.mark.parametrize("queries", ["grid", "lattice", "dense"])
     def test_uq_mean_is_apply_bitwise(self, uq_dataset_model, monkeypatch, queries):
-        # at threshold 0 the off-grid lattice, of the grid's step, convolves; the
-        # 301-point set is no such lattice and takes the dense path
+        # at threshold 0 the off-grid lattice, of the grid's step, convolves each
+        # single row, and the 10-row batches, past the 8-column crossover, take the
+        # dense path; the 301-point set is no such lattice and takes the dense path
         from odlearn import recovery
 
         monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", 0)
@@ -1059,7 +1082,7 @@ class TestInferenceCore:
             assert np.array_equal(apply_with_uq(model, u, q)[0].values, apply(model, u, q).values)
         mean, std = operator._predict(model, ds.test_inputs, q, std=True)
         assert np.array_equal(mean, apply_batch(model, ds.test_inputs, q)) and std.shape == mean.shape
-        assert len(convolved) == (2 * len(ds.test_inputs) + 2 if queries == "lattice" else 0)
+        assert len(convolved) == (2 * len(ds.test_inputs) if queries == "lattice" else 0)
 
     def test_apply_equals_recover_on_and_off_grid(self, uq_dataset_model):
         ds, model = uq_dataset_model
@@ -1148,7 +1171,9 @@ class TestQueryCache:
                 assert np.array_equal(f(m), first[kind]), kind
         (entry,) = m._queries._entries.values()
         kept = vars(entry.query_set).keys()
-        assert ("_stencil" in kept) == (case == "lattice") and ("_blocks" in kept) == (case == "dense")
+        # the lattice set convolves single rows and keeps the cross Gram for the
+        # 10-row batch, past the 8-column crossover of the 20-point grid
+        assert ("_stencil" in kept) == (case == "lattice") and ("_blocks" in kept) == (case != "dense above the cap")
         assert entry.norms is not None and m._queries.nbytes == entry.nbytes <= operator.QUERY_CACHE_BYTES
 
     def test_least_recently_used_sets_go_first_and_a_set_over_the_cap_is_not_stored(self, uq_dataset_model,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri, dtrtrs
 from scipy.spatial.distance import pdist
 
 from odlearn import recovery
@@ -633,9 +634,9 @@ class TestLattice:
     def test_default_threshold_keeps_burgers_dense_and_darcy_on_the_lattice(self):
         assert 128 * 128 < recovery.LATTICE_MIN_ENTRIES <= 28 * 28 * 29 * 29
 
-    @pytest.mark.parametrize("dim, n, crossover", [(2, 29, 198), (1, 1000, None)], ids=["darcy", "1d-1000"])
+    @pytest.mark.parametrize("dim, n, crossover", [(2, 29, 138), (1, 1000, None)], ids=["darcy", "1d-1000"])
     def test_columns_past_the_crossover_take_the_blocked_path(self, monkeypatch, dim, n, crossover):
-        # darcy's cell centres on its 29x29 grid convolve up to 198 columns of C, then
+        # darcy's cell centres on its 29x29 grid convolve up to 138 columns of C, then
         # the blocked product is cheaper; on a 1-D lattice the FFTs stay cheaper at
         # any column count; the rule is read on every call
         rmap, h, _ = lattice_map(matern, dim, "none", n)
@@ -649,6 +650,142 @@ class TestLattice:
         assert qs.lattice_pair(1) is not None
         monkeypatch.setattr(recovery, "LATTICE_MIN_ENTRIES", np.inf)
         assert qs.lattice_pair(1) is None
+
+    def test_darcy_cell_centres_convolve_120_columns_and_not_198(self):
+        # timed cold at 1 BLAS thread: 120 columns 9.1-9.4 ms convolved against
+        # 10.6 blocked, 198 columns 15.0-20.1 convolved against 10.4-12.1 blocked
+        rmap, h, _ = lattice_map(matern, 2, "none", 29)
+        centres = 0.5 * h + np.arange(28) * h
+        qs = recovery.QuerySet(rmap, tensor_points(centres, centres))
+        assert qs.lattice_pair(120) is not None and qs.lattice_pair(198) is None
+
+
+def dense_solve(rmap, Y):
+    """G^-1 Y from one dense cho_factor of G and two dtrtrs calls on it."""
+    pts = rmap.measurement.points
+    c, _ = cho_factor(gram(rmap.kernel, pts) + rmap.nugget * np.eye(len(pts)), lower=True)
+    X, info = dtrtrs(c, Y, lower=1)
+    X, info2 = dtrtrs(c, X, lower=1, trans=1)
+    assert info == info2 == 0
+    return X, c
+
+
+def dense_norms(c, nugget):
+    """The closed-form on-grid norms from the dense factor c, by its dpotri inverse."""
+    inv, info = dpotri(c, lower=1)
+    assert info == 0
+    T = np.tril(inv)
+    T *= T
+    sq = 1.0 - 2.0 * nugget * np.diag(inv) + nugget * nugget * (T.sum(axis=0) + T.sum(axis=1) - np.diag(T))
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def owned_bytes(arrays) -> int:
+    """Bytes of the distinct buffers that the arrays view."""
+    roots = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values())
+
+
+class TestParityFactor:
+    """On a lattice of at least PARITY_MIN_POINTS points a stationary kernel's G
+    is factorized by its parity blocks, and every solve and the closed-form norms
+    go through them; any other map is one block, bitwise the dense factor."""
+
+    KERNELS = [lambda h: ScalarKernel.matern(nu=2.5, lengthscale=2.0 * h),
+               lambda h: ScalarKernel.gaussian(lengthscale=h),
+               lambda h: ScalarKernel.rq(lengthscale=h, alpha=1.5)]
+
+    @pytest.mark.parametrize("kernel_of_step", KERNELS, ids=["matern2.5", "gaussian", "rq"])
+    @pytest.mark.parametrize("counts, blocks", [
+        ((41,), [21, 20]), ((40,), [20, 20]), ((29, 29), [225, 210, 210, 196]),
+        ((8, 7), [16, 12, 16, 12]), ((2, 5), [3, 2, 3, 2]),
+    ], ids=["41", "40", "29x29", "8x7", "2x5"])
+    def test_parity_solve_matches_the_dense_solve(self, monkeypatch, kernel_of_step, counts, blocks):
+        monkeypatch.setattr(recovery, "PARITY_MIN_POINTS", 1)
+        pts = lattice(*counts)
+        rmap = RecoveryMap(kernel_of_step(1.0 / (max(counts) - 1)), MeasurementOperator(pts))
+        c, lower = rmap._factor
+        assert rmap._parity.flips and lower and [len(b) for b in c] == blocks
+        Y = np.random.default_rng(34).normal(size=(3, len(pts))).T  # F-ordered columns, as callers pass
+        want, _ = dense_solve(rmap, Y)
+        column = recovery._gram_solve(rmap, Y[:, 1].copy())
+        for got, ref in ((recovery._gram_solve(rmap, Y), want), (column, want[:, 1]), (rmap.coefficients(Y.T), want)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kernel_of_step", KERNELS, ids=["matern2.5", "gaussian", "rq"])
+    @pytest.mark.parametrize("counts", [(41,), (40,), (29, 29), (8, 7), (2, 5)],
+                             ids=["41", "40", "29x29", "8x7", "2x5"])
+    def test_on_grid_norms_match_the_dense_closed_form(self, monkeypatch, kernel_of_step, counts):
+        # a nugget of 1e-2 moves every norm off 1 by more than 1e-3, so the diagonal
+        # and row terms of every parity block are both tested
+        monkeypatch.setattr(recovery, "PARITY_MIN_POINTS", 1)
+        pts = lattice(*counts)
+        rmap = RecoveryMap(kernel_of_step(1.0 / (max(counts) - 1)), MeasurementOperator(pts), nugget=1e-2)
+        _, c = dense_solve(rmap, np.zeros(len(pts)))
+        want = dense_norms(c, rmap.nugget)
+        assert np.abs(1.0 - want).min() >= 1e-3
+        got = on_grid_norms(rmap)
+        assert rmap._parity.flips
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["random", "linear", "below-the-rule", "jittered"])
+    def test_one_block_is_bitwise_the_dense_factor(self, monkeypatch, case):
+        pts, kernel = lattice(20, 20), ScalarKernel.matern(nu=2.5, lengthscale=0.1)
+        if case != "below-the-rule":  # 400 points: one block at the default rule
+            monkeypatch.setattr(recovery, "PARITY_MIN_POINTS", 1)
+        if case == "random":
+            pts = np.random.default_rng(35).uniform(0.0, 1.0, size=(60, 2))
+        elif case == "linear":
+            kernel = ScalarKernel.linear()
+        elif case == "jittered":
+            pts = pts + 1e-6 * np.random.default_rng(36).uniform(-1.0, 1.0, pts.shape)
+        rmap = RecoveryMap(kernel, MeasurementOperator(pts), nugget=1e-3)
+        Y = np.random.default_rng(37).normal(size=(4, len(pts))).T
+        want, c_dense = dense_solve(rmap, Y)
+        c, lower = rmap._factor
+        assert not rmap._parity.flips and lower
+        assert np.array_equal(c, c_dense)
+        assert np.array_equal(rmap.coefficients(Y.T), want)
+        assert np.array_equal(recovery._gram_solve(rmap, Y[:, 0].copy()), dense_solve(rmap, Y[:, 0].copy())[0])
+        assert np.array_equal(on_grid_norms(rmap), dense_norms(c_dense, rmap.nugget))
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_nonpositive_pivot_in_any_block_advises_a_larger_nugget(self, monkeypatch, block):
+        monkeypatch.setattr(recovery, "PARITY_MIN_POINTS", 1)
+        calls, real = [], recovery.cho_factor
+
+        def cho_factor(a, **kw):  # the given block gets a nonpositive leading pivot
+            if len(calls) == block:
+                a[0, 0] = -1.0
+            calls.append(1)
+            return real(a, **kw)
+
+        monkeypatch.setattr(recovery, "cho_factor", cho_factor)
+        rmap = RecoveryMap(ScalarKernel.matern(nu=2.5, lengthscale=0.2), MeasurementOperator(lattice(6, 5)))
+        message = r"^kernel matrix is numerically singular even after adding nugget=1\.000e-10; increase the nugget$"
+        with pytest.raises(FactorizationError, match=message):
+            recover(rmap, np.ones(30), rmap.measurement.points)
+        assert len(calls) == block + 1 and "_factor" not in vars(rmap)
+
+    def test_darcy_grid_keeps_a_quarter_of_the_dense_factor(self):
+        # the default grid kernel on darcy's 29x29 grid: four blocks of 225, 210,
+        # 210 and 196 points, 177,241 floats against 707,281 for the dense factor
+        from odlearn.operator import default_grid_kernel
+
+        pts = lattice(29, 29)
+        rmap = RecoveryMap(default_grid_kernel(pts), MeasurementOperator(pts))
+        assert len(pts) >= recovery.PARITY_MIN_POINTS and rmap._parity.flips
+        c, _ = rmap._factor
+        assert [b.shape for b in c] == [(225, 225), (210, 210), (210, 210), (196, 196)]
+        assert owned_bytes(c) == 8 * 177_241 <= 8 * 1.005 * len(pts) ** 2 / 4
+
+    def test_size_rule_keeps_burgers_and_advection_dense_and_splits_darcy(self):
+        assert 200 < recovery.PARITY_MIN_POINTS <= 841
 
 
 @pytest.mark.parametrize("preconditioner", ["none", "cholesky"])

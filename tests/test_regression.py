@@ -290,6 +290,32 @@ class TestLogMarginalLikelihood:
         assert regression._evidence(G, 1e-4, regression._target_factor(V), m) == want
 
 
+class TestFactor:
+    @pytest.mark.parametrize("gamma", [0.0, 1e-8, 1e-3])
+    def test_factor_is_bitwise_cho_factor_of_g_plus_gamma_identity(self, gamma):
+        # G is copied once in F order and gamma added on its diagonal in place;
+        # G itself, reused for every gamma of an LML search, is left as it was
+        U = np.random.default_rng(38).normal(size=(40, 3))
+        G = gram(ScalarKernel.matern(2.5, 1.1), U)
+        before = G.copy()
+        want, _ = cho_factor(G + gamma * np.eye(40), lower=True)
+        got = regression._factor(G, gamma)
+        assert np.array_equal(got, want) and got.flags.f_contiguous
+        assert np.array_equal(G, before)
+
+    def test_lml_objective_and_fitted_factor_are_bitwise_the_identity_formula(self):
+        rng = np.random.default_rng(39)
+        U, V = rng.normal(size=(30, 4)), rng.normal(size=(30, 5))
+        k, gamma = ScalarKernel.gaussian(1.7), 1e-6
+        G = gram(k, U)
+        L, _ = cho_factor(G + gamma * np.eye(30), lower=True)
+        Z = solve_triangular(L, V, lower=True)
+        want = -0.5 * float(np.sum(Z * Z)) - 0.5 * 5 * 2.0 * float(np.sum(np.log(np.diag(L)))) \
+            - 0.5 * 30 * 5 * np.log(2.0 * np.pi)
+        assert log_marginal_likelihood(k, U, V, gamma) == want
+        assert np.array_equal(fit(k, U, V, gamma).chol, np.tril(L))
+
+
 class TestFitResidual:
     def test_matches_explicit_fitted_targets(self):
         rng = np.random.default_rng(5)
